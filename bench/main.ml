@@ -12,9 +12,9 @@
                           target's telemetry as JSON
           --domains N     pool size for the parallel `gn` runs (default 4)
           --detector NAME community detector for the `pipeline`/`refine`/
-                          `campaign` targets (gn|gn-adaptive|greedy|
-                          louvain|lp; parsed by the same helper as
-                          rca_main's --detector)
+                          `campaign` targets (any name rca_main's
+                          --detector accepts: both parse with
+                          Refine.partitioner_of_string)
           --trace PATH    record the run under lib/obs and write a Chrome
                           trace-event JSON (`gn`, `pipeline` and `refine`
                           targets)
@@ -24,11 +24,14 @@
    reports: slice sizes, community structure, sampled central nodes,
    detection outcomes, failure-rate tables and degree distributions.  The
    `micro` target runs Bechamel timings of the pipeline stages; `gn`
-   benchmarks exact Girvan–Newman (reference vs component-incremental
-   CSR engine, sequential and pooled) on a clustered fixture; `pipeline`
-   runs the end-to-end slice-and-refine fixture twice — uninstrumented,
-   then under lib/obs tracing — checks the results are identical, and
-   writes the per-stage telemetry (BENCH_pipeline.json). *)
+   benchmarks exact Girvan–Newman (the component-incremental CSR engine,
+   sequential and pooled, against the test/oracle reference) on a
+   clustered fixture; `pipeline` runs the end-to-end slice-and-refine
+   fixture twice — uninstrumented, then under lib/obs tracing — checks
+   the results are identical, and writes the per-stage telemetry
+   (BENCH_pipeline.json); `refine` checks the masked engine against the
+   test/oracle list engine; `scaling` times each detector at small,
+   paper and huge scale. *)
 
 open Rca_experiments
 module MG = Rca_metagraph.Metagraph
@@ -273,8 +276,8 @@ let run_micro_par () =
 
 (* --- Girvan-Newman engine benchmark (gn) ------------------------------------------------ *)
 
-(* Exact G-N to >= 8 communities on a clustered fixture: the reference
-   engine (full betweenness recomputation per removal) vs the
+(* Exact G-N to >= 8 communities on a clustered fixture: the test/oracle
+   reference (full betweenness recomputation per removal) vs the
    component-incremental CSR engine, sequentially and on a domain pool.
    Every run is differentially checked against the reference (identical
    removal sequences and partitions) before any speedup is reported;
@@ -329,7 +332,7 @@ let run_gn_bench ?(trace = None) ~json ~domains () =
            (r, Unix.gettimeofday () -. t0)
          in
          let reference, t_ref =
-           timeit (fun () -> G.Community.girvan_newman_reference ~target g)
+           timeit (fun () -> Rca_oracle.Gn.girvan_newman ~target g)
          in
          let agrees (r : G.Community.gn_step) =
            r.G.Community.removed_edges = reference.G.Community.removed_edges
@@ -483,15 +486,15 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
 
 (* --- masked refinement engine benchmark (refine) ---------------------------------------- *)
 
-(* The GOFFGRATCH slice-and-refine loop run on both node-set engines —
-   the list-based reference (induced-subgraph rebuild per ancestor
-   computation) and the masked-CSR engine (one frozen snapshot, removals
-   as bitmask flips) — sequentially and pooled.  Every pair of runs is
-   checked for full identity (slice nodes/targets, every iteration,
-   final nodes, outcome, located bugs) before any speedup is reported;
-   a traced run per engine extracts the per-iteration span timings the
-   masked engine is meant to shrink.  Exits non-zero on any difference,
-   so CI fails loudly if the engines ever diverge. *)
+(* The GOFFGRATCH slice-and-refine loop run on the masked-CSR engine (one
+   frozen snapshot, removals as bitmask flips) and on the test/oracle
+   list engine (induced-subgraph rebuild per ancestor computation) —
+   sequentially and pooled.  Every pair of runs is checked for full
+   identity (slice nodes/targets, every iteration, final nodes, outcome,
+   located bugs) before any speedup is reported; a traced masked run
+   extracts the per-iteration span timings.  Exits non-zero on any
+   difference, so CI fails loudly if the engine ever diverges from the
+   oracle. *)
 let run_refine_bench ~json ~trace ~domains ~partitioner () =
   hr ();
   let ok =
@@ -503,11 +506,15 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
         in
         let mg = fixture.Fixture.mg in
         let detect = Rca_core.Detector.reachability mg ~bug_nodes in
-        let run ~engine ~domains () =
-          Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-            ~gn_approx:128 ~stop_size:30 ~partitioner ~domains ~engine mg
-            ~outputs:[ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ]
-            ~detect
+        let keep_module = Rca_synth.Outputs.is_cam_module in
+        let outputs = [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ] in
+        let run_masked ~domains () =
+          Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~gn_approx:128 ~stop_size:30
+            ~partitioner ~domains mg ~outputs ~detect
+        in
+        let run_list ~domains () =
+          Rca_oracle.List_engine.pipeline ~keep_module ~min_cluster:4 ~gn_approx:128
+            ~stop_size:30 ~partitioner ~domains mg ~outputs ~detect
         in
         (* best-of-3 wall clock: the engines differ by bookkeeping that
            is small next to the shared G-N kernel, so single-shot
@@ -546,11 +553,11 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
           List.sort_uniq compare [ 1; domains ] |> List.filter (fun d -> d >= 1)
         in
         Printf.printf
-          "masked-CSR refinement engine vs list reference (GOFFGRATCH, small scale)\n%!";
+          "masked-CSR refinement engine vs the list oracle (GOFFGRATCH, small scale)\n%!";
         List.iter
           (fun d ->
-            let list_r, t_list = timeit (run ~engine:`List ~domains:d) in
-            let masked_r, t_masked = timeit (run ~engine:`Masked ~domains:d) in
+            let list_r, t_list = timeit (run_list ~domains:d) in
+            let masked_r, t_masked = timeit (run_masked ~domains:d) in
             let identical =
               same list_r masked_r
               &&
@@ -573,48 +580,30 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
               (List.length (Pipeline.located_bugs mg r ~bug_nodes))
               (List.length bug_nodes)
         | None -> ());
-        (* One traced sequential run per engine: the per-iteration
-           "refine.iteration" spans are the telemetry the masked engine
-           is meant to shrink.  The masked run goes last so a --trace
-           artifact shows the masked engine. *)
-        let iteration_ms engine_name engine =
-          (* level the GC playing field: the first traced run leaves a
-             grown heap behind that would tax the second one *)
-          Gc.compact ();
-          Rca_obs.Obs.enable ();
-          ignore (run ~engine ~domains:1 ());
-          Rca_obs.Obs.disable ();
-          let iters =
-            List.filter_map
-              (fun s ->
-                if s.Rca_obs.Obs.span_name = "refine.iteration" then
-                  Some (s.Rca_obs.Obs.dur_us /. 1000.0)
-                else None)
-              (Rca_obs.Obs.spans ())
-          in
-          let freeze_ms = Rca_obs.Obs.span_total_ms "frozen.freeze" in
-          let slice_ms = Rca_obs.Obs.span_total_ms "slice.of_internals" in
-          ignore engine_name;
-          (iters, freeze_ms, slice_ms)
+        (* One traced sequential masked run: its "refine.iteration" spans
+           are the per-iteration telemetry (and the --trace artifact). *)
+        Gc.compact ();
+        Rca_obs.Obs.enable ();
+        ignore (run_masked ~domains:1 ());
+        Rca_obs.Obs.disable ();
+        let masked_iters =
+          List.filter_map
+            (fun s ->
+              if s.Rca_obs.Obs.span_name = "refine.iteration" then
+                Some (s.Rca_obs.Obs.dur_us /. 1000.0)
+              else None)
+            (Rca_obs.Obs.spans ())
         in
-        let list_iters, _, list_slice_ms = iteration_ms "list" `List in
-        let masked_iters, freeze_ms, masked_slice_ms = iteration_ms "masked" `Masked in
+        let freeze_ms = Rca_obs.Obs.span_total_ms "frozen.freeze" in
+        let masked_slice_ms = Rca_obs.Obs.span_total_ms "slice.of_internals" in
         (match trace with
         | None -> ()
         | Some path ->
             Rca_obs.Obs.write_chrome_trace path;
             Printf.printf "  chrome trace (masked run) written to %s\n%!" path);
-        Printf.printf "  per-iteration spans (sequential, ms):\n";
-        Printf.printf "    %-10s %12s %12s %8s\n" "iteration" "list" "masked" "speedup";
-        List.iteri
-          (fun i lm ->
-            match List.nth_opt masked_iters i with
-            | Some mm ->
-                Printf.printf "    %-10d %12.3f %12.3f %7.2fx\n" (i + 1) lm mm (lm /. mm)
-            | None -> ())
-          list_iters;
-        Printf.printf "    slice: list %.3f ms, masked %.3f ms (freeze %.3f ms)\n%!"
-          list_slice_ms masked_slice_ms freeze_ms;
+        Printf.printf "  per-iteration spans (masked, sequential, ms):";
+        List.iter (fun ms -> Printf.printf " %.3f" ms) masked_iters;
+        Printf.printf "\n    slice: masked %.3f ms (freeze %.3f ms)\n%!" masked_slice_ms freeze_ms;
         (* The primitives the engines actually differ on, timed in
            isolation over many repetitions: the restricted-ancestors
            closure (one induced-subgraph rebuild per call vs one masked
@@ -636,22 +625,17 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
         in
         let anc_list =
           time_reps (fun () ->
-              Refine.ancestors_within mg slice.Slice.nodes slice.Slice.targets)
+              Rca_oracle.List_engine.ancestors_within mg slice.Slice.nodes slice.Slice.targets)
         in
         let anc_masked =
           time_reps (fun () -> Frozen.ancestors fz ~alive slice.Slice.targets)
         in
         let slice_list =
           time_reps (fun () ->
-              Slice.of_outputs ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-                ~engine:`List mg
-                [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ])
+              Rca_oracle.List_engine.slice_of_outputs ~keep_module ~min_cluster:4 mg outputs)
         in
         let slice_masked =
-          time_reps (fun () ->
-              Slice.of_outputs ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-                ~engine:`Masked ~frozen:fz mg
-                [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ])
+          time_reps (fun () -> Slice.of_outputs ~keep_module ~min_cluster:4 ~frozen:fz mg outputs)
         in
         Printf.printf
           "  engine primitives (%d reps, ms/call):\n\
@@ -676,30 +660,21 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
                   (json_escape engine) dom t speedup identical
                   (if i = List.length rows - 1 then "" else ","))
               rows;
-            Printf.fprintf oc "  ],\n  \"iterations_ms\": [\n";
-            let n_iters = List.length list_iters in
-            List.iteri
-              (fun i lm ->
-                let mm = Option.value ~default:0.0 (List.nth_opt masked_iters i) in
-                Printf.fprintf oc
-                  "    {\"iteration\": %d, \"list_ms\": %.3f, \"masked_ms\": %.3f}%s\n"
-                  (i + 1) lm mm
-                  (if i = n_iters - 1 then "" else ","))
-              list_iters;
+            Printf.fprintf oc "  ],\n  \"masked_iterations_ms\": [%s],\n"
+              (String.concat ", " (List.map (Printf.sprintf "%.3f") masked_iters));
             Printf.fprintf oc
-              "  ],\n  \"slice_ms\": {\"list\": %.3f, \"masked\": %.3f, \"freeze\": %.3f},\n  \
+              "  \"slice_ms\": {\"masked\": %.3f, \"freeze\": %.3f},\n  \
                \"primitives_ms\": {\"ancestors_list\": %.4f, \"ancestors_masked\": %.4f, \
                \"slice_list\": %.4f, \"slice_masked\": %.4f},\n  \
                \"obs\": %s\n}\n"
-              list_slice_ms masked_slice_ms freeze_ms anc_list anc_masked slice_list
-              slice_masked
+              masked_slice_ms freeze_ms anc_list anc_masked slice_list slice_masked
               (Rca_obs.Obs.summary_json ());
             close_out oc;
             Printf.printf "  telemetry written to %s\n%!" path);
         !all_ok)
   in
   if not ok then begin
-    Printf.eprintf "refine bench: masked and list engines DIFFER\n";
+    Printf.eprintf "refine bench: masked engine and list oracle DIFFER\n";
     exit 1
   end
 
@@ -707,14 +682,14 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
 
 (* The Girvan–Newman wall, measured: partition the GOFFGRATCH slice at
    small / paper / huge scale with each community detector (exact
-   incremental G-N, adaptive source-sampled G-N, modularity-greedy) and
-   record seconds + partition quality per (scale, detector); at small and
-   paper also run the end-to-end pipeline per detector and require
-   located_bugs to be identical — the oracle that gates the speedup.
-   Exact G-N is skipped at huge (that infeasibility is the point of the
-   fast detectors).  Also times the paper-scale pipeline at 1 vs
-   [domains] domains: with adaptive pool usage the parallel run must not
-   be slower than sequential.  Gates (exit nonzero on failure): greedy
+   incremental G-N, modularity-greedy) and record seconds + partition
+   quality per (scale, detector); at small and paper also run the
+   end-to-end pipeline per detector and require located_bugs to be
+   identical — the oracle that gates the speedup.  Exact G-N is skipped
+   at huge (that infeasibility is the point of the fast detector).  Also
+   times the paper-scale pipeline at 1 vs [domains] domains: with
+   adaptive pool usage the parallel run must not be slower than
+   sequential.  Gates (exit nonzero on failure): greedy
    >= 10x exact on the paper slice, identical located_bugs across
    detectors, a modularity floor for greedy, parallel <= ~sequential.
    Everything is written to BENCH_scaling.json (--json path). *)
@@ -778,12 +753,6 @@ let run_scaling_bench ~json ~domains () =
               ignore (record_partition "gn" t step.G.Community.partition);
               if label = "paper" then paper_exact_t := t
             end;
-            let astep, t_adaptive =
-              timeit (fun () ->
-                  G.Community.girvan_newman_step
-                    ~adaptive:G.Community.default_adaptive sg)
-            in
-            ignore (record_partition "gn-adaptive" t_adaptive astep.G.Community.partition);
             let greedy_p, t_greedy = timeit (fun () -> G.Community.modularity_greedy sg) in
             let greedy_q = record_partition "greedy" t_greedy greedy_p in
             if label = "paper" then begin
@@ -821,7 +790,7 @@ let run_scaling_bench ~json ~domains () =
                         located )
                       :: !pipeline_rows;
                     located)
-                  [ R.Girvan_newman; R.Gn_adaptive; R.Modularity_greedy ]
+                  [ R.Girvan_newman; R.Modularity_greedy ]
               in
               match located_sets with
               | ref_set :: rest ->
@@ -1579,7 +1548,7 @@ let parse_args args =
         match Rca_core.Refine.partitioner_of_string name with
         | Some p -> go targets json trace domains p rest
         | None ->
-            Printf.eprintf "unknown detector %S (gn|gn-adaptive|greedy|louvain|lp)\n" name;
+            Printf.eprintf "unknown detector %S (%s)\n" name Rca_core.Refine.partitioner_names;
             exit 1)
     | ("--json" | "--trace" | "--domains" | "--detector") :: [] ->
         Printf.eprintf "missing value for flag\n";

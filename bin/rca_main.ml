@@ -49,7 +49,8 @@ let partitioner_conv =
         | None ->
             Error
               (`Msg
-                 (Printf.sprintf "unknown detector %S (gn|gn-adaptive|greedy|louvain|lp)" s))),
+                 (Printf.sprintf "unknown detector %S (%s)" s
+                    Rca_core.Refine.partitioner_names))),
       fun ppf p -> Format.fprintf ppf "%s" (Rca_core.Refine.partitioner_string p) )
 
 let detector_arg =
@@ -58,10 +59,10 @@ let detector_arg =
     & opt partitioner_conv Rca_core.Refine.Girvan_newman
     & info [ "detector" ] ~docv:"NAME"
         ~doc:
-          "Community detector for the refinement's step 5: $(b,gn) (exact incremental \
-           Girvan-Newman, the paper's), $(b,gn-adaptive) (G-N with adaptive \
-           source-sampled Brandes), $(b,greedy) (deterministic modularity-greedy \
-           agglomeration), $(b,louvain), or $(b,lp) (label propagation).")
+          ("Community detector for the refinement's step 5, one of "
+          ^ Rca_core.Refine.partitioner_names
+          ^ ": $(b,gn) is the paper's exact incremental Girvan-Newman, $(b,greedy) \
+             deterministic modularity-greedy agglomeration, $(b,lp) label propagation."))
 
 let members_arg =
   Arg.(
@@ -660,7 +661,7 @@ let serve_cmd =
       $ workers_arg $ queue_arg $ cache_path_arg $ cache_save_arg)
 
 let query_cmd =
-  let run socket port op targets detector engine gn_approx =
+  let run socket port op targets detector gn_approx =
     let addr = addr_of ~socket ~port in
     match Rca_serve.Client.connect addr with
     | exception Unix.Unix_error (e, _, _) ->
@@ -680,7 +681,6 @@ let query_cmd =
                         let s = String.trim s in
                         if s = "" then None else Some (J.Str s)))));
         Option.iter (fun d -> add "detector" (J.Str d)) detector;
-        Option.iter (fun e -> add "engine" (J.Str e)) engine;
         Option.iter (fun g -> add "gn_approx" (J.num g)) gn_approx;
         let outcome =
           match Rca_serve.Client.request conn (J.Obj !fields) with
@@ -712,13 +712,8 @@ let query_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "detector" ] ~docv:"NAME" ~doc:"Community detector (gn|gn-adaptive|greedy|louvain|lp).")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE" ~doc:"Node-set engine: masked or list.")
+      & info [ "detector" ] ~docv:"NAME"
+          ~doc:("Community detector (" ^ Rca_core.Refine.partitioner_names ^ ")."))
   in
   let gn_approx_arg =
     Arg.(
@@ -732,7 +727,7 @@ let query_cmd =
        ~doc:"Send one request to a running $(b,rca_main serve) daemon and print the reply.")
     Term.(
       const run $ socket_arg $ port_arg $ op_arg $ targets_arg $ detector_name_arg
-      $ engine_arg $ gn_approx_arg)
+      $ gn_approx_arg)
 
 (* --- table1 ------------------------------------------------------------------------ *)
 

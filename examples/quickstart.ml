@@ -46,13 +46,17 @@ let () =
     (List.init (MG.n_nodes mg) (fun i -> i));
 
   (* 3. backward-slice on the output written to history ('heat' maps to
-     the internal variable `heating` via the outfld instrumentation) *)
-  let slice = Rca_core.Slice.of_outputs mg [ "heat" ] in
+     the internal variable `heating` via the outfld instrumentation),
+     on a frozen CSR snapshot of the metagraph *)
+  let frozen = Rca_core.Frozen.freeze mg.MG.graph in
+  let slice = Rca_core.Slice.of_outputs ~frozen mg [ "heat" ] in
   Printf.printf "\nslice for output 'heat': %d nodes\n" (Rca_core.Slice.size slice);
   List.iter (fun name -> Printf.printf "  %s\n" name) (Rca_core.Slice.node_names slice);
 
   (* 4. Girvan-Newman communities of the slice *)
-  let communities = Rca_core.Refine.communities_of mg ~min_community:2 slice.Rca_core.Slice.nodes in
+  let communities =
+    Rca_core.Refine.communities_of ~min_community:2 ~frozen slice.Rca_core.Slice.nodes
+  in
   Printf.printf "\ncommunities: %d\n" (List.length communities);
 
   (* 5. eigenvector in-centrality: who aggregates the information flow? *)

@@ -12,8 +12,8 @@
    exact add_edge sequence (CSR row order = succ-list order), so the
    community/centrality kernels downstream accumulate floats in the same
    order and produce bitwise-identical results.  The list-based path
-   stays in the tree as the differential reference (same pattern as the
-   CSR-vs-hashtable Brandes oracle). *)
+   lives in test/oracle as the differential reference, next to the
+   hashtable Brandes the CSR kernel is checked against. *)
 
 module G = Rca_graph
 
@@ -36,8 +36,9 @@ let n t = t.csr.G.Csr.n
 let mask_of_list t nodes = G.Csr.mask_of_list t.csr nodes
 let full_mask t = G.Csr.full_mask t.csr
 
-(* Ancestors of [targets] within the alive nodes, ascending — the masked
-   counterpart of Refine.ancestors_within. *)
+(* Ancestors of [targets] within the alive nodes, ascending — what an
+   induced-subgraph rebuild plus reverse BFS computes, without the
+   rebuild. *)
 let ancestors t ~alive targets = G.Traverse.ancestors_csr ~rev:t.rev ~alive targets
 
 (* Distance-to-targets array over the alive nodes; callers that need the

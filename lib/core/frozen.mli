@@ -7,8 +7,8 @@
 
     Bit-compatibility contract: every function returns exactly what the
     list-based path computes on the materialized induced subgraph,
-    mapped back to parent ids — the list path stays in the tree as the
-    differential reference. *)
+    mapped back to parent ids — the list path lives in test/oracle as
+    the differential reference. *)
 
 module G := Rca_graph
 
@@ -32,8 +32,8 @@ val full_mask : t -> G.Csr.mask
 
 val ancestors : t -> alive:G.Csr.mask -> int list -> int list
 (** Alive nodes from which any alive target is reachable (targets
-    included), ascending — {!Refine.ancestors_within} without the
-    rebuild. *)
+    included), ascending — the induced-subgraph ancestor closure without
+    the rebuild. *)
 
 val ancestor_dist : t -> alive:G.Csr.mask -> int list -> int array
 (** Distance-to-targets array; {!Rca_graph.Traverse.no_dist} marks

@@ -14,59 +14,45 @@ type t = {
 (* Run the static pipeline: slice the metagraph on the affected outputs
    and refine with the given detector.
 
-   With the masked engine (the default) the metagraph is frozen into one
-   Frozen.t CSR here and shared by the slice and every refinement
+   The metagraph is frozen into one Frozen.t CSR here (or the caller's
+   snapshot is reused) and shared by the slice and every refinement
    iteration; static pruning, module restriction, residual-cluster
    dropping and the 8a/8b removals are all node-alive mask flips over
-   that one snapshot.  With the [`List] engine the original
-   materializing path runs (pruned metagraph copy, induced-subgraph
-   rebuilds) — kept as the differential reference for `bench refine`. *)
+   that one snapshot.  The materializing list path (pruned metagraph
+   copy, induced-subgraph rebuilds) is the test/oracle reference. *)
 let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations ?stop_size
-    ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool ?(static_dead = [])
-    ?(engine = (`Masked : Refine.engine)) ?frozen:frozen_arg (mg : MG.t) ~outputs ~detect :
-    t =
+    ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool ?(static_dead = []) ?frozen
+    (mg : MG.t) ~outputs ~detect : t =
   Rca_obs.Obs.span' "pipeline.run"
     (fun t ->
       [
         ("outputs", Rca_obs.Obs.Int (List.length outputs));
-        ("engine", Rca_obs.Obs.Str (Refine.engine_string engine));
         ("slice_nodes", Rca_obs.Obs.Int (Slice.size t.slice));
         ("iterations", Rca_obs.Obs.Int (List.length t.result.Refine.iterations));
         ("outcome", Rca_obs.Obs.Str (Refine.outcome_string t.result.Refine.outcome));
       ])
   @@ fun () ->
-  let frozen =
-    match (engine, frozen_arg) with
-    | `Masked, Some fz -> Some fz  (* caller's snapshot (e.g. a loaded one), shared across runs *)
-    | `Masked, None -> Some (Frozen.freeze mg.MG.graph)
-    | `List, _ -> None
-  in
+  (* the caller's snapshot (e.g. a loaded one) is shared across runs *)
+  let frozen = match frozen with Some fz -> fz | None -> Frozen.freeze mg.MG.graph in
   (* Static dead-node pruning: drop edges incident to statically-dead
      nodes before slicing.  Observational safety is enforced here, not
      assumed: a nominated node is only pruned when it has no outgoing
      edges (so it cannot lie on any path into the backward closure) and
-     is not itself a slicing target.  The list engine materializes a
-     pruned metagraph copy; the masked engine just kills the nodes in
+     is not itself a slicing target.  Pruning just kills the nodes in
      the slice's alive mask. *)
-  let mg_for_run, exclude =
-    if static_dead = [] then (mg, [])
+  let exclude =
+    if static_dead = [] then []
     else
       Rca_obs.Obs.span' "pipeline.static_prune"
-        (fun (mg', dead) ->
+        (fun dead ->
           let before = G.Digraph.m mg.MG.graph in
-          let after =
-            match (engine, frozen) with
-            | `List, _ -> G.Digraph.m mg'.MG.graph
-            | `Masked, Some fz ->
-                before
-                - List.fold_left
-                    (fun acc d -> acc + G.Csr.out_degree fz.Frozen.rev d)
-                    0 dead
-            | `Masked, None -> before
-          in
           [
             ("edges_before", Rca_obs.Obs.Int before);
-            ("edges_after", Rca_obs.Obs.Int after);
+            ( "edges_after",
+              Rca_obs.Obs.Int
+                (before
+                - List.fold_left (fun acc d -> acc + G.Csr.out_degree frozen.Frozen.rev d) 0 dead)
+            );
           ])
       @@ fun () ->
       let targets =
@@ -85,21 +71,13 @@ let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations
       Rca_obs.Obs.incr ~by:(List.length dead) "pipeline.static_dead_pruned";
       Rca_obs.Obs.incr ~by:(List.length static_dead - List.length dead)
         "pipeline.static_dead_rejected";
-      match engine with
-      | `List -> (Rca_metagraph.Prune.without_nodes mg ~dead, dead)
-      | `Masked -> (mg, dead)
+      dead
   in
-  let slice =
-    match engine with
-    | `List -> Slice.of_outputs ?keep_module ~min_cluster ~engine mg_for_run outputs
-    | `Masked ->
-        Slice.of_outputs ?keep_module ~min_cluster ~engine ?frozen ~exclude mg_for_run
-          outputs
-  in
+  let slice = Slice.of_outputs ?keep_module ~min_cluster ~frozen ~exclude mg outputs in
   let result =
     Refine.refine ?m_sample ?min_community ?max_iterations ?stop_size ?gn_approx
-      ?partitioner ?choose_when_stuck ?domains ?pool ~engine ?frozen mg_for_run
-      ~initial:slice.Slice.nodes ~detect
+      ?partitioner ?choose_when_stuck ?domains ?pool ~frozen mg ~initial:slice.Slice.nodes
+      ~detect
   in
   { slice; result }
 

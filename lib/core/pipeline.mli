@@ -22,7 +22,6 @@ val run :
   ?domains:int ->
   ?pool:Rca_graph.Pool.t ->
   ?static_dead:int list ->
-  ?engine:Refine.engine ->
   ?frozen:Frozen.t ->
   MG.t ->
   outputs:string list ->
@@ -36,8 +35,8 @@ val run :
     {!Refine.smallest_ancestry} partially applied to the metagraph is
     the usual choice.  [partitioner] (default {!Refine.Girvan_newman})
     selects the step-5 community detector — the approximate detectors
-    ([Gn_adaptive], [Modularity_greedy]) may partition differently but
-    are gated on the located-bugs oracle.  [domains] (default 1)
+    ([Modularity_greedy], [Label_propagation]) may partition differently
+    but are gated on the located-bugs oracle.  [domains] (default 1)
     parallelizes the refinement's community and centrality hot paths
     over a domain pool without changing results; [pool] shares an
     existing pool across runs instead (overrides [domains]).
@@ -46,16 +45,12 @@ val run :
     Only nodes with no outgoing edges that are not slicing targets are
     actually dropped, which makes the pruning observationally safe: the
     slice, refinement and located bugs are identical with and without
-    it.  [engine] (default [`Masked]) selects the node-set bookkeeping
-    for both slicing and refinement: the masked engine freezes the
-    metagraph into one {!Frozen.t} CSR here and expresses static
-    pruning, module restriction and every refinement removal as
-    node-alive mask flips; [`List] runs the materializing reference
-    path.  Both engines produce bit-identical results.  [frozen]
-    (masked engine only) supplies an existing snapshot of [mg]'s graph —
-    a query server loads one from disk once and shares it across every
-    request — instead of freezing here; the caller must guarantee it
-    matches [mg]. *)
+    it.  Slicing and refinement share one {!Frozen.t} CSR of the
+    metagraph and express static pruning, module restriction and every
+    refinement removal as node-alive mask flips.  [frozen] supplies an
+    existing snapshot of [mg]'s graph — a query server loads one from
+    disk once and shares it across every request — instead of freezing
+    here; the caller must guarantee it matches [mg]. *)
 
 val name_of : MG.t -> int -> string
 val describe_nodes : MG.t -> int list -> string list

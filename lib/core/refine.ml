@@ -18,23 +18,19 @@
    simulated sampling (graph reachability from known bug locations) and
    genuine runtime sampling.
 
-   Two interchangeable engines drive the node-set bookkeeping.  The
-   list-based reference rebuilds Digraph.induced_subgraph for every
-   ancestor computation — at least three times per iteration — which is
-   exactly the per-iteration graph-materialization cost the paper calls
-   the bottleneck of iterative refinement.  The masked engine (default)
-   freezes the metagraph once into a Frozen.t CSR and expresses the 8a/8b
-   removals as node-alive bitmask flips plus masked reverse BFS; the
-   community/centrality kernels receive their induced subgraphs
-   materialized from the frozen rows in the list path's exact adjacency
-   order, so iteration sequences, partitions and outcomes are bit
-   identical between the engines (locked by differential tests and the
-   `bench refine` oracle). *)
+   Node-set bookkeeping runs on one frozen snapshot of the metagraph
+   (Frozen.t): the 8a/8b removals are node-alive bitmask flips plus
+   masked reverse BFS, never the Digraph.induced_subgraph rebuild per
+   ancestor computation — at least three per iteration — that the paper
+   calls the bottleneck of iterative refinement.  The community and
+   centrality kernels receive their induced subgraphs materialized from
+   the frozen rows in the adjacency order a rebuild would produce, so
+   iteration sequences, partitions and outcomes are bit identical to the
+   list-based reference in test/oracle (locked by differential tests and
+   the `bench refine` oracle). *)
 
 module MG = Rca_metagraph.Metagraph
 module G = Rca_graph
-
-type engine = [ `List | `Masked ]
 
 type iteration = {
   nodes : int list;  (* subgraph at the start of the iteration *)
@@ -58,79 +54,54 @@ type result = {
   outcome : outcome;
 }
 
-(* Ancestors of [targets] inside the node set [nodes] (paths confined to
-   the current subgraph) — the list-based reference: one induced-subgraph
-   rebuild per call. *)
-let ancestors_within (mg : MG.t) nodes targets =
-  let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-  let sub_targets = List.filter_map (G.Digraph.sub_of_parent sub) targets in
-  G.Traverse.ancestors sub.G.Digraph.graph sub_targets
-  |> List.map (G.Digraph.sub_to_parent sub)
-  |> List.sort compare
-
 (* Community method for step 5: the paper uses one Girvan-Newman
-   iteration; the alternatives its Section 5.2/6.3 remarks invite are the
-   fast detectors — adaptive source-sampled G-N, deterministic
-   modularity-greedy agglomeration — plus Louvain and label propagation.
+   iteration; the alternatives its Section 5.2/6.3 remarks invite are
+   deterministic modularity-greedy agglomeration and label propagation.
    Approximate detectors are judged by the quality harness
    (Rca_graph.Quality) and the end-to-end located_bugs oracle, not by
    bitwise identity with exact G-N. *)
-type partitioner =
-  | Girvan_newman
-  | Gn_adaptive
-  | Modularity_greedy
-  | Louvain
-  | Label_propagation
+type partitioner = Girvan_newman | Modularity_greedy | Label_propagation
 
 let partitioner_string = function
   | Girvan_newman -> "gn"
-  | Gn_adaptive -> "gn-adaptive"
   | Modularity_greedy -> "greedy"
-  | Louvain -> "louvain"
   | Label_propagation -> "lp"
+
+(* The one list every usage and error message names detectors from. *)
+let partitioner_names =
+  String.concat "|"
+    (List.map partitioner_string [ Girvan_newman; Modularity_greedy; Label_propagation ])
 
 (* One detector-name parser shared by every CLI surface (bin/rca_main
    and bench/main) so the flag vocabularies cannot drift. *)
 let partitioner_of_string = function
   | "gn" | "girvan-newman" | "exact" -> Some Girvan_newman
-  | "gn-adaptive" | "adaptive" | "sampled" -> Some Gn_adaptive
   | "greedy" | "modularity-greedy" | "leiden" -> Some Modularity_greedy
-  | "louvain" -> Some Louvain
   | "lp" | "label-propagation" -> Some Label_propagation
   | _ -> None
 
-let induced_sub ?frozen (mg : MG.t) nodes =
-  match frozen with
-  | Some fz -> Frozen.induced_sub fz nodes
-  | None -> G.Digraph.induced_subgraph mg.MG.graph nodes
-
-let communities_of (mg : MG.t) ?gn_approx ?(min_community = 3)
-    ?(partitioner = Girvan_newman) ?pool ?frozen nodes =
-  match (partitioner, frozen) with
-  | Modularity_greedy, Some fz ->
+let communities_of ?gn_approx ?(min_community = 3) ?(partitioner = Girvan_newman) ?pool
+    ~frozen nodes =
+  (* G-N and label propagation partition the induced subgraph
+     materialized from the frozen rows *)
+  let on_induced partition =
+    let sub = Frozen.induced_sub frozen nodes in
+    G.Community.significant_communities ~min_size:min_community
+      (partition sub.G.Digraph.graph)
+    |> List.map (List.map (G.Digraph.sub_to_parent sub))
+  in
+  match partitioner with
+  | Girvan_newman ->
+      on_induced (fun g ->
+          (G.Community.girvan_newman_step ?approx:gn_approx ?pool g).G.Community.partition)
+  | Label_propagation -> on_induced (fun g -> G.Community.label_propagation g)
+  | Modularity_greedy ->
       (* The greedy engine runs directly on the frozen CSR restricted to
          the live nodes — the one partitioner that needs no induced
          subgraph at all. *)
-      let alive = Frozen.mask_of_list fz nodes in
-      G.Community.modularity_greedy_masked fz.Frozen.csr fz.Frozen.rev ~alive
+      let alive = Frozen.mask_of_list frozen nodes in
+      G.Community.modularity_greedy_masked frozen.Frozen.csr frozen.Frozen.rev ~alive
       |> List.filter (fun comm -> List.length comm >= min_community)
-  | _ ->
-      let sub = induced_sub ?frozen mg nodes in
-      let partition =
-        match partitioner with
-        | Girvan_newman ->
-            (G.Community.girvan_newman_step ?approx:gn_approx ?pool sub.G.Digraph.graph)
-              .G.Community.partition
-        | Gn_adaptive ->
-            (G.Community.girvan_newman_step ?approx:gn_approx
-               ~adaptive:G.Community.default_adaptive ?pool sub.G.Digraph.graph)
-              .G.Community.partition
-        | Modularity_greedy -> G.Community.modularity_greedy sub.G.Digraph.graph
-        | Louvain -> G.Community.louvain sub.G.Digraph.graph
-        | Label_propagation -> G.Community.label_propagation sub.G.Digraph.graph
-      in
-      G.Community.significant_communities ~min_size:min_community partition
-      |> List.map (fun comm -> List.map (G.Digraph.sub_to_parent sub) comm)
 
 (* Node-importance measure for step 6.  The paper settles on eigenvector
    in-centrality; the alternatives support the ablation bench. *)
@@ -147,9 +118,9 @@ let centrality_scores ?pool measure g =
    community's nodes).  Synthetic nodes (localized intrinsics, PRNG
    markers) cannot be instrumented at runtime and are skipped when picking
    sampling sites. *)
-let central_nodes (mg : MG.t) ?(m_sample = 10) ?(measure = Eigenvector_in) ?pool ?frozen
+let central_nodes (mg : MG.t) ?(m_sample = 10) ?(measure = Eigenvector_in) ?pool ~frozen
     community =
-  let sub = induced_sub ?frozen mg community in
+  let sub = Frozen.induced_sub frozen community in
   let cent = centrality_scores ?pool measure sub.G.Digraph.graph in
   G.Centrality.top_k cent (G.Digraph.n sub.G.Digraph.graph)
   |> List.filter_map (fun (id, _) ->
@@ -181,17 +152,14 @@ let by_magnitude magnitude detected =
            (fun best v -> if magnitude v > magnitude best then v else best)
            (List.hd detected) (List.tl detected))
 
-let smallest_ancestry ?frozen (mg : MG.t) nodes detected =
+let smallest_ancestry ~frozen nodes detected =
   match detected with
   | [] -> None
   | _ ->
-      (* one frozen CSR, one masked reverse BFS per candidate — the
-         previous implementation rebuilt the induced subgraph once per
-         candidate via [ancestors_within]. *)
-      let fz = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
-      let alive = Frozen.mask_of_list fz (List.sort_uniq compare nodes) in
+      (* one masked reverse BFS per candidate, no induced subgraph *)
+      let alive = Frozen.mask_of_list frozen (List.sort_uniq compare nodes) in
       let size v =
-        let dist = Frozen.ancestor_dist fz ~alive [ v ] in
+        let dist = Frozen.ancestor_dist frozen ~alive [ v ] in
         let c = ref 0 in
         Array.iter (fun d -> if d <> G.Traverse.no_dist then incr c) dist;
         !c
@@ -211,12 +179,9 @@ let outcome_string = function
   | Exhausted -> "exhausted"
   | Emptied -> "emptied"
 
-let engine_string = function `List -> "list" | `Masked -> "masked"
-
 let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_size = 30)
-    ?gn_approx ?partitioner ?measure ?choose_when_stuck ?(domains = 1) ?pool
-    ?(engine = (`Masked : engine)) ?frozen (mg : MG.t) ~initial ~(detect : Detector.t) :
-    result =
+    ?gn_approx ?partitioner ?measure ?choose_when_stuck ?(domains = 1) ?pool ?frozen
+    (mg : MG.t) ~initial ~(detect : Detector.t) : result =
   (* One pool for the whole refinement: spawned once, reused by every
      Girvan–Newman betweenness recomputation and centrality sweep — or
      shared across many refinements when the caller passes [?pool] (the
@@ -229,32 +194,21 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
      caller's when given): every 8a/8b ancestor sweep is a masked reverse
      BFS on it, and the per-iteration induced subgraphs handed to the
      community/centrality kernels are materialized from its rows. *)
-  let fzo =
-    match engine with
-    | `List -> None
-    | `Masked ->
-        Some (match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph)
-  in
+  let frozen = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
   let iterations = ref [] in
   let finish outcome final_nodes =
     { iterations = List.rev !iterations; final_nodes; outcome }
   in
-  (* [alive] mirrors [nodes] as a bitmask whenever the masked engine is
-     active; it is rebuilt from the next node list at each transition. *)
+  (* [alive] mirrors [nodes] as a bitmask; it is rebuilt from the next
+     node list at each transition. *)
   let rec loop iter_no nodes alive budget =
     (* [nodes] is sorted-unique with every id valid, so the induced
-       subgraph's node count equals [List.length nodes].  The masked
-       engine never materializes the subgraph here: the node count is
-       the list length and the edge count a masked row scan. *)
-    let n_nodes, n_edges =
-      match fzo with
-      | Some fz -> (List.length nodes, Frozen.alive_arcs fz alive)
-      | None ->
-          let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-          (G.Digraph.n sub.G.Digraph.graph, G.Digraph.m sub.G.Digraph.graph)
-    in
+       subgraph's node count is the list length and its edge count a
+       masked row scan — the subgraph itself is never materialized
+       here. *)
+    let n_nodes = List.length nodes and n_edges = Frozen.alive_arcs frozen alive in
     if n_nodes <= stop_size then finish Converged nodes
-    else if budget = 0 then finish Exhausted nodes
+    else if budget <= 0 then finish Exhausted nodes
     else begin
       let decision =
         Rca_obs.Obs.span' "refine.iteration"
@@ -264,7 +218,6 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
                 ("iteration", Rca_obs.Obs.Int iter_no);
                 ("nodes", Rca_obs.Obs.Int n_nodes);
                 ("edges", Rca_obs.Obs.Int n_edges);
-                ("engine", Rca_obs.Obs.Str (engine_string engine));
               ]
             in
             match d with
@@ -280,8 +233,7 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
                   ])
         @@ fun () ->
         let communities =
-          communities_of mg ?gn_approx ~min_community ?partitioner ?pool ?frozen:fzo
-            nodes
+          communities_of ?gn_approx ~min_community ?partitioner ?pool ~frozen nodes
         in
         if communities = [] then
           (* increasingly disconnected graph: no communities left to split
@@ -289,69 +241,42 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
           `Stop (nodes, Fixed_point)
         else begin
           let sampled_by_community =
-            List.map (central_nodes mg ~m_sample ?measure ?pool ?frozen:fzo) communities
+            List.map (central_nodes mg ~m_sample ?measure ?pool ~frozen) communities
           in
           let sampled = List.sort_uniq compare (List.concat sampled_by_community) in
           let detected =
             Rca_obs.Obs.span "refine.detect" (fun () ->
                 List.sort_uniq compare (detect sampled))
           in
-          (* Ancestors of [targets] within the current node set: a masked
-             reverse BFS on the frozen CSR, or the induced-subgraph
-             reference.  Returns the surviving-node predicate as a
-             distance array in the masked case so 8a's complement and
-             8b's closure both come from one traversal. *)
-          let masked_keep targets =
-            match fzo with
-            | Some fz ->
-                let dist = Frozen.ancestor_dist fz ~alive targets in
-                Some (fun v -> dist.(v) <> G.Traverse.no_dist)
-            | None -> None
+          (* The nodes of the current set that [keep] accepts, and how
+             many: the refinement checks run on that counter instead of
+             O(n) list walks per iteration. *)
+          let filter_nodes keep =
+            let kept = ref 0 in
+            let next =
+              List.filter
+                (fun v ->
+                  let k = keep v in
+                  if k then incr kept;
+                  k)
+                nodes
+            in
+            (next, !kept)
           in
-          (* Each branch also yields |next| so the refinement checks run
-             on counters instead of O(n) list walks per iteration. *)
+          (* Membership in the ancestor closure of [targets] within the
+             current node set: one masked reverse BFS. *)
+          let in_closure targets =
+            let dist = Frozen.ancestor_dist frozen ~alive targets in
+            fun v -> dist.(v) <> G.Traverse.no_dist
+          in
           let next, n_next =
-            if detected = [] then begin
+            if detected = [] then
               (* 8a: discard everything that can influence the sampled nodes *)
-              let influenced =
-                match masked_keep sampled with
-                | Some in_closure -> in_closure
-                | None ->
-                    let infl = Hashtbl.create 256 in
-                    List.iter
-                      (fun v -> Hashtbl.replace infl v ())
-                      (ancestors_within mg nodes sampled);
-                    Hashtbl.mem infl
-              in
-              let kept = ref 0 in
-              let next =
-                List.filter
-                  (fun v ->
-                    let keep = not (influenced v) in
-                    if keep then incr kept;
-                    keep)
-                  nodes
-              in
-              (next, !kept)
-            end
-            else begin
+              let influenced = in_closure sampled in
+              filter_nodes (fun v -> not (influenced v))
+            else
               (* 8b: keep exactly the detected nodes' ancestor closure *)
-              match masked_keep detected with
-              | Some in_closure ->
-                  let kept = ref 0 in
-                  let next =
-                    List.filter
-                      (fun v ->
-                        let keep = in_closure v in
-                        if keep then incr kept;
-                        keep)
-                      nodes
-                  in
-                  (next, !kept)
-              | None ->
-                  let anc = ancestors_within mg nodes detected in
-                  (anc, List.length anc)
-            end
+              filter_nodes (in_closure detected)
           in
           iterations :=
             { nodes; n_nodes; n_edges; communities; sampled_by_community; sampled; detected }
@@ -359,29 +284,12 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
           let next, n_next =
             (* non-refining 8b step: fall back to the single-node narrowing
                strategy when one is given *)
-            if detected <> [] && n_next = n_nodes then
-              match choose_when_stuck with
-              | Some choose -> (
-                  match choose nodes detected with
-                  | Some v -> (
-                      match masked_keep [ v ] with
-                      | Some in_closure ->
-                          let kept = ref 0 in
-                          let next =
-                            List.filter
-                              (fun w ->
-                                let keep = in_closure w in
-                                if keep then incr kept;
-                                keep)
-                              nodes
-                          in
-                          (next, !kept)
-                      | None ->
-                          let anc = ancestors_within mg nodes [ v ] in
-                          (anc, List.length anc))
-                  | None -> (next, n_next))
-              | None -> (next, n_next)
-            else (next, n_next)
+            match choose_when_stuck with
+            | Some choose when detected <> [] && n_next = n_nodes -> (
+                match choose nodes detected with
+                | Some v -> filter_nodes (in_closure [ v ])
+                | None -> (next, n_next))
+            | _ -> (next, n_next)
           in
           if n_next = 0 then `Stop ([], Emptied)
           else if n_next = n_nodes then
@@ -394,25 +302,16 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
       match decision with
       | `Stop (final, outcome) -> finish outcome final
       | `Continue (next, _, _) ->
-          let alive =
-            match fzo with Some fz -> Frozen.mask_of_list fz next | None -> alive
-          in
-          loop (iter_no + 1) next alive (budget - 1)
+          loop (iter_no + 1) next (Frozen.mask_of_list frozen next) (budget - 1)
     end
   in
   let initial = List.sort_uniq compare initial in
-  let alive0 =
-    match fzo with
-    | Some fz -> Frozen.mask_of_list fz initial
-    | None -> Bytes.empty
-  in
-  loop 1 initial alive0 max_iterations
+  loop 1 initial (Frozen.mask_of_list frozen initial) max_iterations
   in
   Rca_obs.Obs.span' "refine.run"
     (fun r ->
       [
         ("domains", Rca_obs.Obs.Int domains);
-        ("engine", Rca_obs.Obs.Str (engine_string engine));
         ("iterations", Rca_obs.Obs.Int (List.length r.iterations));
         ("final_nodes", Rca_obs.Obs.Int (List.length r.final_nodes));
         ("outcome", Rca_obs.Obs.Str (outcome_string r.outcome));

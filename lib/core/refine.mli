@@ -2,18 +2,14 @@
     eigenvector in-centrality and (simulated or real) runtime sampling —
     a k-ary search over the slice.
 
-    Two interchangeable engines drive the node-set bookkeeping: the
-    list-based reference ([`List]) rebuilds
-    [Digraph.induced_subgraph] for every ancestor computation, while the
-    masked engine ([`Masked], the default) freezes the metagraph once
-    into a {!Frozen.t} CSR and expresses the 8a/8b removals as
-    node-alive bitmask flips plus masked reverse BFS.  Iteration
-    sequences, partitions, final node sets and outcomes are bit
-    identical between the engines. *)
+    The metagraph is frozen once into a {!Frozen.t} CSR and the 8a/8b
+    removals are node-alive bitmask flips plus masked reverse BFS.
+    Iteration sequences, partitions, final node sets and outcomes are
+    bit identical to the list-based reference in test/oracle, which
+    rebuilds [Digraph.induced_subgraph] for every ancestor
+    computation. *)
 
 module MG := Rca_metagraph.Metagraph
-
-type engine = [ `List | `Masked ]
 
 type iteration = {
   nodes : int list;  (** subgraph at the start of the iteration *)
@@ -37,48 +33,38 @@ type result = {
   outcome : outcome;
 }
 
-val ancestors_within : MG.t -> int list -> int list -> int list
-(** Ancestors of the targets with paths confined to the given node set —
-    the list-based reference (one induced-subgraph rebuild per call);
-    the masked equivalent is {!Frozen.ancestors}. *)
-
 type partitioner =
   | Girvan_newman  (** exact incremental G-N — the paper's detector *)
-  | Gn_adaptive
-      (** G-N with adaptive source-sampled Brandes per rescore
-          ({!Rca_graph.Community.default_adaptive}): same split loop, each
-          betweenness recomputation stops as soon as a Hoeffding-style
-          bound certifies the argmax edge *)
   | Modularity_greedy
       (** deterministic modularity-greedy agglomeration
-          ({!Rca_graph.Community.modularity_greedy}); on the masked engine
-          it runs directly on the frozen CSR with no induced subgraph *)
-  | Louvain
+          ({!Rca_graph.Community.modularity_greedy}), run directly on the
+          frozen CSR with no induced subgraph *)
   | Label_propagation
 
 val partitioner_string : partitioner -> string
-(** Canonical CLI name: gn | gn-adaptive | greedy | louvain | lp. *)
+(** Canonical CLI name. *)
+
+val partitioner_names : string
+(** Every detector's canonical name, joined by ['|'] — the one list
+    usage and error messages name detectors from. *)
 
 val partitioner_of_string : string -> partitioner option
 (** Parse a detector name (canonical names plus aliases girvan-newman /
-    exact, adaptive / sampled, modularity-greedy / leiden,
-    label-propagation).  The single parser behind every [--detector]
-    flag. *)
+    exact, modularity-greedy / leiden, label-propagation).  The single
+    parser behind every [--detector] flag. *)
 
 val communities_of :
-  MG.t ->
   ?gn_approx:int ->
   ?min_community:int ->
   ?partitioner:partitioner ->
   ?pool:Rca_graph.Pool.t ->
-  ?frozen:Frozen.t ->
+  frozen:Frozen.t ->
   int list ->
   int list list
-(** Step 5's community split on the induced subgraph: one Girvan–Newman
-    iteration by default, or one of the alternative partitioners.  [pool]
-    parallelizes the Girvan–Newman betweenness recomputations; [frozen]
-    materializes the induced subgraph from the frozen CSR rows instead of
-    the adjacency lists (identical result). *)
+(** Step 5's community split on the subgraph induced on the given nodes
+    of [frozen]: one Girvan–Newman iteration by default, or one of the
+    alternative partitioners.  [pool] parallelizes the Girvan–Newman
+    betweenness recomputations. *)
 
 type centrality_measure = Eigenvector_in | Pagerank | In_degree | Non_backtracking_in
 
@@ -90,11 +76,12 @@ val central_nodes :
   ?m_sample:int ->
   ?measure:centrality_measure ->
   ?pool:Rca_graph.Pool.t ->
-  ?frozen:Frozen.t ->
+  frozen:Frozen.t ->
   int list ->
   int list
 (** The top-m central, runtime-instrumentable nodes of one community
-    (step 6); eigenvector in-centrality by default. *)
+    (step 6), on the subgraph induced from [frozen]'s rows;
+    eigenvector in-centrality by default. *)
 
 val centrality_ranking : MG.t -> int list -> (int * float) list
 (** Full in-centrality ranking of a community, for reporting (the paper's
@@ -104,12 +91,11 @@ val by_magnitude : (int -> float) -> int list -> int option
 (** Chooser for [choose_when_stuck]: the detected node with the greatest
     observed difference magnitude (the paper's proposed ranking). *)
 
-val smallest_ancestry : ?frozen:Frozen.t -> MG.t -> int list -> int list -> int option
+val smallest_ancestry : frozen:Frozen.t -> int list -> int list -> int option
 (** Chooser: the detected node with the smallest in-slice ancestor
     closure — the maximally refining pick when all sampled nodes appear
-    equally affected (the paper's alternative proposal).  One frozen CSR
-    and one masked reverse BFS per candidate; pass [frozen] to reuse an
-    existing snapshot. *)
+    equally affected (the paper's alternative proposal).  One masked
+    reverse BFS on [frozen] per candidate. *)
 
 val refine :
   ?m_sample:int ->
@@ -122,7 +108,6 @@ val refine :
   ?choose_when_stuck:(int list -> int list -> int option) ->
   ?domains:int ->
   ?pool:Rca_graph.Pool.t ->
-  ?engine:engine ->
   ?frozen:Frozen.t ->
   MG.t ->
   initial:int list ->
@@ -131,17 +116,15 @@ val refine :
 (** Run Algorithm 5.4 from the [initial] node set: split (5), rank (6),
     sample (7), shrink by 8a (nothing detected: drop the sampled nodes'
     ancestor closure) or 8b (keep the detected nodes' ancestors), repeat
-    (9).  [domains] (default 1) sizes a domain pool — spawned once for
+    (9); a [max_iterations] of zero or less stops before the first
+    split.  [domains] (default 1) sizes a domain pool — spawned once for
     the whole refinement, clamped via {!Rca_graph.Pool.recommended_size}
     to the machine's usable parallelism — that parallelizes the
     community-detection and centrality hot paths; an effective size of 1
     keeps the sequential code paths byte-for-byte and any value produces
     the same final node set.  [pool] supplies an existing pool instead
     (overrides [domains]; not shut down here) so many refinements can
-    share one set of worker domains.  [engine] (default [`Masked])
-    selects the node-set bookkeeping; [frozen] reuses the caller's
-    snapshot (one per {!Pipeline.run}) instead of freezing again.  Both
-    engines produce bit-identical results. *)
+    share one set of worker domains.  [frozen] reuses the caller's
+    snapshot (one per {!Pipeline.run}) instead of freezing again. *)
 
 val outcome_string : outcome -> string
-val engine_string : engine -> string

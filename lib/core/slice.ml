@@ -8,16 +8,14 @@
    the ancestor set — a static backward slice, made "hybrid" by the fact
    that the graph was built from coverage-filtered source.
 
-   Two interchangeable engines compute the slice: the list-based path
-   (BFS over Digraph.pred plus induced-subgraph components — kept as the
-   differential reference) and the masked-CSR path (one frozen Frozen.t
-   snapshot, restriction and cluster dropping as node-alive mask flips),
-   which is the default.  Both return identical slices. *)
+   The slice is computed on one frozen Frozen.t snapshot: module
+   restriction, exclusions and residual-cluster dropping are node-alive
+   mask flips.  The list-based reference (BFS over Digraph.pred plus
+   induced-subgraph components) lives in test/oracle and must return
+   identical slices. *)
 
 module MG = Rca_metagraph.Metagraph
 module G = Rca_graph
-
-type engine = [ `List | `Masked ]
 
 type t = {
   mg : MG.t;  (* the graph the slice lives in *)
@@ -40,59 +38,12 @@ let target_nodes (mg : MG.t) internals =
   List.concat_map (fun n -> MG.nodes_with_canonical mg n) internals
   |> List.sort_uniq compare
 
-(* Keep only nodes satisfying the per-node [keep] predicate (e.g. the
-   CAM-only restriction of Section 6, plus statically-dead exclusions):
-   edges through excluded nodes are cut, which produces the residual
-   clusters the paper then drops. *)
-let restricted_ancestors (mg : MG.t) ~keep targets =
-  let g = mg.MG.graph in
-  let n = G.Digraph.n g in
-  let mark = Array.make n false in
-  let q = Queue.create () in
-  List.iter
-    (fun t ->
-      if keep.(t) && not mark.(t) then begin
-        mark.(t) <- true;
-        Queue.add t q
-      end)
-    targets;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun p ->
-        if keep.(p) && not mark.(p) then begin
-          mark.(p) <- true;
-          Queue.add p q
-        end)
-      (G.Digraph.pred g v)
-  done;
-  let acc = ref [] in
-  for v = n - 1 downto 0 do
-    if mark.(v) then acc := v :: !acc
-  done;
-  !acc
-
 (* Drop weakly connected residual clusters smaller than [min_cluster]
    (paper: "residual clusters of less than four nodes ... their removal
-   does not affect the results"). *)
-let drop_small_clusters (mg : MG.t) nodes ~min_cluster =
-  if min_cluster <= 1 then nodes
-  else begin
-    let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-    let comps = G.Components.weakly_connected_components sub.G.Digraph.graph in
-    List.concat_map
-      (fun comp ->
-        if List.length comp >= min_cluster then
-          List.map (G.Digraph.sub_to_parent sub) comp
-        else [])
-      comps
-    |> List.sort compare
-  end
-
-(* Masked counterpart: components over the frozen CSR restricted to the
-   slice nodes; small clusters disappear by never being listed — no
-   induced subgraph, no id remapping. *)
-let drop_small_clusters_masked (fz : Frozen.t) nodes ~min_cluster =
+   does not affect the results"): components over the frozen CSR
+   restricted to the slice nodes; small clusters disappear by never
+   being listed — no induced subgraph, no id remapping. *)
+let drop_small_clusters (fz : Frozen.t) nodes ~min_cluster =
   if min_cluster <= 1 then nodes
   else begin
     let alive = Frozen.mask_of_list fz nodes in
@@ -101,44 +52,36 @@ let drop_small_clusters_masked (fz : Frozen.t) nodes ~min_cluster =
     |> List.sort compare
   end
 
-(* Slice on internal canonical names. *)
-let of_internals ?(keep_module = fun _ -> true) ?(min_cluster = 1) ?(engine = `Masked)
-    ?frozen ?(exclude = []) (mg : MG.t) internals : t =
+(* Slice on internal canonical names.  Nodes failing the per-node keep
+   predicate (the CAM-only restriction of Section 6, plus statically-dead
+   exclusions) are dead in the mask: edges through them are cut, which
+   produces the residual clusters the paper then drops. *)
+let of_internals ?(keep_module = fun _ -> true) ?(min_cluster = 1) ?frozen ?(exclude = [])
+    (mg : MG.t) internals : t =
   Rca_obs.Obs.span' "slice.of_internals"
     (fun t ->
       [
         ("internals", Rca_obs.Obs.Int (List.length internals));
         ("targets", Rca_obs.Obs.Int (List.length t.targets));
         ("nodes", Rca_obs.Obs.Int (List.length t.nodes));
-        ( "engine",
-          Rca_obs.Obs.Str (match engine with `List -> "list" | `Masked -> "masked") );
       ])
   @@ fun () ->
   let targets = target_nodes mg internals in
   let n = G.Digraph.n mg.MG.graph in
-  let keep = Array.init n (fun id -> keep_module (MG.node mg id).MG.module_) in
-  List.iter (fun id -> if id >= 0 && id < n then keep.(id) <- false) exclude;
-  let nodes =
-    match engine with
-    | `List ->
-        let nodes = restricted_ancestors mg ~keep targets in
-        drop_small_clusters mg nodes ~min_cluster
-    | `Masked ->
-        let fz =
-          match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph
-        in
-        let alive = Bytes.init n (fun id -> if keep.(id) then '\001' else '\000') in
-        let nodes = G.Traverse.ancestors_csr ~rev:fz.Frozen.rev ~alive targets in
-        drop_small_clusters_masked fz nodes ~min_cluster
+  let alive =
+    Bytes.init n (fun id -> if keep_module (MG.node mg id).MG.module_ then '\001' else '\000')
   in
+  List.iter (fun id -> if id >= 0 && id < n then Bytes.set alive id '\000') exclude;
+  let fz = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
+  let nodes = drop_small_clusters fz (Frozen.ancestors fz ~alive targets) ~min_cluster in
   let node_set = Hashtbl.create (2 * List.length nodes + 1) in
   List.iter (fun v -> Hashtbl.replace node_set v ()) nodes;
   { mg; nodes; targets = List.filter (Hashtbl.mem node_set) targets; node_set }
 
 (* Slice on affected output (history) names, resolving the label -> internal
    mapping first. *)
-let of_outputs ?keep_module ?min_cluster ?engine ?frozen ?exclude (mg : MG.t) outputs : t =
-  of_internals ?keep_module ?min_cluster ?engine ?frozen ?exclude mg
+let of_outputs ?keep_module ?min_cluster ?frozen ?exclude (mg : MG.t) outputs : t =
+  of_internals ?keep_module ?min_cluster ?frozen ?exclude mg
     (internal_names_of_outputs mg outputs)
 
 (* The induced subgraph of the slice, with the node correspondence. *)

@@ -2,16 +2,13 @@
     of the variable digraph on the canonical names of the affected
     internal variables, computed over coverage-filtered source.
 
-    Two interchangeable engines compute the slice: [`List] (BFS over
-    [Digraph.pred] plus induced-subgraph components — the differential
-    reference) and [`Masked] (the default: one frozen {!Frozen.t}
-    snapshot; module restriction, exclusions and residual-cluster
-    dropping are node-alive mask flips).  Both produce identical
+    The slice is computed on one frozen {!Frozen.t} snapshot: module
+    restriction, exclusions and residual-cluster dropping are node-alive
+    mask flips.  The list-based reference in test/oracle (BFS over
+    [Digraph.pred] plus induced-subgraph components) produces identical
     slices. *)
 
 module MG := Rca_metagraph.Metagraph
-
-type engine = [ `List | `Masked ]
 
 type t = {
   mg : MG.t;  (** the graph the slice lives in *)
@@ -36,7 +33,6 @@ val target_nodes : MG.t -> string list -> int list
 val of_internals :
   ?keep_module:(string -> bool) ->
   ?min_cluster:int ->
-  ?engine:engine ->
   ?frozen:Frozen.t ->
   ?exclude:int list ->
   MG.t ->
@@ -46,15 +42,13 @@ val of_internals :
     excluded modules (the CAM-only restriction); [min_cluster] drops
     weakly connected residual clusters below that size (the paper drops
     clusters of fewer than 4 nodes); [exclude] cuts individual nodes
-    (e.g. statically-dead ones) regardless of module.  [engine]
-    (default [`Masked]) selects the computation path; [frozen] reuses an
-    existing snapshot (one per {!Pipeline.run}) instead of freezing
-    again.  Both engines return identical slices. *)
+    (e.g. statically-dead ones) regardless of module.  [frozen] reuses
+    an existing snapshot (one per {!Pipeline.run}) instead of freezing
+    again. *)
 
 val of_outputs :
   ?keep_module:(string -> bool) ->
   ?min_cluster:int ->
-  ?engine:engine ->
   ?frozen:Frozen.t ->
   ?exclude:int list ->
   MG.t ->

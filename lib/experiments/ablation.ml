@@ -1,8 +1,8 @@
 (* Ablation study over the pipeline's design choices (DESIGN.md's
    per-experiment index calls these out):
 
-   - community detection method (Girvan–Newman / Louvain / label
-     propagation / none, i.e. sampling the whole slice);
+   - community detection method (Girvan–Newman / modularity greedy /
+     label propagation / none, i.e. sampling the whole slice);
    - node-importance measure (eigenvector in-centrality / PageRank /
      in-degree / Hashimoto non-backtracking);
    - samples per community (m).
@@ -36,8 +36,8 @@ let default_variants =
       m_sample = 10;
     };
     {
-      label = "Louvain + eigenvector in, m=10";
-      partitioner = Some Rca_core.Refine.Louvain;
+      label = "modularity greedy + eigenvector in, m=10";
+      partitioner = Some Rca_core.Refine.Modularity_greedy;
       measure = Rca_core.Refine.Eigenvector_in;
       m_sample = 10;
     };
@@ -84,7 +84,8 @@ type row = {
 
 (* Refinement with an optional no-community mode: when [partitioner] is
    [None], the whole current subgraph is treated as one community (the
-   paper's Section 6.2 discussion of why that is worse). *)
+   paper's Section 6.2 discussion of why that is worse).  That mode runs
+   on one frozen snapshot: each shrink step is one masked reverse BFS. *)
 let refine_variant (v : variant) mg ~initial ~detect =
   match v.partitioner with
   | Some partitioner ->
@@ -92,16 +93,21 @@ let refine_variant (v : variant) mg ~initial ~detect =
         ~gn_approx:128 mg ~initial ~detect
   | None ->
       (* single-community refinement: sample the top-m of the whole slice *)
+      let frozen = Rca_core.Frozen.freeze mg.Rca_metagraph.Metagraph.graph in
       let rec loop nodes budget iterations =
-        let sampled = Rca_core.Refine.central_nodes mg ~m_sample:v.m_sample ~measure:v.measure nodes in
-        let detected = detect sampled in
-        let next =
-          if detected = [] then begin
-            let infl = Rca_core.Refine.ancestors_within mg nodes sampled in
-            List.filter (fun n -> not (List.mem n infl)) nodes
-          end
-          else Rca_core.Refine.ancestors_within mg nodes detected
+        let sampled =
+          Rca_core.Refine.central_nodes mg ~m_sample:v.m_sample ~measure:v.measure ~frozen nodes
         in
+        let detected = detect sampled in
+        (* 8a drops the sampled nodes' in-slice ancestor closure, 8b keeps
+           the detected nodes' *)
+        let alive = Rca_core.Frozen.mask_of_list frozen nodes in
+        let dist =
+          Rca_core.Frozen.ancestor_dist frozen ~alive (if detected = [] then sampled else detected)
+        in
+        let in_closure n = dist.(n) <> Rca_graph.Traverse.no_dist in
+        let keep = if detected = [] then fun n -> not (in_closure n) else in_closure in
+        let next = List.filter keep nodes in
         let iterations = (sampled, detected) :: iterations in
         if budget = 0 || next = [] || List.length next = List.length nodes then
           (nodes, List.rev iterations)

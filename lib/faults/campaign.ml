@@ -253,6 +253,9 @@ let run_fault ~(p : params) ~(clean : Fixture.t) ~ensemble ~ect ?pool (fault : F
           let detect =
             Rca_core.Detector.reachability fixture.Fixture.mg ~bug_nodes:expected
           in
+          (* one snapshot per fault, shared by the pipeline and its
+             fallback chooser *)
+          let frozen = Rca_core.Frozen.freeze fixture.Fixture.mg.MG.graph in
           let pipeline =
             (* smallest-ancestry fallback: the Section 6.3 narrowing move
                for non-refining 8b iterations — without it faults whose
@@ -260,9 +263,8 @@ let run_fault ~(p : params) ~(clean : Fixture.t) ~ensemble ~ect ?pool (fault : F
             Rca_core.Pipeline.run ~min_cluster:4 ~m_sample:p.m_sample
               ?gn_approx:p.gn_approx ~stop_size:p.stop_size
               ~partitioner:p.partitioner
-              ~choose_when_stuck:
-                (Rca_core.Refine.smallest_ancestry fixture.Fixture.mg)
-              ?pool fixture.Fixture.mg ~outputs:affected ~detect
+              ~choose_when_stuck:(Rca_core.Refine.smallest_ancestry ~frozen)
+              ?pool ~frozen fixture.Fixture.mg ~outputs:affected ~detect
           in
           let result = pipeline.Rca_core.Pipeline.result in
           let located =

@@ -2,128 +2,31 @@
    graphs, in both node and edge flavours.  Edge betweenness is the engine
    of Girvan–Newman community detection (paper Section 5.2).
 
-   Two implementations share the per-source math:
-
-   - The historical adjacency-list + hashtable accumulator path
-     ([accumulate_from] / [compute_sources]).  It is kept verbatim as the
-     differential-test reference.
-   - The CSR kernel ([csr_accumulate_from] / [csr_compute_sources]): BFS
-     and dependency accumulation over a frozen {!Csr.t} with a plain
-     [float array] edge accumulator indexed by dense arc id, per-call
-     scratch reused across sources (reset in O(visited), so a source
-     confined to a small component costs O(n_c + m_c), not O(n)), and an
-     optional arc-alive bitmask so Girvan–Newman can "remove" edges
-     without touching the snapshot.  CSR rows list neighbours in exactly
-     adjacency-list order, so the sequential CSR kernel is bitwise
-     identical to the sequential reference; the public entry points
-     ([node_betweenness], [edge_betweenness], [max_edge]) run on it.
+   The kernel runs over a frozen {!Csr.t}: BFS and dependency
+   accumulation with a plain [float array] edge accumulator indexed by
+   dense arc id, per-call scratch reused across sources (reset in
+   O(visited), so a source confined to a small component costs
+   O(n_c + m_c), not O(n)), and an optional arc-alive bitmask so
+   Girvan–Newman can "remove" edges without touching the snapshot.  CSR
+   rows list neighbours in exactly adjacency-list order, so the kernel
+   is bitwise identical to the historical adjacency-list + hashtable
+   implementation, which lives on in test/oracle as the differential
+   reference.
 
    Brandes is embarrassingly parallel over BFS sources: every source's
    contribution is independent, so with a Pool.t the source set is split
    into fixed-size chunks, each chunk accumulates into its own private
-   arrays/tables, and the per-chunk partials are merged by a deterministic
+   arrays, and the per-chunk partials are merged by a deterministic
    tree reduction in chunk order.  The chunk structure depends only on the
    source count — never on the pool size — so every pool size >= 2
    produces bitwise-identical results; a sequential run (no pool, or pool
    size 1) sums per source instead of per chunk and can differ from the
    parallel result only in the last ulps of the float accumulations. *)
 
-type accumulators = {
-  node_bc : float array;
-  edge_bc : (int * int, float) Hashtbl.t;
-}
-
-(* Clamped table size: an edgeless graph must not request a size-0
-   table. *)
-let create_acc g =
-  {
-    node_bc = Array.make (Digraph.n g) 0.0;
-    edge_bc = Hashtbl.create (max 16 (2 * Digraph.m g));
-  }
-
-let edge_add tbl key v =
-  let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (cur +. v)
-
-(* One source's contribution: BFS forward pass building the shortest-path
-   DAG, then dependency accumulation in reverse BFS order. *)
-let accumulate_from g acc s =
-  let n = Digraph.n g in
-  let dist = Array.make n (-1) in
-  let sigma = Array.make n 0.0 in
-  let preds = Array.make n [] in
-  let order = ref [] in
-  let q = Queue.create () in
-  dist.(s) <- 0;
-  sigma.(s) <- 1.0;
-  Queue.add s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
-    List.iter
-      (fun v ->
-        if dist.(v) = -1 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end;
-        if dist.(v) = dist.(u) + 1 then begin
-          sigma.(v) <- sigma.(v) +. sigma.(u);
-          preds.(v) <- u :: preds.(v)
-        end)
-      (Digraph.succ g u)
-  done;
-  let delta = Array.make n 0.0 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun u ->
-          let c = sigma.(u) /. sigma.(w) *. (1.0 +. delta.(w)) in
-          edge_add acc.edge_bc (u, w) c;
-          delta.(u) <- delta.(u) +. c)
-        preds.(w);
-      if w <> s then acc.node_bc.(w) <- acc.node_bc.(w) +. delta.(w))
-    !order
-
 (* Fixed chunk size: part of the deterministic contract above, so it must
    not depend on the pool size (or results would differ between pool
    sizes). *)
 let chunk_sources = 16
-
-let merge_acc into src =
-  Array.iteri (fun i v -> into.node_bc.(i) <- into.node_bc.(i) +. v) src.node_bc;
-  Hashtbl.iter (fun k v -> edge_add into.edge_bc k v) src.edge_bc;
-  into
-
-let compute_sources ?pool g sources =
-  let nsources = Array.length sources in
-  Rca_obs.Obs.span
-    ~args:[ ("sources", Rca_obs.Obs.Int nsources); ("nodes", Rca_obs.Obs.Int (Digraph.n g)) ]
-    "brandes.ref_sources"
-  @@ fun () ->
-  match pool with
-  (* Work-size gate: a single-chunk batch gains nothing from the pool
-     (one participant does all the work) but pays the barrier; below
-     [chunk_sources] sources, run inline.  Safe for determinism — one
-     pooled chunk accumulates in the same sequential source order. *)
-  | Some p when Pool.size p > 1 && nsources > chunk_sources ->
-      let chunks = (nsources + chunk_sources - 1) / chunk_sources in
-      let partials =
-        Pool.run_chunks p ~chunks (fun c ->
-            let acc = create_acc g in
-            let lo = c * chunk_sources in
-            let hi = min nsources (lo + chunk_sources) in
-            for i = lo to hi - 1 do
-              accumulate_from g acc sources.(i)
-            done;
-            acc)
-      in
-      Option.value ~default:(create_acc g) (Pool.tree_reduce merge_acc partials)
-  | _ ->
-      let acc = create_acc g in
-      Array.iter (fun s -> accumulate_from g acc s) sources;
-      acc
-
-let compute ?pool g = compute_sources ?pool g (Array.init (Digraph.n g) Fun.id)
 
 (* --- CSR kernel ----------------------------------------------------------- *)
 
@@ -157,7 +60,7 @@ let make_csr_scratch (csr : Csr.t) =
 
 (* One source over CSR.  Neighbour order equals adjacency-list order, so
    the float accumulation sequence — and hence every score — is bitwise
-   identical to [accumulate_from] on the corresponding digraph.  [alive]
+   identical to a hashtable Brandes on the corresponding digraph.  [alive]
    masks arcs out (Girvan–Newman removals); omitted means all arcs. *)
 let csr_accumulate_from (csr : Csr.t) ?alive scratch ~node_bc ~edge_bc s =
   let { dist; sigma; delta; preds; queue = q } = scratch in
@@ -220,8 +123,9 @@ let csr_compute_sources ?pool ?alive (csr : Csr.t) sources =
     "brandes.csr_sources"
   @@ fun () ->
   match pool with
-  (* Same work-size gate as [compute_sources]: single-chunk batches run
-     inline, identical accumulation order either way. *)
+  (* Work-size gate: a single-chunk batch gains nothing from the pool
+     (one participant does all the work) but pays the barrier, so it
+     runs inline — the same sequential source order either way. *)
   | Some p when Pool.size p > 1 && nsources > chunk_sources ->
       let chunks = (nsources + chunk_sources - 1) / chunk_sources in
       let partials =
@@ -266,8 +170,8 @@ let node_betweenness ?(normalized = true) ?pool g =
 
 (* The hashtable view of the CSR scores.  An arc's score is a sum of
    strictly positive contributions, so "never on a shortest path" is
-   exactly "score 0.0" — skipping zeros reproduces the reference table's
-   key set (the reference only inserts on first contribution). *)
+   exactly "score 0.0" — skipping zeros leaves exactly the arcs some
+   shortest path crosses. *)
 let edge_table_of_csr (csr : Csr.t) edge_bc =
   let tbl = Hashtbl.create (max 16 (2 * csr.Csr.m)) in
   for i = 0 to csr.Csr.m - 1 do
@@ -288,8 +192,8 @@ let edge_betweenness ?pool g =
 let beats c ~incumbent = c > incumbent +. (1e-9 *. (1.0 +. abs_float incumbent))
 
 (* The one argmax used everywhere an edge is selected for removal
-   (Betweenness.max_edge, Community.max_betweenness_edge, the
-   component-incremental Girvan–Newman engine).  [iter] presents
+   (Betweenness.max_edge, the component-incremental Girvan–Newman
+   engine, the test/oracle reference).  [iter] presents
    candidate edges in a fixed order; the incumbent survives near-ties,
    so earlier edges win them.  Keeping the fold in one place means every
    caller resolves ties identically — the property the G-N differential

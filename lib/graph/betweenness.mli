@@ -2,21 +2,19 @@
     graphs.  Edge betweenness is the engine of Girvan–Newman community
     detection.
 
-    Two implementations share the per-source math: the historical
-    adjacency-list + hashtable path (kept as the differential-test
-    reference) and the {!Csr} kernel the public entry points run on — a
-    plain [float array] edge accumulator indexed by dense arc id, scratch
-    reset in O(visited) per source, and an optional arc-alive bitmask for
+    Every entry point runs on the {!Csr} kernel — a plain [float array]
+    edge accumulator indexed by dense arc id, scratch reset in
+    O(visited) per source, and an optional arc-alive bitmask for
     Girvan–Newman edge removal.  CSR rows preserve adjacency-list order,
-    so the sequential CSR kernel is bitwise identical to the sequential
-    reference.
+    so the sequential kernel is bitwise identical to the historical
+    adjacency-list + hashtable implementation, which test/oracle keeps
+    as the differential reference.
 
     Every entry point takes an optional [?pool]: with a {!Pool.t} of size
     [>= 2] the per-source accumulation fans out across domains in
     fixed-size source chunks whose partials are merged by a deterministic
     tree reduction — results are bitwise-identical for every pool size
-    [>= 2] and within last-ulp float noise of the sequential path (which
-    remains byte-for-byte the historical code when no pool is given).
+    [>= 2] and within last-ulp float noise of the sequential path.
 
     Pool use is adaptive: batches of at most {!chunk_sources} sources
     would occupy a single chunk (no parallelism, a full barrier), so they
@@ -24,33 +22,10 @@
     result — a one-chunk pooled batch accumulates in the same sequential
     source order the inline path uses. *)
 
-type accumulators = {
-  node_bc : float array;
-  edge_bc : (int * int, float) Hashtbl.t;
-}
-
-val create_acc : Digraph.t -> accumulators
-(** Fresh zeroed accumulators; the edge table size is clamped to a sane
-    minimum so edgeless graphs are fine. *)
-
-val accumulate_from : Digraph.t -> accumulators -> int -> unit
-(** Add one source's shortest-path dependency contributions (the unit of
-    work source-sampled estimation repeats). *)
-
-val compute_sources : ?pool:Pool.t -> Digraph.t -> int array -> accumulators
-(** Betweenness restricted to the given BFS sources, on the hashtable
-    reference path (the building block of exact and source-sampled
-    estimation). *)
-
-val compute : ?pool:Pool.t -> Digraph.t -> accumulators
-(** Exact betweenness from every source (hashtable reference path). *)
-
 val chunk_sources : int
 (** Sources per parallel chunk — fixed (never a function of pool size)
     as part of the deterministic contract: the chunk structure, and so
     the merged float sums, depend only on the source count. *)
-
-(** {1 CSR kernel} *)
 
 type csr_acc = {
   csr_node_bc : float array;  (** indexed by node id *)
@@ -76,14 +51,12 @@ val csr_accumulate_from :
   unit
 (** One source's contribution over CSR, added into the caller's
     accumulators.  [alive] masks arcs out (a ['\000'] byte at an arc id
-    means removed); scores are bitwise identical to {!accumulate_from}
+    means removed); scores are bitwise identical to a hashtable Brandes
     on the corresponding digraph. *)
 
 val csr_compute_sources : ?pool:Pool.t -> ?alive:Bytes.t -> Csr.t -> int array -> csr_acc
-(** CSR betweenness restricted to the given BFS sources, under the same
-    chunked-deterministic [?pool] contract as {!compute_sources} (same
-    chunk size, same tree reduction — per-edge sums are bitwise
-    identical to the hashtable path at every pool size). *)
+(** CSR betweenness restricted to the given BFS sources, under the
+    chunked-deterministic [?pool] contract above. *)
 
 val csr_compute : ?pool:Pool.t -> ?alive:Bytes.t -> Csr.t -> csr_acc
 (** Exact CSR betweenness from every source. *)
@@ -96,8 +69,7 @@ val node_betweenness : ?normalized:bool -> ?pool:Pool.t -> Digraph.t -> float ar
 
 val edge_betweenness : ?pool:Pool.t -> Digraph.t -> (int * int, float) Hashtbl.t
 (** Per-directed-edge shortest-path counts (CSR-backed; the table
-    contains exactly the arcs with nonzero score, matching the reference
-    path's key set). *)
+    contains exactly the arcs with nonzero score). *)
 
 val beats : float -> incumbent:float -> bool
 (** Argmax comparison used for edge selection: [beats c ~incumbent] iff
@@ -110,8 +82,8 @@ val argmax_edge : ((int -> int -> float -> unit) -> unit) -> (int * int * float)
 (** [argmax_edge iter] folds {!beats} over the candidate edges [iter]
     presents (in a fixed order — the incumbent survives near-ties, so
     earlier edges win them).  The single edge-selection argmax shared by
-    {!max_edge}, [Community.max_betweenness_edge] and the incremental
-    Girvan–Newman engine, so all resolve ties identically. *)
+    {!max_edge} and the incremental Girvan–Newman engine (and the
+    test/oracle reference), so all resolve ties identically. *)
 
 val max_edge : ?pool:Pool.t -> Digraph.t -> (int * int * float) option
 (** The single highest-betweenness edge, near-ties broken by edge

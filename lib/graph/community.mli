@@ -19,99 +19,45 @@ val community_count : partition -> int
 val modularity : Digraph.t -> partition -> float
 (** Newman–Girvan modularity [Q] on a symmetrized digraph. *)
 
-val edge_betweenness_sampled :
-  ?approx:int -> ?pool:Pool.t -> Digraph.t -> (int * int, float) Hashtbl.t
-(** Edge betweenness, exact or estimated from [approx] evenly spaced BFS
-    sources (deterministic).  [pool] fans the per-source accumulation out
-    across domains. *)
-
-val max_betweenness_edge :
-  ?approx:int -> ?pool:Pool.t -> Digraph.t -> (int * int * float) option
-(** Highest-betweenness undirected edge of a symmetrized graph; near-ties
-    (relative 1e-9) broken by edge order so sequential and parallel runs
-    agree. *)
-
 type gn_step = {
   partition : partition;
   removed_edges : (int * int) list;
 }
 
-type adaptive = {
-  ad_epsilon : float;  (** stop when the bound reaches this relative error *)
-  ad_delta : float;  (** failure probability budget for the bound *)
-  ad_seed : int;  (** source-shuffle seed (mixed with component identity) *)
-  ad_min_samples : int;  (** first batch size; sample count doubles from here *)
-}
-(** Adaptive source-sampled Brandes: grow the sampled-source count until a
-    Hoeffding-style bound separates the argmax edge (or certifies every
-    edge within [ad_epsilon] of it), falling back to the exact engine when
-    sampling cannot beat just using every source.  See
-    {!girvan_newman_step}'s [?adaptive]. *)
-
-val default_adaptive : adaptive
-(** [epsilon = 0.1], [delta = 0.1], [seed = 0x5eed], [min_samples = 64]. *)
-
 val girvan_newman_step :
-  ?approx:int ->
-  ?adaptive:adaptive ->
-  ?pool:Pool.t ->
-  ?max_removals:int ->
-  Digraph.t ->
-  gn_step
+  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
 (** One Girvan–Newman iteration on a symmetrized copy: remove
     top-betweenness edges until the weak component count increases.
-    [max_removals] bounds the work; [pool] parallelizes each betweenness
-    recomputation without changing the partition.
+    [approx] estimates betweenness from that many evenly spaced BFS
+    sources (deterministic); [max_removals] bounds the work; [pool]
+    parallelizes each betweenness recomputation without changing the
+    partition.
 
     Runs on the component-incremental CSR engine: after removing edge
     [(u, v)] only the component containing [u] has its edge-betweenness
     recomputed (from exactly the fixed BFS sources inside it); untouched
     components keep their cached scores, and removals flip an arc-alive
     bit instead of rebuilding adjacency lists.  Removal sequences and
-    partitions are identical to the reference engine — bitwise
-    sequentially, within the {!Betweenness.beats} tie margin under a
-    pool. *)
+    partitions are identical to exact G-N with a full recomputation per
+    removal (the test/oracle reference) — bitwise sequentially, within
+    the {!Betweenness.beats} tie margin under a pool. *)
 
 val girvan_newman :
-  ?approx:int ->
-  ?adaptive:adaptive ->
-  ?pool:Pool.t ->
-  ?max_removals:int ->
-  target:int ->
-  Digraph.t ->
-  gn_step
+  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> target:int -> Digraph.t -> gn_step
 (** Iterate until at least [target] communities exist (or edges run
     out), on the same incremental engine; [removed_edges] lists the cut
-    sequence in order.  [adaptive] switches each component rescore to
-    sampled Brandes with the Hoeffding stop rule — removal sequences may
-    then differ from the exact engine (judge the result with
-    {!Quality}), but tiny components still compute exactly. *)
-
-val girvan_newman_step_reference :
-  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
-(** {!girvan_newman_step} on the reference engine (mutable digraph +
-    full betweenness recomputation per removal, O(n·m) each) — the
-    differential-test oracle for the incremental engine. *)
-
-val girvan_newman_reference :
-  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> target:int -> Digraph.t -> gn_step
-(** {!girvan_newman} on the reference engine. *)
+    sequence in order. *)
 
 val label_propagation : ?seed:int -> ?max_sweeps:int -> Digraph.t -> partition
 (** Asynchronous label propagation (Raghavan et al. 2007): a fast
     alternative partitioner, deterministic given [seed]. *)
 
-val louvain : ?max_levels:int -> Digraph.t -> partition
-(** Louvain modularity optimization (Blondel et al. 2008) on the
-    symmetrized view: greedy local moves plus community contraction,
-    repeated until modularity stops improving.  Deterministic. *)
-
 val modularity_greedy : ?max_levels:int -> Digraph.t -> partition
 (** Deterministic modularity-greedy agglomeration (Louvain-style local
     moves + contraction, plus a final Leiden-flavoured level-0 refinement
-    sweep).  Unlike {!louvain} its tie-breaking is explicit — ascending
-    node order, equal gains keep the smaller community id — so the result
-    is a pure function of the graph, independent of hashing or pool size.
+    sweep).  Its tie-breaking is explicit — ascending node order, equal
+    gains keep the smaller community id — so the result is a pure
+    function of the graph, independent of hashing or pool size.
     Modularity is monotone from the all-singleton start, so the returned
     partition's [Q] is never below the trivial partition's. *)
 

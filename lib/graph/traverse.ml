@@ -73,8 +73,8 @@ let mark_to_list mark =
    mask: the distances (and hence ancestor sets) equal those of the
    subgraph induced on the alive nodes, with no subgraph materialization.
    Dead sources are skipped — they are simply "not in the subgraph",
-   matching how the list-based pipeline filters targets through
-   [Digraph.sub_of_parent]. *)
+   matching how the list-based reference (test/oracle) filters targets
+   through [Digraph.sub_of_parent]. *)
 
 let bfs_dist_csr (csr : Csr.t) ~alive sources =
   let n = csr.Csr.n in

@@ -43,36 +43,6 @@ let executed_only (mg : Metagraph.t)
     stats = mg.Metagraph.stats;
   }
 
-(* Static dead-node pruning: a copy of the metagraph without the edges
-   incident to [dead] nodes.  The caller guarantees the dead set is safe
-   to drop (the static analyzer only nominates nodes that are provably
-   never read and are not slicing targets; the pipeline additionally
-   requires metagraph out-degree 0, so removing their in-edges cannot
-   change any backward closure). *)
-let without_nodes (mg : Metagraph.t) ~(dead : int list) : Metagraph.t =
-  let is_dead = Hashtbl.create (List.length dead * 2 + 1) in
-  List.iter (fun id -> Hashtbl.replace is_dead id ()) dead;
-  let g = mg.Metagraph.graph in
-  let g' = Rca_graph.Digraph.create ~size_hint:(Rca_graph.Digraph.n g) () in
-  if Rca_graph.Digraph.n g > 0 then Rca_graph.Digraph.ensure_node g' (Rca_graph.Digraph.n g - 1);
-  let origins' = Hashtbl.create (Hashtbl.length mg.Metagraph.edge_origins) in
-  Rca_graph.Digraph.iter_edges
-    (fun u v ->
-      if not (Hashtbl.mem is_dead u || Hashtbl.mem is_dead v) then begin
-        Rca_graph.Digraph.add_edge g' u v;
-        Hashtbl.replace origins' (u, v) (Metagraph.edge_origins mg u v)
-      end)
-    g;
-  {
-    Metagraph.graph = g';
-    node_meta = mg.Metagraph.node_meta;
-    by_key = mg.Metagraph.by_key;
-    by_canonical = mg.Metagraph.by_canonical;
-    io_map = mg.Metagraph.io_map;
-    edge_origins = origins';
-    stats = mg.Metagraph.stats;
-  }
-
 type stats = { edges_before : int; edges_after : int }
 
 let prune_stats (before : Metagraph.t) (after : Metagraph.t) =

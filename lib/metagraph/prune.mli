@@ -11,11 +11,6 @@ val executed_only :
   line_executed:(module_:string -> sub:string -> line:int -> bool) ->
   Metagraph.t
 
-(* Static dead-node pruning: a copy of the metagraph without the edges
-   incident to [dead] nodes.  The caller guarantees the dead set is safe
-   to drop. *)
-val without_nodes : Metagraph.t -> dead:int list -> Metagraph.t
-
 type stats = { edges_before : int; edges_after : int }
 
 val prune_stats : Metagraph.t -> Metagraph.t -> stats

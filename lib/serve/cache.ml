@@ -22,7 +22,6 @@
 type answer = {
   a_targets : string list;  (* canonical form actually sliced on *)
   a_detector : string;
-  a_engine : string;
   a_slice_nodes : int;
   a_slice_targets : int;
   a_iterations : int;
@@ -34,13 +33,14 @@ type answer = {
 
 module B = Binio
 
-let current_version = 1
+(* Version 2 dropped the per-answer engine name; a version-1 file fails
+   to load with a typed error and the daemon starts cold. *)
+let current_version = 2
 let magic = "RCACACHE"
 
 let w_answer buf a =
   B.w_list buf B.w_str a.a_targets;
   B.w_str buf a.a_detector;
-  B.w_str buf a.a_engine;
   B.w_int buf a.a_slice_nodes;
   B.w_int buf a.a_slice_targets;
   B.w_int buf a.a_iterations;
@@ -58,7 +58,6 @@ let w_answer buf a =
 let r_answer r =
   let a_targets = B.r_list r B.r_str in
   let a_detector = B.r_str r in
-  let a_engine = B.r_str r in
   let a_slice_nodes = B.r_int r in
   let a_slice_targets = B.r_int r in
   let a_iterations = B.r_int r in
@@ -76,7 +75,6 @@ let r_answer r =
   {
     a_targets;
     a_detector;
-    a_engine;
     a_slice_nodes;
     a_slice_targets;
     a_iterations;

@@ -11,7 +11,6 @@
 type answer = {
   a_targets : string list;  (** canonical form actually sliced on *)
   a_detector : string;
-  a_engine : string;
   a_slice_nodes : int;
   a_slice_targets : int;
   a_iterations : int;
@@ -22,6 +21,8 @@ type answer = {
 }
 
 val current_version : int
+(** Sidecar format version, bumped whenever [answer] changes shape; a
+    file of any other version fails {!load} with a typed error. *)
 
 val save : string -> snapshot_checksum:int64 -> (string, answer) Lru.t -> unit
 (** [save path ~snapshot_checksum lru] writes every cache entry

@@ -5,7 +5,7 @@
    One request line -> one response line.  Ops:
 
      {"op":"query","id":7,"targets":["TREFHT"],"detector":"gn",
-      "engine":"masked","gn_approx":128}     -> full pipeline answer
+      "gn_approx":128}                       -> full pipeline answer
      {"op":"ping"}                           -> liveness + fingerprint
      {"op":"stats"}                          -> counters
      {"op":"shutdown"}                       -> ack, then the loop exits
@@ -21,12 +21,13 @@
    ([~domains]); the pool runs one batch at a time, so workers take it
    under a try-lock and fall back to sequential compute when it is busy
    — the pool's determinism contract makes both paths bitwise
-   identical.  Per-request ["domains"] fields are accepted and ignored
-   so clients can reuse experiment configs verbatim.
+   identical.  Per-request ["domains"] and ["engine"] fields are
+   accepted and ignored so clients can reuse experiment configs (and
+   requests written for older daemons) verbatim.
 
    Caching and coalescing: answers land in an LRU keyed by the
-   canonical request (sorted-deduped targets + detector + engine +
-   every result-affecting parameter).  A request whose key is already
+   canonical request (sorted-deduped targets + detector + every
+   result-affecting parameter).  A request whose key is already
    computing attaches to the in-flight job instead of recomputing —
    those replies are flagged ["coalesced"] so the traffic generator can
    observe stampede suppression directly.  With [~cache_path] the LRU
@@ -140,7 +141,6 @@ type query = {
   q_targets : string list;  (* canonical: sorted, deduped, defaulted *)
   q_detector : Core.Refine.partitioner;
   q_detector_name : string;
-  q_engine : Core.Refine.engine;
   q_m_sample : int;
   q_min_community : int;
   q_max_iterations : int;
@@ -150,7 +150,9 @@ type query = {
 }
 
 (* Defaults mirror [Pipeline.run]/[Refine.refine] exactly, so a bare
-   {"op":"query"} answers what a default single-shot run would. *)
+   {"op":"query"} answers what a default single-shot run would.  Knobs
+   must be non-negative: a negative budget, size or sample count has no
+   meaning. *)
 let decode_query st v =
   let raw_targets = field_string_list "targets" v in
   let targets =
@@ -169,32 +171,33 @@ let decode_query st v =
   let detector =
     match Core.Refine.partitioner_of_string detector_name with
     | Some p -> p
-    | None -> raise (Bad_request (Printf.sprintf "unknown detector %S" detector_name))
+    | None ->
+        raise
+          (Bad_request
+             (Printf.sprintf "unknown detector %S (%s)" detector_name
+                Core.Refine.partitioner_names))
   in
-  let engine =
-    match field_string "engine" "masked" v with
-    | "masked" -> `Masked
-    | "list" -> `List
-    | other -> raise (Bad_request (Printf.sprintf "unknown engine %S (masked|list)" other))
+  let non_negative name i =
+    if i < 0 then raise (Bad_request (Printf.sprintf "field %S must not be negative" name));
+    i
   in
+  let knob name default = non_negative name (field_int name default v) in
   {
     q_targets = targets;
     q_detector = detector;
     q_detector_name = Core.Refine.partitioner_string detector;
-    q_engine = engine;
-    q_m_sample = field_int "m_sample" 10 v;
-    q_min_community = field_int "min_community" 3 v;
-    q_max_iterations = field_int "max_iterations" 10 v;
-    q_stop_size = field_int "stop_size" 30 v;
-    q_gn_approx = field_int_opt "gn_approx" v;
-    q_min_cluster = field_int "min_cluster" 4 v;
+    q_m_sample = knob "m_sample" 10;
+    q_min_community = knob "min_community" 3;
+    q_max_iterations = knob "max_iterations" 10;
+    q_stop_size = knob "stop_size" 30;
+    q_gn_approx = Option.map (non_negative "gn_approx") (field_int_opt "gn_approx" v);
+    q_min_cluster = knob "min_cluster" 4;
   }
 
 let cache_key q =
   String.concat "\x1f" q.q_targets
-  ^ Printf.sprintf "\x00%s\x00%s\x00m%d c%d i%d s%d g%s k%d" q.q_detector_name
-      (Core.Refine.engine_string q.q_engine)
-      q.q_m_sample q.q_min_community q.q_max_iterations q.q_stop_size
+  ^ Printf.sprintf "\x00%s\x00m%d c%d i%d s%d g%s k%d" q.q_detector_name q.q_m_sample
+      q.q_min_community q.q_max_iterations q.q_stop_size
       (match q.q_gn_approx with None -> "-" | Some g -> string_of_int g)
       q.q_min_cluster
 
@@ -207,8 +210,8 @@ let compute ?pool st q =
     Core.Pipeline.run ~keep_module:st.keep_module ~min_cluster:q.q_min_cluster
       ~m_sample:q.q_m_sample ~min_community:q.q_min_community
       ~max_iterations:q.q_max_iterations ~stop_size:q.q_stop_size
-      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ?pool ~engine:q.q_engine
-      ~frozen:snap.Snapshot.frozen mg ~outputs:q.q_targets ~detect:st.detect
+      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ?pool ~frozen:snap.Snapshot.frozen mg
+      ~outputs:q.q_targets ~detect:st.detect
   in
   let result = pipeline.Core.Pipeline.result in
   let located =
@@ -218,7 +221,6 @@ let compute ?pool st q =
   {
     Cache.a_targets = q.q_targets;
     a_detector = q.q_detector_name;
-    a_engine = Core.Refine.engine_string q.q_engine;
     a_slice_nodes = List.length pipeline.Core.Pipeline.slice.Core.Slice.nodes;
     a_slice_targets = List.length pipeline.Core.Pipeline.slice.Core.Slice.targets;
     a_iterations = List.length result.Core.Refine.iterations;
@@ -271,7 +273,6 @@ let answer_json ~id ~cached ~coalesced ~elapsed_ms (a : Cache.answer) =
       ("coalesced", J.Bool coalesced);
       ("targets", J.Arr (List.map (fun t -> J.Str t) a.a_targets));
       ("detector", J.Str a.a_detector);
-      ("engine", J.Str a.a_engine);
       ("slice_nodes", J.num a.a_slice_nodes);
       ("slice_targets", J.num a.a_slice_targets);
       ("iterations", J.num a.a_iterations);

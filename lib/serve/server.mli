@@ -2,9 +2,9 @@
     ({!Snapshot.t}) over a line-delimited JSON protocol.
 
     Protocol: one request object per line, one response object per
-    line.  Ops: ["query"] (the default — targets/detector/engine plus
-    the refinement knobs, all defaulting to the single-shot pipeline's
-    values), ["ping"], ["stats"], ["shutdown"].  Responses carry
+    line.  Ops: ["query"] (the default — targets/detector plus the
+    non-negative refinement knobs, all defaulting to the single-shot
+    pipeline's values), ["ping"], ["stats"], ["shutdown"].  Responses carry
     [status] ("ok"/"error"), the echoed [id], and for queries the
     [cached]/[coalesced] flags, slice and refinement sizes, candidate
     locations and located bugs.
@@ -58,8 +58,8 @@ val serve :
 
     [cache_capacity] (default 64) bounds the LRU; [domains] (default 1)
     sizes one shared domain pool for the refinement hot paths —
-    per-request ["domains"] fields are accepted and ignored, so results
-    never depend on client configuration.  [workers] (default 1) sizes
+    per-request ["domains"] and ["engine"] fields are accepted and
+    ignored, so results never depend on client configuration.  [workers] (default 1) sizes
     the compute work queue; [0] restores the fully synchronous reactor
     (every query computes inline, blocking the loop).  [queue_capacity]
     (default 64) bounds queued jobs; when full, new jobs compute inline

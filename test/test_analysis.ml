@@ -273,7 +273,7 @@ let oracle_mismatch_has_provenance () =
     | None -> Alcotest.fail "x node missing"
   in
   (* dropping x's edges leaves the static pair x -> y unexplained *)
-  let pruned = Rca_metagraph.Prune.without_nodes mg ~dead:[ x ] in
+  let pruned = Rca_oracle.List_engine.without_nodes mg ~dead:[ x ] in
   let rep = Oracle.check (analyze_scope prog) pruned in
   match rep.Oracle.rp_mismatches with
   | [ m ] ->

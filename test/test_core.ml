@@ -241,7 +241,7 @@ let smallest_ancestry_chooser () =
   let heating = find mg ~module_:"phys_m" ~canonical:"heating" in
   (* d1's in-slice ancestry (u-side only) is smaller than heating's *)
   Alcotest.(check (option int)) "picks d1" (Some d1)
-    (Refine.smallest_ancestry mg s.Slice.nodes [ d1; heating ])
+    (Refine.smallest_ancestry ~frozen:(Frozen.freeze mg.MG.graph) s.Slice.nodes [ d1; heating ])
 
 let refine_skips_synthetic_sampling_sites () =
   let src =
@@ -249,7 +249,7 @@ let refine_skips_synthetic_sampling_sites () =
   in
   let mg = build src in
   let all = List.init (MG.n_nodes mg) (fun i -> i) in
-  let sampled = Refine.central_nodes mg ~m_sample:10 all in
+  let sampled = Refine.central_nodes mg ~m_sample:10 ~frozen:(Frozen.freeze mg.MG.graph) all in
   check_bool "no synthetic nodes sampled" true
     (List.for_all (fun id -> not (MG.node mg id).MG.synthetic) sampled)
 

@@ -1,19 +1,22 @@
 (* Differential lockdown of the CSR graph kernel and the
    component-incremental Girvan-Newman engine.
 
-   The incremental engine must be *indistinguishable* from the reference
-   (mutable digraph + full recomputation per removal): identical removal
+   The incremental engine must be *indistinguishable* from the
+   rca_oracle reference (mutable digraph + full recomputation per
+   removal): identical removal
    sequences and identical partitions, on every graph shape the
    generators can produce — multi-component, self-loops, edgeless,
    empty — sequentially and under 2/4-domain pools, exact and
    source-sampled.  The CSR Brandes kernel is held to a stronger
-   standard: bitwise equality with the hashtable reference path,
+   standard: bitwise equality with the oracle's hashtable Brandes,
    sequentially and at every pool size (same chunk structure, same tree
    reduction, same per-edge summation order).  The eigenvector gather is
    likewise checked bitwise against an inline copy of the historical
    edge-scatter sweep. *)
 
 open Rca_graph
+module Brandes = Rca_oracle.Brandes
+module Gn_ref = Rca_oracle.Gn
 
 let pool2 = Pool.create 2
 let pool4 = Pool.create 4
@@ -204,11 +207,11 @@ let alive_mask_equals_removal () =
       Digraph.remove_edge g' v u)
     !picked;
   let masked = Betweenness.csr_compute ~alive csr in
-  let ref_acc = Betweenness.compute g' in
+  let ref_acc = Brandes.compute g' in
   check_bool "node scores bitwise" true
-    (masked.Betweenness.csr_node_bc = ref_acc.Betweenness.node_bc);
+    (masked.Betweenness.csr_node_bc = ref_acc.Brandes.node_bc);
   check_bool "edge scores bitwise" true
-    (csr_edge_assoc csr masked = table_assoc ref_acc.Betweenness.edge_bc)
+    (csr_edge_assoc csr masked = table_assoc ref_acc.Brandes.edge_bc)
 
 (* --- argmax tie-breaking -------------------------------------------------------- *)
 
@@ -247,11 +250,11 @@ let max_edge_on_path () =
 
 let gn_engines_agree_on g =
   check_bool "step" true
-    (same_step (Community.girvan_newman_step g) (Community.girvan_newman_step_reference g));
+    (same_step (Community.girvan_newman_step g) (Gn_ref.girvan_newman_step g));
   check_bool "target" true
     (same_step
        (Community.girvan_newman ~target:2 g)
-       (Community.girvan_newman_reference ~target:2 g))
+       (Gn_ref.girvan_newman ~target:2 g))
 
 let gn_empty_graph () = gn_engines_agree_on (Digraph.create ())
 let gn_edgeless_graph () = gn_engines_agree_on (Digraph.of_edges ~n:5 [])
@@ -273,7 +276,7 @@ let gn_bridge_and_budget () =
   gn_engines_agree_on g;
   (* a removal budget of 1 must stop both engines at the same place *)
   let a = Community.girvan_newman_step ~max_removals:1 g in
-  let b = Community.girvan_newman_step_reference ~max_removals:1 g in
+  let b = Gn_ref.girvan_newman_step ~max_removals:1 g in
   check_bool "budget respected identically" true (same_step a b);
   check_bool "at most one removal" true (List.length a.Community.removed_edges <= 1)
 
@@ -308,24 +311,24 @@ let pools = [ ("2 domains", pool2); ("4 domains", pool4) ]
 let prop_gn_step_differential =
   QCheck2.Test.make ~name:"incremental G-N step = reference (seq + pools)" ~count:35
     graph_gen (fun g ->
-      let seq_ref = Community.girvan_newman_step_reference g in
+      let seq_ref = Gn_ref.girvan_newman_step g in
       same_step (Community.girvan_newman_step g) seq_ref
       && List.for_all
            (fun (_, pool) ->
              same_step (Community.girvan_newman_step ~pool g)
-               (Community.girvan_newman_step_reference ~pool g))
+               (Gn_ref.girvan_newman_step ~pool g))
            pools)
 
 let prop_gn_target_differential =
   QCheck2.Test.make ~name:"incremental G-N target:3 = reference (seq + pools)" ~count:25
     graph_gen (fun g ->
-      let seq_ref = Community.girvan_newman_reference ~target:3 g in
+      let seq_ref = Gn_ref.girvan_newman ~target:3 g in
       same_step (Community.girvan_newman ~target:3 g) seq_ref
       && List.for_all
            (fun (_, pool) ->
              same_step
                (Community.girvan_newman ~target:3 ~pool g)
-               (Community.girvan_newman_reference ~target:3 ~pool g))
+               (Gn_ref.girvan_newman ~target:3 ~pool g))
            pools)
 
 let prop_gn_approx_differential =
@@ -333,10 +336,10 @@ let prop_gn_approx_differential =
     graph_gen (fun g ->
       same_step
         (Community.girvan_newman_step ~approx:6 g)
-        (Community.girvan_newman_step_reference ~approx:6 g)
+        (Gn_ref.girvan_newman_step ~approx:6 g)
       && same_step
            (Community.girvan_newman_step ~approx:6 ~pool:pool2 g)
-           (Community.girvan_newman_step_reference ~approx:6 ~pool:pool2 g))
+           (Gn_ref.girvan_newman_step ~approx:6 ~pool:pool2 g))
 
 (* --- CSR Brandes = hashtable Brandes -------------------------------------------- *)
 
@@ -345,9 +348,9 @@ let prop_csr_brandes_bitwise_seq =
     graph_gen (fun g ->
       let csr = Csr.of_digraph g in
       let a = Betweenness.csr_compute csr in
-      let b = Betweenness.compute g in
-      a.Betweenness.csr_node_bc = b.Betweenness.node_bc
-      && csr_edge_assoc csr a = table_assoc b.Betweenness.edge_bc)
+      let b = Brandes.compute g in
+      a.Betweenness.csr_node_bc = b.Brandes.node_bc
+      && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
 
 let prop_csr_brandes_bitwise_pool =
   QCheck2.Test.make ~name:"CSR Brandes = hashtable Brandes (bitwise, pools)" ~count:35
@@ -356,9 +359,9 @@ let prop_csr_brandes_bitwise_pool =
       List.for_all
         (fun (_, pool) ->
           let a = Betweenness.csr_compute ~pool csr in
-          let b = Betweenness.compute ~pool g in
-          a.Betweenness.csr_node_bc = b.Betweenness.node_bc
-          && csr_edge_assoc csr a = table_assoc b.Betweenness.edge_bc)
+          let b = Brandes.compute ~pool g in
+          a.Betweenness.csr_node_bc = b.Brandes.node_bc
+          && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
         pools
       (* and the CSR path itself is pool-size independent *)
       && (Betweenness.csr_compute ~pool:pool2 csr).Betweenness.csr_node_bc
@@ -374,9 +377,9 @@ let prop_csr_sources_restriction =
         Array.of_list (List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id))
       in
       let a = Betweenness.csr_compute_sources csr sources in
-      let b = Betweenness.compute_sources g sources in
-      a.Betweenness.csr_node_bc = b.Betweenness.node_bc
-      && csr_edge_assoc csr a = table_assoc b.Betweenness.edge_bc)
+      let b = Brandes.compute_sources g sources in
+      a.Betweenness.csr_node_bc = b.Brandes.node_bc
+      && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
 
 (* --- eigenvector gather = historical scatter ------------------------------------ *)
 

@@ -260,28 +260,6 @@ let girvan_newman_max_removals_budget () =
   check_int "still one community" 1
     (G.Community.community_count step.G.Community.partition)
 
-let louvain_splits_two_clusters () =
-  let g = G.Gen.two_clusters ~seed:21 ~size:12 ~p_intra:0.6 ~bridges:2 in
-  let p = G.Community.louvain g in
-  let l = p.G.Community.labels in
-  let coherent off = Array.for_all (fun v -> v = l.(off)) (Array.init 12 (fun i -> l.(off + i))) in
-  check_bool "cluster A coherent" true (coherent 0);
-  check_bool "cluster B coherent" true (coherent 12);
-  check_bool "clusters separated" true (l.(0) <> l.(12))
-
-let louvain_modularity_beats_trivial () =
-  let g = G.Gen.two_clusters ~seed:33 ~size:10 ~p_intra:0.5 ~bridges:1 in
-  let und = G.Digraph.to_undirected g in
-  let p = G.Community.louvain g in
-  let trivial = G.Community.of_components und in
-  check_bool "higher modularity than one blob" true
-    (G.Community.modularity und p > G.Community.modularity und trivial)
-
-let louvain_deterministic () =
-  let g = G.Gen.gnm ~seed:77 ~n:60 ~m:150 in
-  let a = G.Community.louvain g and b = G.Community.louvain g in
-  check_bool "same labels" true (a.G.Community.labels = b.G.Community.labels)
-
 let refine_with_alternative_partitioners () =
   let mg =
     MG.build
@@ -297,7 +275,11 @@ let refine_with_alternative_partitioners () =
       in
       check_bool "terminates" true
         (List.length r.Rca_core.Refine.final_nodes <= List.length initial))
-    [ Rca_core.Refine.Girvan_newman; Rca_core.Refine.Louvain; Rca_core.Refine.Label_propagation ]
+    [
+      Rca_core.Refine.Girvan_newman;
+      Rca_core.Refine.Modularity_greedy;
+      Rca_core.Refine.Label_propagation;
+    ]
 
 (* --- stats corners ----------------------------------------------------------------- *)
 
@@ -506,6 +488,7 @@ let () =
           Alcotest.test_case "label prop deterministic" `Quick label_propagation_deterministic;
           Alcotest.test_case "dag multi target" `Quick shortest_path_dag_multi_target;
           Alcotest.test_case "gn budget" `Quick girvan_newman_max_removals_budget;
+          Alcotest.test_case "refine partitioners" `Quick refine_with_alternative_partitioners;
         ] );
       ( "stats",
         [
@@ -513,13 +496,6 @@ let () =
           Alcotest.test_case "pca shape" `Quick pca_transform_shape;
           Alcotest.test_case "variable scores" `Quick ect_variable_scores_rank_shifted;
           Alcotest.test_case "proba bounds" `Quick logistic_proba_bounds;
-        ] );
-      ( "louvain",
-        [
-          Alcotest.test_case "splits clusters" `Quick louvain_splits_two_clusters;
-          Alcotest.test_case "beats trivial modularity" `Quick louvain_modularity_beats_trivial;
-          Alcotest.test_case "deterministic" `Quick louvain_deterministic;
-          Alcotest.test_case "refine partitioners" `Quick refine_with_alternative_partitioners;
         ] );
       ( "adverse",
         [

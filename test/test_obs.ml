@@ -271,11 +271,14 @@ let pool_counters_recorded () =
   let g = G.Gen.gnm ~seed:3 ~n:120 ~m:400 in
   Obs.enable ();
   (* any pool size >= 2 is bitwise-identical to any other (fixed chunk
-     structure + deterministic tree reduction) *)
-  let p2 = G.Pool.with_pool 2 (fun p -> G.Betweenness.compute ~pool:p g) in
-  let p3 = G.Pool.with_pool 3 (fun p -> G.Betweenness.compute ~pool:p g) in
+     structure + deterministic tree reduction), on the oracle's hashtable
+     Brandes as on the CSR kernel *)
+  let brandes pool = Rca_oracle.Brandes.compute ~pool g in
+  let p2 = G.Pool.with_pool 2 brandes in
+  let p3 = G.Pool.with_pool 3 brandes in
   Obs.disable ();
-  check_bool "pool:2 = pool:3" true (p2.G.Betweenness.node_bc = p3.G.Betweenness.node_bc);
+  check_bool "pool:2 = pool:3" true
+    (p2.Rca_oracle.Brandes.node_bc = p3.Rca_oracle.Brandes.node_bc);
   check_bool "batches counted" true (Obs.counter_value "pool.batches" > 0);
   check_bool "chunks counted" true (Obs.counter_value "pool.chunks" > 0);
   (* per-domain chunk utilization gauges ride on counters named

@@ -11,9 +11,13 @@
      different domain counts (2 vs 4), must agree bitwise — the fixed
      chunk structure plus chunk-ordered tree reduction guarantees it;
    - end to end: Refine.refine ~domains:4 must reproduce the sequential
-     final node set on the tiny model fixture. *)
+     final node set on the tiny model fixture.
+
+   The masked slice/refine/pipeline engine is also checked here against
+   the list-based oracle (Rca_oracle.List_engine). *)
 
 open Rca_graph
+module List_engine = Rca_oracle.List_engine
 
 (* Spawn the pools once for the whole suite — the pool is designed to be
    reused, and these tests exercise exactly that. *)
@@ -102,14 +106,15 @@ let empty_graph_all_paths () =
   let step = Community.girvan_newman_step ~pool:pool4 g in
   check_int "no communities" 0 (Community.community_count step.Community.partition)
 
-(* The Betweenness.create_acc regression: an edgeless graph used to
-   request a size-0 table (2 * m = 0); the size is now clamped. *)
+(* The create_acc regression (hashtable Brandes, now the oracle's): an
+   edgeless graph used to request a size-0 table (2 * m = 0); the size
+   is now clamped. *)
 let edgeless_graph_betweenness () =
   let g = Digraph.of_edges ~n:5 [] in
   check_int "m" 0 (Digraph.m g);
-  let acc = Betweenness.create_acc g in
-  check_int "acc nodes" 5 (Array.length acc.Betweenness.node_bc);
-  check_int "acc edges empty" 0 (Hashtbl.length acc.Betweenness.edge_bc);
+  let acc = Rca_oracle.Brandes.create_acc g in
+  check_int "acc nodes" 5 (Array.length acc.Rca_oracle.Brandes.node_bc);
+  check_int "acc edges empty" 0 (Hashtbl.length acc.Rca_oracle.Brandes.edge_bc);
   let seq = Betweenness.node_betweenness ~normalized:false g in
   let par = Betweenness.node_betweenness ~normalized:false ~pool:pool4 g in
   Alcotest.(check (array (float 1e-12))) "all zero seq" (Array.make 5 0.0) seq;
@@ -268,9 +273,10 @@ let refine_domains_deterministic () =
 
 let pipeline_engines_identical () =
   (* End to end on the tiny model fixture: slice, every iteration, final
-     nodes, outcome and located bugs agree between the engines — with
-     and without a reachability detector, and with static-dead pruning
-     (mask flips vs materialized Prune.without_nodes) in play. *)
+     nodes, outcome and located bugs agree between the masked engine and
+     the list oracle — with and without a reachability detector, and
+     with static-dead pruning (mask flips vs a materialized pruned
+     metagraph copy) in play. *)
   let fixture = Lazy.force tiny_fixture in
   let mg = fixture.Fixture.mg in
   let dead =
@@ -285,13 +291,14 @@ let pipeline_engines_identical () =
         if bug_nodes = [] then Rca_core.Detector.never
         else Rca_core.Detector.reachability mg ~bug_nodes
       in
-      let run engine =
-        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~engine
-          ~static_dead mg
-          ~outputs:[ "aqsnow"; "cloud" ]
-          ~detect
+      let outputs = [ "aqsnow"; "cloud" ] in
+      let a =
+        List_engine.pipeline ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead mg
+          ~outputs ~detect
+      and b =
+        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead mg
+          ~outputs ~detect
       in
-      let a = run `List and b = run `Masked in
       Alcotest.(check (list int))
         (label ^ ": slice nodes")
         a.Rca_core.Pipeline.slice.Rca_core.Slice.nodes
@@ -312,7 +319,7 @@ let pipeline_engines_identical () =
       ("static-dead", [ 0 ], dead);
     ]
 
-(* --- masked engine = list engine -------------------------------------------------- *)
+(* --- masked engine = list oracle -------------------------------------------------- *)
 
 module MG = Rca_metagraph.Metagraph
 
@@ -351,10 +358,10 @@ let synthetic_mg g =
       };
   }
 
-(* Full-result equality between the engines: iteration sequences
-   (nodes, edges, communities, sampling, detections), final node set and
-   outcome — across random graphs, detectors, domain counts and exact vs
-   sampled G-N.  This is the differential oracle for the masked engine. *)
+(* Full-result equality between the masked engine and the list oracle:
+   iteration sequences (nodes, edges, communities, sampling,
+   detections), final node set and outcome — across random graphs,
+   detectors, domain counts and exact vs sampled G-N. *)
 let prop_refine_engines_identical =
   QCheck2.Test.make ~name:"masked refine = list refine (full result)" ~count:20
     graph_gen (fun g ->
@@ -371,11 +378,9 @@ let prop_refine_engines_identical =
         (fun detect ->
           List.for_all
             (fun domains ->
-              let run engine =
-                Rca_core.Refine.refine ~engine ?domains mg ~initial ~detect
-                  ~stop_size:2 ~max_iterations:4
-              in
-              run `List = run `Masked)
+              List_engine.refine ?domains mg ~initial ~detect ~stop_size:2 ~max_iterations:4
+              = Rca_core.Refine.refine ?domains mg ~initial ~detect ~stop_size:2
+                  ~max_iterations:4)
             [ None; Some 2 ])
         detectors)
 
@@ -384,15 +389,16 @@ let prop_refine_engines_identical_approx =
     graph_gen (fun g ->
       let mg = synthetic_mg g in
       let initial = List.init (Digraph.n g) Fun.id in
-      let run engine =
-        Rca_core.Refine.refine ~engine ~gn_approx:8 ~domains:2 mg ~initial
-          ~detect:Rca_core.Detector.never ~stop_size:2 ~max_iterations:3
-      in
-      run `List = run `Masked)
+      let detect = Rca_core.Detector.never in
+      List_engine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
+        ~max_iterations:3
+      = Rca_core.Refine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
+          ~max_iterations:3)
 
-(* Slicing on canonical names over the synthetic metagraph: both engines,
-   with module restriction, exclusions and cluster dropping in play; and
-   [contains] must agree with list membership (the node_set lockdown). *)
+(* Slicing on canonical names over the synthetic metagraph: masked
+   engine and list oracle, with module restriction, exclusions and
+   cluster dropping in play; and [contains] must agree with list
+   membership (the node_set lockdown). *)
 let prop_slice_engines_identical =
   QCheck2.Test.make ~name:"masked slice = list slice (+ contains lockdown)" ~count:30
     graph_gen (fun g ->
@@ -400,12 +406,9 @@ let prop_slice_engines_identical =
       let n = Digraph.n g in
       let internals = [ "v0"; Printf.sprintf "v%d" (n - 1) ] in
       let exclude = List.filter (fun v -> v mod 7 = 3) (List.init n Fun.id) in
-      let run engine =
-        Rca_core.Slice.of_internals
-          ~keep_module:(fun m -> m <> "phys")
-          ~min_cluster:2 ~engine ~exclude mg internals
-      in
-      let a = run `List and b = run `Masked in
+      let keep_module m = m <> "phys" in
+      let a = List_engine.slice_of_internals ~keep_module ~min_cluster:2 ~exclude mg internals
+      and b = Rca_core.Slice.of_internals ~keep_module ~min_cluster:2 ~exclude mg internals in
       a.Rca_core.Slice.nodes = b.Rca_core.Slice.nodes
       && a.Rca_core.Slice.targets = b.Rca_core.Slice.targets
       && List.for_all

@@ -243,7 +243,8 @@ let strip t =
     t.Rca_core.Pipeline.result.Rca_core.Refine.outcome )
 
 (* The tentpole property: a pipeline run on the loaded snapshot is
-   byte-identical to one on the freshly built model, on both engines. *)
+   byte-identical to one on the freshly built model, on the masked
+   engine and on the list oracle. *)
 let snapshot_pipeline_identical engine () =
   let snap = Lazy.force compiled in
   let loaded =
@@ -256,9 +257,14 @@ let snapshot_pipeline_identical engine () =
   in
   let targets = List.sort_uniq compare snap.Snap.default_targets in
   let run (s : Snap.t) =
-    Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:10 ~gn_approx:128
-      ~stop_size:30 ~engine ~frozen:s.Snap.frozen s.Snap.mg ~outputs:targets
-      ~detect:(Rca_core.Detector.reachability s.Snap.mg ~bug_nodes:s.Snap.bug_nodes)
+    let detect = Rca_core.Detector.reachability s.Snap.mg ~bug_nodes:s.Snap.bug_nodes in
+    match engine with
+    | `Masked ->
+        Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:10 ~gn_approx:128
+          ~stop_size:30 ~frozen:s.Snap.frozen s.Snap.mg ~outputs:targets ~detect
+    | `List ->
+        Rca_oracle.List_engine.pipeline ~keep_module ~min_cluster:4 ~m_sample:10
+          ~gn_approx:128 ~stop_size:30 s.Snap.mg ~outputs:targets ~detect
   in
   let orig = run snap and reloaded = run loaded in
   check_bool "pipeline results identical" true (strip orig = strip reloaded);
@@ -348,7 +354,6 @@ let mk_answer i =
   {
     Cache.a_targets = [ Printf.sprintf "T%d" i ];
     a_detector = "gn";
-    a_engine = "masked";
     a_slice_nodes = 10 * i;
     a_slice_targets = 1;
     a_iterations = 2;
@@ -498,7 +503,12 @@ let daemon_survives_garbage () =
       let bad_cases =
         [
           [ ("op", J.Str "query"); ("detector", J.Str "bogus") ];
-          [ ("op", J.Str "query"); ("engine", J.Str "bogus") ];
+          (* detectors deleted for losing every measurement *)
+          [ ("op", J.Str "query"); ("detector", J.Str "louvain") ];
+          [ ("op", J.Str "query"); ("detector", J.Str "gn-adaptive") ];
+          (* a negative budget used to disable the iteration limit *)
+          [ ("op", J.Str "query"); ("max_iterations", J.num (-1)) ];
+          [ ("op", J.Str "query"); ("gn_approx", J.num (-1)) ];
           [ ("op", J.Str "query"); ("targets", J.Arr [ J.Str "NO_SUCH_OUTPUT" ]) ];
           [ ("op", J.Str "query"); ("targets", J.Str "not-an-array") ];
           [ ("op", J.Str "launch-missiles") ];
@@ -516,7 +526,7 @@ let daemon_survives_garbage () =
       let stats = reply conn [ ("op", J.Str "stats") ] in
       check_bool "errors counted" true
         (match Option.bind (J.member "errors" stats) J.int_opt with
-        | Some e -> e = 6
+        | Some e -> e = 9
         | None -> false))
 
 let strip_reply r =
@@ -526,6 +536,18 @@ let strip_reply r =
         (fun (k, _) -> k <> "cached" && k <> "coalesced" && k <> "elapsed_ms" && k <> "id")
         fields
   | _ -> Alcotest.fail "reply not an object"
+
+(* An "engine" field (requests written for daemons that had a list
+   engine) is accepted and ignored: same cache key, same payload. *)
+let daemon_ignores_engine_field () =
+  with_daemon (fun conn ->
+      let q = [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
+      let plain = reply conn q in
+      let with_engine = reply conn (q @ [ ("engine", J.Str "list") ]) in
+      check_bool "engine request ok" true (status with_engine = Some "ok");
+      check_bool "same cache key" true (J.member "cached" with_engine = Some (J.Bool true));
+      check_bool "same payload" true (strip_reply plain = strip_reply with_engine);
+      check_bool "no engine member in replies" true (J.member "engine" plain = None))
 
 (* The deliberately slow query: exact Girvan-Newman driven down to
    single-node communities.  Never primed, so it always computes. *)
@@ -548,7 +570,7 @@ let in_process_slow () =
   let targets = List.sort_uniq compare snap.Snap.default_targets in
   let partitioner = Option.get (Rca_core.Refine.partitioner_of_string "gn") in
   Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:10 ~min_community:3
-    ~max_iterations:50 ~stop_size:1 ~partitioner ~engine:`Masked ~frozen:snap.Snap.frozen
+    ~max_iterations:50 ~stop_size:1 ~partitioner ~frozen:snap.Snap.frozen
     snap.Snap.mg ~outputs:targets
     ~detect:(Rca_core.Detector.reachability snap.Snap.mg ~bug_nodes:snap.Snap.bug_nodes)
 
@@ -681,6 +703,40 @@ let daemon_warm_restart () =
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ())
 
+(* A version-1 sidecar (its answers carried an engine name) fails to
+   load with a typed error, and a daemon pointed at one starts cold. *)
+let cache_v1_sidecar_starts_cold () =
+  let snap = Lazy.force compiled in
+  let dir = Filename.temp_file "rca_cache_v1" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let cache_path = Filename.concat dir "rca.cache" in
+  Binio.write_framed ~magic:"RCACACHE" ~version:1 cache_path (fun buf ->
+      Binio.w_i64 buf (Snap.checksum snap);
+      Binio.w_list buf
+        (fun buf key ->
+          Binio.w_str buf key;
+          Binio.w_list buf Binio.w_str [ "T1" ];
+          List.iter (Binio.w_str buf) [ "gn"; "masked" ];
+          List.iter (Binio.w_int buf) [ 10; 1; 2 ];
+          Binio.w_str buf "converged";
+          Binio.w_int buf 2;
+          Binio.w_list buf (fun _ () -> ()) [];
+          Binio.w_list buf Binio.w_str [])
+        [ "k1" ]);
+  (match Cache.load cache_path ~snapshot_checksum:(Snap.checksum snap) ~capacity:4 with
+  | Ok _ -> Alcotest.fail "version-1 cache sidecar was accepted"
+  | Error msg ->
+      check_bool "names the cache version" true (contains_substring msg "cache version 1"));
+  with_daemon ~cache_path (fun conn ->
+      let stats = reply conn [ ("op", J.Str "stats") ] in
+      check_bool "starts cold" true
+        (Option.bind (J.member "warm_entries" stats) J.int_opt = Some 0));
+  (try
+     if Sys.file_exists cache_path then Sys.remove cache_path;
+     Unix.rmdir dir
+   with Sys_error _ | Unix.Unix_error _ -> ())
+
 let daemon_empty_targets_default () =
   with_daemon (fun conn ->
       let q = reply conn [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
@@ -723,11 +779,13 @@ let () =
         [
           Alcotest.test_case "roundtrip and invalidation" `Quick
             cache_roundtrip_and_invalidation;
+          Alcotest.test_case "v1 sidecar starts cold" `Quick cache_v1_sidecar_starts_cold;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "query and cache" `Quick daemon_query_and_cache;
           Alcotest.test_case "survives garbage" `Quick daemon_survives_garbage;
+          Alcotest.test_case "engine field ignored" `Quick daemon_ignores_engine_field;
           Alcotest.test_case "concurrent out-of-order" `Quick daemon_concurrent_out_of_order;
           Alcotest.test_case "in-flight coalescing" `Quick daemon_inflight_coalescing;
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
