@@ -206,8 +206,8 @@ let microbenchmarks () =
 (* Sequential vs pooled edge betweenness (and one Girvan–Newman step) on
    the paper-scale GOFFGRATCH slice — the asymptotic hot path of the
    refinement loop.  Besides timing, every parallel run is differentially
-   checked against the sequential reference: identical betweenness tables
-   (within 1e-9 relative) and identical G-N partitions. *)
+   checked against the sequential reference: identical per-arc
+   betweenness (within 1e-9 relative) and identical G-N partitions. *)
 let run_micro_par () =
   hr ();
   ignore
@@ -226,29 +226,24 @@ let run_micro_par () =
            let r = f () in
            (r, Unix.gettimeofday () -. t0)
          in
-         let seq, t_seq = timeit (fun () -> G.Betweenness.edge_betweenness g) in
+         let csr = G.Csr.of_digraph g in
+         let edge_bc ?pool () = (G.Betweenness.csr_compute ?pool csr).G.Betweenness.csr_edge_bc in
+         let seq, t_seq = timeit edge_bc in
          Printf.printf "  edge betweenness, %-12s %8.3f s   speedup 1.00x\n%!" "1 domain"
            t_seq;
-         let tables_agree a b =
-           Hashtbl.length a = Hashtbl.length b
-           && Hashtbl.fold
-                (fun k v ok ->
-                  ok
-                  &&
-                  match Hashtbl.find_opt b k with
-                  | Some v' -> abs_float (v -. v') <= 1e-9 *. (1.0 +. abs_float v')
-                  | None -> false)
-                a true
+         let arrays_agree a b =
+           Array.length a = Array.length b
+           && Array.for_all2 (fun v v' -> abs_float (v -. v') <= 1e-9 *. (1.0 +. abs_float v')) a b
          in
          List.iter
            (fun d ->
              G.Pool.with_pool d (fun pool ->
-                 let par, t_par = timeit (fun () -> G.Betweenness.edge_betweenness ~pool g) in
+                 let par, t_par = timeit (edge_bc ~pool) in
                  Printf.printf
                    "  edge betweenness, %-12s %8.3f s   speedup %.2fx   values %s\n%!"
                    (string_of_int d ^ " domains")
                    t_par (t_seq /. t_par)
-                   (if tables_agree seq par then "identical" else "MISMATCH")))
+                   (if arrays_agree seq par then "identical" else "MISMATCH")))
            [ 2; 4 ];
          (* one G-N split, sampled betweenness, partition identity at 4 domains *)
          let (p_seq, removed_seq), t_gn_seq =
@@ -682,11 +677,12 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
 
 (* The Girvan–Newman wall, measured: partition the GOFFGRATCH slice at
    small / paper / huge scale with each community detector (exact
-   incremental G-N, modularity-greedy) and record seconds + partition
-   quality per (scale, detector); at small and paper also run the
-   end-to-end pipeline per detector and require located_bugs to be
-   identical — the oracle that gates the speedup.  Exact G-N is skipped
-   at huge (that infeasibility is the point of the fast detector).  Also
+   incremental G-N, modularity-greedy, label propagation) and record
+   seconds + partition quality per (scale, detector); at small and paper
+   also run the end-to-end pipeline per detector (with its sampled-site
+   count) and require located_bugs to be identical — the oracle that
+   gates the speedup.  Exact G-N is skipped at huge (that infeasibility
+   is the point of the fast detector).  Also
    times the paper-scale pipeline at 1 vs [domains] domains: with
    adaptive pool usage the parallel run must not be slower than
    sequential.  Gates (exit nonzero on failure): greedy
@@ -755,6 +751,8 @@ let run_scaling_bench ~json ~domains () =
             end;
             let greedy_p, t_greedy = timeit (fun () -> G.Community.modularity_greedy sg) in
             let greedy_q = record_partition "greedy" t_greedy greedy_p in
+            let lp_p, t_lp = timeit (fun () -> G.Community.label_propagation sg) in
+            ignore (record_partition "lp" t_lp lp_p);
             if label = "paper" then begin
               paper_greedy_t := t_greedy;
               paper_greedy_q := greedy_q.Q.q_modularity
@@ -775,22 +773,28 @@ let run_scaling_bench ~json ~domains () =
                     in
                     let located = Rca_core.Pipeline.located_bugs mg pl ~bug_nodes in
                     let r = pl.Rca_core.Pipeline.result in
+                    let sampled =
+                      List.fold_left
+                        (fun acc it -> acc + List.length it.Rca_core.Refine.sampled)
+                        0 r.Rca_core.Refine.iterations
+                    in
                     Printf.printf
-                      "    pipeline  %-12s %9.3f s   %d iterations, outcome %s, %d/%d \
-                       bugs located\n%!"
+                      "    pipeline  %-12s %9.3f s   %d iterations, outcome %s, %d sampled \
+                       sites, %d/%d bugs located\n%!"
                       name t
                       (List.length r.Rca_core.Refine.iterations)
                       (R.outcome_string r.Rca_core.Refine.outcome)
-                      (List.length located) (List.length bug_nodes);
+                      sampled (List.length located) (List.length bug_nodes);
                     pipeline_rows :=
                       ( name,
                         t,
                         List.length r.Rca_core.Refine.iterations,
                         R.outcome_string r.Rca_core.Refine.outcome,
+                        sampled,
                         located )
                       :: !pipeline_rows;
                     located)
-                  [ R.Girvan_newman; R.Modularity_greedy ]
+                  [ R.Girvan_newman; R.Modularity_greedy; R.Label_propagation ]
               in
               match located_sets with
               | ref_set :: rest ->
@@ -808,10 +812,10 @@ let run_scaling_bench ~json ~domains () =
             in
             let pipeline_json =
               List.rev_map
-                (fun (name, t, iters, outcome, located) ->
+                (fun (name, t, iters, outcome, sampled, located) ->
                   Printf.sprintf
-                    {|        {"detector": "%s", "seconds": %.6f, "iterations": %d, "outcome": "%s", "located_bugs": [%s]}|}
-                    name t iters outcome
+                    {|        {"detector": "%s", "seconds": %.6f, "iterations": %d, "outcome": "%s", "sampled_sites": %d, "located_bugs": [%s]}|}
+                    name t iters outcome sampled
                     (String.concat ", " (List.map string_of_int located)))
                 !pipeline_rows
             in

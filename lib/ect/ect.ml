@@ -14,31 +14,27 @@
 
 open Rca_stats
 
-type config = {
-  n_pc : int;  (* leading PCs examined *)
-  sigma_factor : float;  (* score bound half-width in ensemble stds *)
-  pc_fail_threshold : int;  (* PCs outside bounds => run fails *)
-  run_fail_threshold : int;  (* failing runs => overall Fail *)
-}
-
-let default_config =
-  { n_pc = 10; sigma_factor = 3.29; pc_fail_threshold = 2; run_fail_threshold = 2 }
+let max_pcs = 10 (* leading PCs examined; fewer for a small ensemble *)
+let sigma_factor = 3.29
+let pc_fail_threshold = 2
+let run_fail_threshold = 2
+let runs_per_test = 3
 
 type t = {
   var_names : string array;
   pca : Pca.t;
   score_means : float array;
   score_stds : float array;
-  config : config;
+  n_pc : int;  (* leading PCs examined *)
 }
 
 (* [ensemble]: runs x vars, in the order of [var_names]. *)
-let fit ?(config = default_config) ~var_names (ensemble : Matrix.t) : t =
+let fit ~var_names (ensemble : Matrix.t) : t =
   let n = Matrix.rows ensemble in
   if n < 5 then invalid_arg "Ect.fit: ensemble too small";
   if Matrix.cols ensemble <> Array.length var_names then
     invalid_arg "Ect.fit: name/column mismatch";
-  let n_pc = min config.n_pc (min (Array.length var_names) (n - 1)) in
+  let n_pc = min max_pcs (min (Array.length var_names) (n - 1)) in
   let pca = Pca.fit ~n_components:n_pc ensemble in
   let scores = Pca.transform pca ensemble in
   let score_col k = Array.init n (fun i -> scores.(i).(k)) in
@@ -48,7 +44,7 @@ let fit ?(config = default_config) ~var_names (ensemble : Matrix.t) : t =
         let s = Descriptive.std (score_col k) in
         if s > 1e-300 then s else 1.0)
   in
-  { var_names; pca; score_means; score_stds; config = { config with n_pc } }
+  { var_names; pca; score_means; score_stds; n_pc }
 
 type verdict = Pass | Fail
 
@@ -65,8 +61,8 @@ type result = {
 let failing_pcs t row =
   let scores = Pca.scores t.pca row in
   let out = ref [] in
-  for k = t.config.n_pc - 1 downto 0 do
-    let half = t.config.sigma_factor *. t.score_stds.(k) in
+  for k = t.n_pc - 1 downto 0 do
+    let half = sigma_factor *. t.score_stds.(k) in
     if abs_float (scores.(k) -. t.score_means.(k)) > half then out := k :: !out
   done;
   !out
@@ -77,13 +73,13 @@ let evaluate t (test_runs : Matrix.t) : result =
     Array.to_list test_runs
     |> List.map (fun row ->
            let pcs = failing_pcs t row in
-           { failing_pcs = pcs; run_failed = List.length pcs >= t.config.pc_fail_threshold })
+           { failing_pcs = pcs; run_failed = List.length pcs >= pc_fail_threshold })
   in
   let n_failed = List.length (List.filter (fun r -> r.run_failed) runs) in
   {
-    verdict = (if n_failed >= t.config.run_fail_threshold then Fail else Pass);
+    verdict = (if n_failed >= run_fail_threshold then Fail else Pass);
     runs;
-    n_pc_used = t.config.n_pc;
+    n_pc_used = t.n_pc;
   }
 
 let verdict_string = function Pass -> "Pass" | Fail -> "Fail"
@@ -101,7 +97,7 @@ let variable_scores t row =
 (* Failure rate over repeated tests assembled from an experimental pool:
    each trial draws [runs_per_test] distinct runs from [pool] (cycling
    deterministically) and counts Fail verdicts. *)
-let failure_rate t ~(pool : Matrix.t) ?(runs_per_test = 3) ?(trials = 30) () =
+let failure_rate t ~(pool : Matrix.t) ?(trials = 30) () =
   let n = Matrix.rows pool in
   if n < runs_per_test then invalid_arg "Ect.failure_rate: pool too small";
   let fails = ref 0 in

@@ -1,23 +1,17 @@
 (** Ensemble consistency test — the UF-CAM-ECT substitute (Baker et al.
     2015; Milroy et al. 2018): PCA on standardized per-variable global
-    means at an early time step, with pyCECT's decision rule. *)
+    means at an early time step, with pyCECT's decision rule at fixed
+    constants: [max_pcs] = 10 leading PCs, score bounds of [sigma_factor]
+    = 3.29 stds, [pc_fail_threshold] = 2 failing PCs per run,
+    [run_fail_threshold] = 2 failing runs and [runs_per_test] = 3. *)
 
 open Rca_stats
-
-type config = {
-  n_pc : int;  (** leading principal components examined *)
-  sigma_factor : float;  (** score bound half-width in ensemble stds *)
-  pc_fail_threshold : int;  (** PCs outside bounds for a run to fail *)
-  run_fail_threshold : int;  (** failing runs for an overall Fail *)
-}
-
-val default_config : config
 
 type t
 (** A fitted test: variable standardization, PCA loadings and per-PC
     ensemble score bounds. *)
 
-val fit : ?config:config -> var_names:string array -> Matrix.t -> t
+val fit : var_names:string array -> Matrix.t -> t
 (** [fit ~var_names ensemble] with [ensemble] as runs x variables.
     Raises [Invalid_argument] for fewer than 5 members. *)
 
@@ -44,7 +38,7 @@ val variable_scores : t -> float array -> (string * float) list
     the failure-attribution measure of Milroy et al. 2016 that identified
     the most affected output variables on Mira. *)
 
-val failure_rate :
-  t -> pool:Matrix.t -> ?runs_per_test:int -> ?trials:int -> unit -> float
-(** Fraction of Fail verdicts over repeated tests drawn deterministically
-    from a pool of experimental runs (Table 1's measurement). *)
+val failure_rate : t -> pool:Matrix.t -> ?trials:int -> unit -> float
+(** Fraction of Fail verdicts over repeated 3-run tests drawn
+    deterministically from a pool of experimental runs (Table 1's
+    measurement). *)

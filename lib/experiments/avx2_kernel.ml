@@ -58,7 +58,9 @@ let top_central_of_core (report : Harness.report) ~k =
       |> List.filteri (fun i _ -> i < k)
       |> List.map (fun (id, s) -> ((MG.node mg id).MG.unique, s))
 
-let analyze ?(top_k = 15) (report : Harness.report) : t =
+let top_k = 15 (* length of the in-centrality list checked *)
+
+let analyze (report : Harness.report) : t =
   let flagged = kgen_flags report.Harness.fixture in
   let top_central = top_central_of_core report ~k:top_k in
   let flagged_names = List.map (fun d -> d.Rca_interp.Kernel.var) flagged in

@@ -6,10 +6,15 @@
    (same initial-condition member, experimental configuration), and report
    which instrumented nodes took different values.  Agreement between this
    detector and graph reachability is the evidence that the static graph
-   "accurately characterizes information flow at runtime" (paper §6.4). *)
+   "accurately characterizes information flow at runtime" (paper §6.4).
+   Significance uses the fixed [sigma_factor] = 3 and [rel_tol] = 1e-12
+   (see [compare_runs]). *)
 
 open Rca_synth
 module MG = Rca_metagraph.Metagraph
+
+let sigma_factor = 3.0
+let rel_tol = 1e-12
 
 (* Does an assignment event (module, sub, base var, canonical) write the
    given node?  Locals must match module+subprogram exactly.  Module-level
@@ -83,8 +88,8 @@ type comparison = {
    exceeds [sigma_factor] times its control-vs-control gap (its internal
    variability), the same philosophy as the ECT itself.  [rel_tol] is the
    absolute floor for nodes with no internal variability at all. *)
-let compare_runs ?(rel_tol = 1e-12) ?(sigma_factor = 3.0) ~(fixture : Fixture.t)
-    ~(opts : Model.run_opts -> Model.run_opts) watched : comparison list =
+let compare_runs ~(fixture : Fixture.t) ~(opts : Model.run_opts -> Model.run_opts) watched :
+    comparison list =
   let member_opts m = Model.default_opts ~member:m fixture.Fixture.config in
   let control =
     record_run fixture.Fixture.clean_program (member_opts 0) fixture.Fixture.mg watched
@@ -132,9 +137,9 @@ let compare_runs ?(rel_tol = 1e-12) ?(sigma_factor = 3.0) ~(fixture : Fixture.t)
     watched
 
 (* A [Detector.t] backed by runtime sampling. *)
-let detector ?rel_tol ~fixture ~opts : Rca_core.Detector.t =
+let detector ~fixture ~opts : Rca_core.Detector.t =
  fun sampled ->
-  compare_runs ?rel_tol ~fixture ~opts sampled
+  compare_runs ~fixture ~opts sampled
   |> List.filter_map (fun c -> if c.differs then Some c.node else None)
 
 (* Fraction of nodes on which two detectors agree (used for the

@@ -20,7 +20,7 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 (* All identifiers in [text], lowercased, first-occurrence order, skipping
    string literals and numeric kind suffixes (the `r8` of `1.0_r8`). *)
-let scrape_identifiers ?(keep_keywords = false) text =
+let scrape_identifiers text =
   let n = String.length text in
   let seen = Hashtbl.create 16 in
   let acc = ref [] in
@@ -60,7 +60,7 @@ let scrape_identifiers ?(keep_keywords = false) text =
           incr j
         done;
         let id = String.lowercase_ascii (String.sub text i (!j - i)) in
-        if (keep_keywords || not (List.mem id keywords)) && not (Hashtbl.mem seen id) then begin
+        if (not (List.mem id keywords)) && not (Hashtbl.mem seen id) then begin
           Hashtbl.replace seen id ();
           acc := id :: !acc
         end;

@@ -9,11 +9,10 @@ val keywords : string list
 val is_ident_start : char -> bool
 val is_ident_char : char -> bool
 
-val scrape_identifiers : ?keep_keywords:bool -> string -> string list
+val scrape_identifiers : string -> string list
 (** Stage three: every identifier-shaped token in the text, in order of
-    first occurrence, duplicates removed; keywords dropped unless
-    [keep_keywords] is set.  Skips string literals and numeric suffixes
-    like [1.0e-3_r8]. *)
+    first occurrence, duplicates and {!keywords} removed.  Skips string
+    literals and numeric suffixes like [1.0e-3_r8]. *)
 
 val assignment_split_index : string -> int option
 (** Index of the top-level [=] of an assignment — outside parentheses and

@@ -154,36 +154,6 @@ let csr_compute_sources ?pool ?alive (csr : Csr.t) sources =
 let csr_compute ?pool ?alive (csr : Csr.t) =
   csr_compute_sources ?pool ?alive csr (Array.init csr.Csr.n Fun.id)
 
-(* --- public entry points (CSR-backed) -------------------------------------- *)
-
-let node_betweenness ?(normalized = true) ?pool g =
-  let acc = csr_compute ?pool (Csr.of_digraph g) in
-  let n = float_of_int (Digraph.n g) in
-  if normalized && Digraph.n g > 2 then begin
-    (* Directed normalization 1/((n-1)(n-2)); for symmetrized graphs each
-       unordered pair is counted twice, which matches NetworkX's directed
-       treatment of such graphs. *)
-    let scale = 1.0 /. ((n -. 1.0) *. (n -. 2.0)) in
-    Array.map (fun x -> x *. scale) acc.csr_node_bc
-  end
-  else acc.csr_node_bc
-
-(* The hashtable view of the CSR scores.  An arc's score is a sum of
-   strictly positive contributions, so "never on a shortest path" is
-   exactly "score 0.0" — skipping zeros leaves exactly the arcs some
-   shortest path crosses. *)
-let edge_table_of_csr (csr : Csr.t) edge_bc =
-  let tbl = Hashtbl.create (max 16 (2 * csr.Csr.m)) in
-  for i = 0 to csr.Csr.m - 1 do
-    if edge_bc.(i) <> 0.0 then Hashtbl.replace tbl (csr.Csr.src.(i), csr.Csr.col.(i)) edge_bc.(i)
-  done;
-  tbl
-
-let edge_betweenness ?pool g =
-  let csr = Csr.of_digraph g in
-  let acc = csr_compute ?pool csr in
-  edge_table_of_csr csr acc.csr_edge_bc
-
 (* Argmax comparison: a challenger must beat the incumbent by a relative
    1e-9 margin.  The margin absorbs the last-ulp summation-order
    differences between sequential and chunked-parallel betweenness, so
@@ -191,9 +161,9 @@ let edge_betweenness ?pool g =
    the earliest edge in iteration order wins. *)
 let beats c ~incumbent = c > incumbent +. (1e-9 *. (1.0 +. abs_float incumbent))
 
-(* The one argmax used everywhere an edge is selected for removal
-   (Betweenness.max_edge, the component-incremental Girvan–Newman
-   engine, the test/oracle reference).  [iter] presents
+(* The one argmax used everywhere an edge is selected for removal (the
+   component-incremental Girvan–Newman engine and the test/oracle
+   reference).  [iter] presents
    candidate edges in a fixed order; the incumbent survives near-ties,
    so earlier edges win them.  Keeping the fold in one place means every
    caller resolves ties identically — the property the G-N differential
@@ -205,13 +175,3 @@ let argmax_edge iter =
       | Some (_, _, c') when not (beats c ~incumbent:c') -> ()
       | _ -> best := Some (u, v, c));
   !best
-
-(* Highest-betweenness edge of a graph, near-ties broken by edge order, to
-   make Girvan–Newman deterministic across sequential and parallel
-   execution. *)
-let max_edge ?pool g =
-  let tbl = edge_betweenness ?pool g in
-  argmax_edge (fun f ->
-      Digraph.iter_edges
-        (fun u v -> f u v (Option.value ~default:0.0 (Hashtbl.find_opt tbl (u, v))))
-        g)

@@ -61,15 +61,7 @@ val csr_compute_sources : ?pool:Pool.t -> ?alive:Bytes.t -> Csr.t -> int array -
 val csr_compute : ?pool:Pool.t -> ?alive:Bytes.t -> Csr.t -> csr_acc
 (** Exact CSR betweenness from every source. *)
 
-(** {1 Derived scores and edge selection} *)
-
-val node_betweenness : ?normalized:bool -> ?pool:Pool.t -> Digraph.t -> float array
-(** Node betweenness (CSR-backed); normalized by [(n-1)(n-2)] when
-    requested. *)
-
-val edge_betweenness : ?pool:Pool.t -> Digraph.t -> (int * int, float) Hashtbl.t
-(** Per-directed-edge shortest-path counts (CSR-backed; the table
-    contains exactly the arcs with nonzero score). *)
+(** {1 Edge selection} *)
 
 val beats : float -> incumbent:float -> bool
 (** Argmax comparison used for edge selection: [beats c ~incumbent] iff
@@ -82,9 +74,5 @@ val argmax_edge : ((int -> int -> float -> unit) -> unit) -> (int * int * float)
 (** [argmax_edge iter] folds {!beats} over the candidate edges [iter]
     presents (in a fixed order — the incumbent survives near-ties, so
     earlier edges win them).  The single edge-selection argmax shared by
-    {!max_edge} and the incremental Girvan–Newman engine (and the
-    test/oracle reference), so all resolve ties identically. *)
-
-val max_edge : ?pool:Pool.t -> Digraph.t -> (int * int * float) option
-(** The single highest-betweenness edge, near-ties broken by edge
-    order. *)
+    the incremental Girvan–Newman engine and the test/oracle reference,
+    so both resolve ties identically. *)

@@ -2,10 +2,17 @@
 
    The pipeline ranks nodes inside each community by eigenvector
    *in*-centrality (information sinks: nodes likely to be affected by bug
-   sources).  Degree, Katz, PageRank and the Hashimoto non-backtracking
+   sources).  Degree, PageRank and the Hashimoto non-backtracking
    centrality are provided for the comparisons the paper reports. *)
 
 type direction = In | Out
+
+(* Power-iteration settings: [tol] bounds the L1 change per entry,
+   [pagerank_tol] the absolute L1 change. *)
+let max_iter = 200
+let tol = 1e-10
+let pagerank_d = 0.85
+let pagerank_tol = 1e-12
 
 let l2_normalize x =
   let s = sqrt (Array.fold_left (fun a v -> a +. (v *. v)) 0.0 x) in
@@ -34,7 +41,7 @@ let degree ?(direction = Out) g =
    bitwise at every pool size. *)
 let matvec_chunk_nodes = 256
 
-let eigenvector ?(direction = In) ?(max_iter = 200) ?(tol = 1e-10) ?pool g =
+let eigenvector ?(direction = In) ?pool g =
   let n = Digraph.n g in
   if n = 0 then [||]
   else begin
@@ -95,39 +102,11 @@ let eigenvector ?(direction = In) ?(max_iter = 200) ?(tol = 1e-10) ?pool g =
     iterate max_iter x x'
   end
 
-(* Katz centrality with attenuation [alpha] and unit exogenous weight,
-   solved by fixed-point iteration: x = alpha * M x + 1. *)
-let katz ?(direction = In) ?(alpha = 0.05) ?(max_iter = 500) ?(tol = 1e-10) g =
-  let n = Digraph.n g in
-  if n = 0 then [||]
-  else begin
-    let x = Array.make n 1.0 in
-    let rec iterate k =
-      if k = 0 then ()
-      else begin
-        let x' = Array.make n 1.0 in
-        Digraph.iter_edges
-          (fun u v ->
-            match direction with
-            | In -> x'.(v) <- x'.(v) +. (alpha *. x.(u))
-            | Out -> x'.(u) <- x'.(u) +. (alpha *. x.(v)))
-          g;
-        let delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          delta := !delta +. abs_float (x'.(i) -. x.(i));
-          x.(i) <- x'.(i)
-        done;
-        if !delta >= tol then iterate (k - 1)
-      end
-    in
-    iterate max_iter;
-    l2_normalize x
-  end
-
-(* PageRank with damping [d]; dangling mass is redistributed uniformly.
-   Eigenvector centrality "is related to PageRank" (paper Section 5.3) and
-   this implementation backs that comparison. *)
-let pagerank ?(d = 0.85) ?(max_iter = 200) ?(tol = 1e-12) g =
+(* PageRank with damping [pagerank_d]; dangling mass is redistributed
+   uniformly.  Eigenvector centrality "is related to PageRank" (paper
+   Section 5.3) and this implementation backs that comparison. *)
+let pagerank g =
+  let d = pagerank_d in
   let n = Digraph.n g in
   if n = 0 then [||]
   else begin
@@ -151,7 +130,7 @@ let pagerank ?(d = 0.85) ?(max_iter = 200) ?(tol = 1e-12) g =
           delta := !delta +. abs_float (x'.(i) -. x.(i));
           x.(i) <- x'.(i)
         done;
-        if !delta >= tol then iterate (k - 1)
+        if !delta >= pagerank_tol then iterate (k - 1)
       end
     in
     iterate max_iter;
@@ -165,7 +144,7 @@ let pagerank ?(d = 0.85) ?(max_iter = 200) ?(tol = 1e-12) g =
    vector and collapse to nodes with c_i = sum over out-edges (i->q) of
    v_(i->q).  For in-centrality the graph is reversed first, mirroring the
    paper's use of A^T. *)
-let non_backtracking ?(direction = In) ?(max_iter = 200) ?(tol = 1e-10) g =
+let non_backtracking ?(direction = In) g =
   let g = match direction with In -> Digraph.reverse g | Out -> g in
   let n = Digraph.n g in
   let edge_arr = Array.of_list (Digraph.edges g) in

@@ -2,20 +2,20 @@
 
     The pipeline ranks nodes by eigenvector {e in}-centrality — looking
     for information sinks likely to be affected by upstream bug
-    sources. *)
+    sources.
+
+    Power iterations run at fixed settings: at most 200 sweeps
+    ([max_iter]), stopping once the L1 change falls below 1e-10 per
+    entry ([tol]) for eigenvector and non-backtracking centrality;
+    PageRank damps by 0.85 ([pagerank_d]) to an absolute L1 tolerance
+    of 1e-12 ([pagerank_tol]). *)
 
 type direction = In | Out
 
 val degree : ?direction:direction -> Digraph.t -> float array
 (** Degree centrality, normalized by [n-1]. *)
 
-val eigenvector :
-  ?direction:direction ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?pool:Pool.t ->
-  Digraph.t ->
-  float array
+val eigenvector : ?direction:direction -> ?pool:Pool.t -> Digraph.t -> float array
 (** Eigenvector centrality by shifted power iteration (x <- x + Mx, the
     NetworkX convergence trick), L2-normalized.  [In] accumulates from
     predecessors (information sinks), [Out] from successors.  The matvec
@@ -25,16 +25,11 @@ val eigenvector :
     rows across domains without changing any sum (sequential and
     parallel sweeps agree bitwise at every pool size). *)
 
-val katz :
-  ?direction:direction -> ?alpha:float -> ?max_iter:int -> ?tol:float -> Digraph.t -> float array
-(** Katz centrality with attenuation [alpha] and unit exogenous weight. *)
-
-val pagerank : ?d:float -> ?max_iter:int -> ?tol:float -> Digraph.t -> float array
-(** PageRank with damping [d]; dangling mass redistributed uniformly.
+val pagerank : Digraph.t -> float array
+(** PageRank with damping 0.85; dangling mass redistributed uniformly.
     Sums to 1. *)
 
-val non_backtracking :
-  ?direction:direction -> ?max_iter:int -> ?tol:float -> Digraph.t -> float array
+val non_backtracking : ?direction:direction -> Digraph.t -> float array
 (** Hashimoto non-backtracking centrality (supplementary 8.1): power
     iteration on the edge non-backtracking operator, collapsed to nodes.
     Nodes with no incident edges in the relevant orientation get 0 — the

@@ -368,17 +368,20 @@ let girvan_newman ?approx ?pool ?max_removals ~target g =
         g)
 
 (* Asynchronous label propagation (Raghavan et al. 2007) on the symmetrized
-   view, deterministic given the seed.  Fast alternative partitioner. *)
-let label_propagation ?(seed = 7) ?(max_sweeps = 50) g =
+   view, deterministic (seed [lp_seed]).  Fast alternative partitioner. *)
+let lp_seed = 7
+let lp_max_sweeps = 50
+
+let label_propagation g =
   let und = Digraph.to_undirected g in
   let n = Digraph.n und in
   let labels = Array.init n (fun i -> i) in
-  let rng = Rca_rng.Splitmix.create seed in
+  let rng = Rca_rng.Splitmix.create lp_seed in
   let order = Array.init n (fun i -> i) in
   let changed = ref true in
   let sweeps = ref 0 in
   let counts = Hashtbl.create 16 in
-  while !changed && !sweeps < max_sweeps do
+  while !changed && !sweeps < lp_max_sweeps do
     changed := false;
     incr sweeps;
     Rca_rng.Prng.shuffle rng order;
@@ -577,7 +580,9 @@ let greedy_contract ~n ~iter_nbrs ~self ~labels ~k =
    union of out- and in-arcs restricted to alive endpoints — exactly
    the symmetrized weight-1 view every other partitioner here uses —
    without materializing anything. *)
-let modularity_greedy_masked ?(max_levels = 12) (csr : Csr.t) (rev : Csr.t) ~alive =
+let greedy_max_levels = 12
+
+let modularity_greedy_masked (csr : Csr.t) (rev : Csr.t) ~alive =
   let verts = Array.of_list (Csr.mask_to_list alive) in
   let na = Array.length verts in
   if na = 0 then []
@@ -645,7 +650,7 @@ let modularity_greedy_masked ?(max_levels = 12) (csr : Csr.t) (rev : Csr.t) ~ali
           ref (greedy_contract ~n:na ~iter_nbrs:iter_nbrs0 ~self:self0 ~labels:labels0 ~k:k0)
         in
         let continue_ = ref true in
-        while !continue_ && !levels < max_levels do
+        while !continue_ && !levels < greedy_max_levels do
           incr levels;
           let g = !cg in
           let iter_nbrs v f =
@@ -682,10 +687,10 @@ let modularity_greedy_masked ?(max_levels = 12) (csr : Csr.t) (rev : Csr.t) ~ali
 
 (* Digraph entry (tests, quality scoring, non-frozen callers): same
    engine over a fresh CSR of the graph with every node alive. *)
-let modularity_greedy ?max_levels g =
+let modularity_greedy g =
   let csr = Csr.of_digraph g in
   let rev = Csr.transpose csr in
-  let comms = modularity_greedy_masked ?max_levels csr rev ~alive:(Csr.full_mask csr) in
+  let comms = modularity_greedy_masked csr rev ~alive:(Csr.full_mask csr) in
   let labels = Array.make (Digraph.n g) 0 in
   List.iteri (fun c comm -> List.iter (fun v -> labels.(v) <- c) comm) comms;
   partition_of_labels labels (List.length comms)

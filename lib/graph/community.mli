@@ -3,7 +3,12 @@
     Girvan–Newman operates on the undirected (symmetrized) view of the
     subgraph: repeatedly remove the highest-edge-betweenness edge until
     the component count increases — "one G-N iteration" in Algorithm 5.4
-    step 5. *)
+    step 5.
+
+    The fast partitioners run at fixed settings: label propagation uses
+    SplitMix seed 7 ([lp_seed]) and at most 50 sweeps
+    ([lp_max_sweeps]); modularity-greedy contracts at most 12 levels
+    ([greedy_max_levels]). *)
 
 type partition = {
   labels : int array;  (** node -> community id (0 = largest) *)
@@ -48,11 +53,11 @@ val girvan_newman :
     out), on the same incremental engine; [removed_edges] lists the cut
     sequence in order. *)
 
-val label_propagation : ?seed:int -> ?max_sweeps:int -> Digraph.t -> partition
+val label_propagation : Digraph.t -> partition
 (** Asynchronous label propagation (Raghavan et al. 2007): a fast
-    alternative partitioner, deterministic given [seed]. *)
+    alternative partitioner, deterministic (fixed seed). *)
 
-val modularity_greedy : ?max_levels:int -> Digraph.t -> partition
+val modularity_greedy : Digraph.t -> partition
 (** Deterministic modularity-greedy agglomeration (Louvain-style local
     moves + contraction, plus a final Leiden-flavoured level-0 refinement
     sweep).  Its tie-breaking is explicit — ascending node order, equal
@@ -61,8 +66,7 @@ val modularity_greedy : ?max_levels:int -> Digraph.t -> partition
     Modularity is monotone from the all-singleton start, so the returned
     partition's [Q] is never below the trivial partition's. *)
 
-val modularity_greedy_masked :
-  ?max_levels:int -> Csr.t -> Csr.t -> alive:Csr.mask -> int list list
+val modularity_greedy_masked : Csr.t -> Csr.t -> alive:Csr.mask -> int list list
 (** {!modularity_greedy} run directly on a frozen CSR and its transpose
     restricted to the [alive] nodes — no induced subgraph is built.
     Neighbourhoods are the deduplicated union of out- and in-arcs between

@@ -42,14 +42,6 @@ let weakly_connected_components g =
 
 let count_weakly_connected g = snd (weakly_connected_labels g)
 
-let largest_weakly_connected g =
-  match weakly_connected_components g with
-  | [] -> []
-  | comps ->
-      List.fold_left
-        (fun best c -> if List.length c > List.length best then c else best)
-        [] comps
-
 (* Masked-CSR variant: weak components of the subgraph induced on the
    alive nodes, without materializing it.  [rev] is the frozen graph's
    transpose.  Scanning seeds in ascending id order and bucketing each
@@ -89,13 +81,3 @@ let weakly_connected_components_csr (csr : Csr.t) ~rev ~alive =
     if label.(v) <> -1 then comps.(label.(v)) <- v :: comps.(label.(v))
   done;
   Array.to_list comps
-
-(* Drop components below [min_size] — the paper removes residual clusters of
-   fewer than 3 or 4 nodes before plotting and community analysis. *)
-let filter_small_components g ~min_size =
-  let keep =
-    List.concat_map
-      (fun c -> if List.length c >= min_size then c else [])
-      (weakly_connected_components g)
-  in
-  Digraph.induced_subgraph g (List.sort compare keep)

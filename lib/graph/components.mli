@@ -9,8 +9,6 @@ val weakly_connected_components : Digraph.t -> int list list
 
 val count_weakly_connected : Digraph.t -> int
 
-val largest_weakly_connected : Digraph.t -> int list
-
 val weakly_connected_components_csr :
   Csr.t -> rev:Csr.t -> alive:Csr.mask -> int list list
 (** Weak components of the subgraph induced on the alive nodes of a
@@ -19,7 +17,3 @@ val weakly_connected_components_csr :
     (ascending smallest member), each ascending — exactly what
     {!weakly_connected_components} yields on the induced subgraph of an
     ascending node list, mapped back to parent ids. *)
-
-val filter_small_components : Digraph.t -> min_size:int -> Digraph.sub
-(** Induced subgraph keeping only components of at least [min_size]
-    nodes. *)

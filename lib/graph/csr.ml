@@ -68,62 +68,6 @@ let of_rows ~row ~col =
   done;
   { n; m; row = Array.copy row; col = Array.copy col; src; rev = compute_rev ~m ~col ~src }
 
-let of_digraph_sub g nodes =
-  (* Same dedup-preserving-first-occurrence contract as
-     Digraph.induced_subgraph, straight into CSR form. *)
-  let of_parent = Hashtbl.create (max 16 (2 * List.length nodes)) in
-  let uniq =
-    List.fold_left
-      (fun acc v ->
-        if v < 0 || v >= Digraph.n g then invalid_arg "Csr.of_digraph_sub: node out of range";
-        if Hashtbl.mem of_parent v then acc
-        else begin
-          Hashtbl.replace of_parent v (Hashtbl.length of_parent);
-          v :: acc
-        end)
-      [] nodes
-    |> List.rev
-  in
-  let to_parent = Array.of_list uniq in
-  let n = Array.length to_parent in
-  let row = Array.make (n + 1) 0 in
-  (* first pass: induced out-degrees *)
-  Array.iteri
-    (fun i v ->
-      List.iter
-        (fun w -> if Hashtbl.mem of_parent w then row.(i + 1) <- row.(i + 1) + 1)
-        (Digraph.succ g v))
-    to_parent;
-  for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i + 1) + row.(i)
-  done;
-  let m = row.(n) in
-  let col = Array.make m 0 in
-  let src = Array.make m 0 in
-  let cursor = ref 0 in
-  (* Digraph.induced_subgraph rebuilds adjacency by prepending, so the
-     sub-graph's rows come out *reversed* relative to the parent's succ
-     lists.  Reproduce that order exactly: this CSR must be bitwise
-     interchangeable with [of_digraph (induced_subgraph g nodes).graph],
-     so any kernel run on it matches the digraph-subgraph pipeline
-     float-for-float. *)
-  Array.iteri
-    (fun i v ->
-      let kept =
-        List.fold_left
-          (fun acc w ->
-            match Hashtbl.find_opt of_parent w with Some j -> j :: acc | None -> acc)
-          [] (Digraph.succ g v)
-      in
-      List.iter
-        (fun j ->
-          col.(!cursor) <- j;
-          src.(!cursor) <- i;
-          incr cursor)
-        kept)
-    to_parent;
-  ({ n; m; row; col; src; rev = compute_rev ~m ~col ~src }, to_parent)
-
 let transpose t =
   let n = t.n and m = t.m in
   let row = Array.make (n + 1) 0 in
@@ -159,8 +103,6 @@ type mask = Bytes.t
 
 let full_mask t = Bytes.make t.n '\001'
 
-let empty_mask t = Bytes.make t.n '\000'
-
 let mask_of_list t nodes =
   let m = Bytes.make t.n '\000' in
   List.iter
@@ -172,23 +114,12 @@ let mask_of_list t nodes =
 
 let mask_mem m v = Bytes.unsafe_get m v <> '\000'
 
-let mask_set m v alive = Bytes.unsafe_set m v (if alive then '\001' else '\000')
-
-let mask_count m =
-  let c = ref 0 in
-  for v = 0 to Bytes.length m - 1 do
-    if Bytes.unsafe_get m v <> '\000' then incr c
-  done;
-  !c
-
 let mask_to_list m =
   let acc = ref [] in
   for v = Bytes.length m - 1 downto 0 do
     if Bytes.unsafe_get m v <> '\000' then acc := v :: !acc
   done;
   !acc
-
-let mask_copy = Bytes.copy
 
 (* Arcs with both endpoints alive — the induced subgraph's edge count,
    without building it.  O(sum of alive out-degrees). *)
@@ -221,5 +152,3 @@ let iter_arcs f t =
   for i = 0 to t.m - 1 do
     f i t.src.(i) t.col.(i)
   done
-
-let pp ppf t = Format.fprintf ppf "csr(n=%d, m=%d)" t.n t.m

@@ -36,16 +36,6 @@ val of_rows : row:int array -> col:int array -> t
     Raises [Invalid_argument] on inconsistent bounds or out-of-range
     columns. *)
 
-val of_digraph_sub : Digraph.t -> int list -> t * int array
-(** [of_digraph_sub g nodes] is the CSR of the subgraph induced on
-    [nodes] (deduplicated, first occurrence wins — the same contract as
-    {!Digraph.induced_subgraph}) together with the [to_parent] map from
-    compact CSR ids back to [g]'s node ids.  Bitwise interchangeable
-    with [of_digraph (Digraph.induced_subgraph g nodes).graph]: rows
-    reproduce that sub-graph's adjacency order (which is reversed
-    relative to the parent, an artifact of prepend-based rebuilds), so
-    kernels agree float-for-float with the digraph-subgraph pipeline. *)
-
 val transpose : t -> t
 (** Arc-reversed view: row [v] lists the sources of arcs into [v], in
     ascending-source order (= global iteration order), which is exactly
@@ -62,20 +52,15 @@ val transpose : t -> t
 type mask = Bytes.t
 
 val full_mask : t -> mask
-val empty_mask : t -> mask
 
 val mask_of_list : t -> int list -> mask
 (** Mask with exactly the listed nodes alive; raises on out-of-range
     ids. *)
 
 val mask_mem : mask -> int -> bool
-val mask_set : mask -> int -> bool -> unit
-val mask_count : mask -> int
 
 val mask_to_list : mask -> int list
 (** Alive nodes, ascending. *)
-
-val mask_copy : mask -> mask
 
 val alive_arcs : t -> mask -> int
 (** Number of arcs with both endpoints alive — the induced subgraph's
@@ -90,5 +75,3 @@ val arc_id : t -> int -> int -> int
 val iter_arcs : (int -> int -> int -> unit) -> t -> unit
 (** [iter_arcs f t] calls [f id u v] for every arc in id order (=
     {!Digraph.iter_edges} order of the source graph). *)
-
-val pp : Format.formatter -> t -> unit

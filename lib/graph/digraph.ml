@@ -101,13 +101,6 @@ let iter_nodes f t =
     f v
   done
 
-let fold_nodes f t acc =
-  let r = ref acc in
-  for v = 0 to t.n - 1 do
-    r := f v !r
-  done;
-  !r
-
 let iter_edges f t =
   for u = 0 to t.n - 1 do
     List.iter (fun v -> f u v) t.succ.(u)
@@ -150,12 +143,6 @@ let to_undirected t =
       add_edge t' v u)
     t;
   t'
-
-let is_symmetric t =
-  try
-    iter_edges (fun u v -> if not (mem_edge t v u) then raise Exit) t;
-    true
-  with Exit -> false
 
 let induced_subgraph t node_list =
   let of_parent = Hashtbl.create (List.length node_list * 2) in
@@ -231,21 +218,5 @@ let of_adjacency ~n ~succ ~pred =
     edge_set;
   }
 
-(* Compose a nested sub-of-sub mapping back to the outermost parent. *)
-let compose_sub outer inner =
-  let to_parent = Array.map (fun i -> outer.to_parent.(i)) inner.to_parent in
-  let of_parent = Hashtbl.create (Array.length to_parent * 2) in
-  Array.iteri (fun i p -> Hashtbl.replace of_parent p i) to_parent;
-  { graph = inner.graph; to_parent; of_parent }
-
 let sub_of_parent sub v = Hashtbl.find_opt sub.of_parent v
 let sub_to_parent sub i = sub.to_parent.(i)
-
-let identity_sub t =
-  let to_parent = Array.init t.n (fun i -> i) in
-  let of_parent = Hashtbl.create (2 * t.n) in
-  Array.iteri (fun i p -> Hashtbl.replace of_parent p i) to_parent;
-  { graph = t; to_parent; of_parent }
-
-let pp ppf t =
-  Format.fprintf ppf "digraph(n=%d, m=%d)" t.n t.m

@@ -42,7 +42,6 @@ val degree : t -> int -> int
     degree. *)
 
 val iter_nodes : (int -> unit) -> t -> unit
-val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_edges : (int -> int -> unit) -> t -> unit
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val edges : t -> (int * int) list
@@ -57,8 +56,6 @@ val reverse : t -> t
 val to_undirected : t -> t
 (** Symmetric closure; the paper's "convert the directed subgraph into an
     undirected subgraph" step before community detection. *)
-
-val is_symmetric : t -> bool
 
 val adjacency : t -> int list array * int list array
 (** [(succ, pred)] adjacency lists in their exact stored order — the
@@ -76,14 +73,5 @@ val induced_subgraph : t -> int list -> sub
 (** [induced_subgraph t vs] is the subgraph induced by the (deduplicated)
     node list [vs], densely renumbered, with the id correspondence. *)
 
-val compose_sub : sub -> sub -> sub
-(** [compose_sub outer inner] re-expresses [inner] (a sub of
-    [outer.graph]) as a sub of [outer]'s parent. *)
-
 val sub_of_parent : sub -> int -> int option
 val sub_to_parent : sub -> int -> int
-
-val identity_sub : t -> sub
-(** The whole graph viewed as a subgraph of itself. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,21 +1,15 @@
 (* Graph statistics behind Figures 4, 9 and 10: degree distributions of the
    full model digraph and of experiment subgraphs, and the power-law
    exponent estimates used to argue the graphs are approximately
-   scale-free. *)
+   scale-free.  Degrees are total (in + out) degrees throughout. *)
 
-type degree_kind = Total | In_deg | Out_deg
-
-let degrees ?(kind = Total) g =
-  Array.init (Digraph.n g) (fun v ->
-      match kind with
-      | Total -> Digraph.in_degree g v + Digraph.out_degree g v
-      | In_deg -> Digraph.in_degree g v
-      | Out_deg -> Digraph.out_degree g v)
+let degrees g =
+  Array.init (Digraph.n g) (fun v -> Digraph.in_degree g v + Digraph.out_degree g v)
 
 (* Histogram of degree frequencies: (degree, count) for every occurring
    degree, ascending. *)
-let degree_histogram ?kind g =
-  let deg = degrees ?kind g in
+let degree_histogram g =
+  let deg = degrees g in
   let tbl = Hashtbl.create 64 in
   Array.iter
     (fun d -> Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d)))
@@ -24,8 +18,8 @@ let degree_histogram ?kind g =
 
 (* Complementary cumulative distribution P(D >= d), the standard way to
    visualize heavy tails. *)
-let degree_ccdf ?kind g =
-  let hist = degree_histogram ?kind g in
+let degree_ccdf g =
+  let hist = degree_histogram g in
   let total = float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 hist) in
   let rec build remaining = function
     | [] -> []
@@ -36,9 +30,11 @@ let degree_ccdf ?kind g =
 
 (* Discrete maximum-likelihood power-law exponent (Clauset, Shalizi &
    Newman 2009, eq. 3.7 approximation): alpha = 1 + n / sum ln(d/(xmin-1/2))
-   over degrees d >= xmin. *)
-let power_law_alpha ?kind ?(xmin = 2) g =
-  let deg = degrees ?kind g in
+   over degrees d >= [xmin]. *)
+let xmin = 2
+
+let power_law_alpha g =
+  let deg = degrees g in
   let xs = Array.to_list deg |> List.filter (fun d -> d >= xmin) in
   let n = List.length xs in
   if n = 0 then None

@@ -1,19 +1,20 @@
 (** Graph statistics behind the paper's Figures 4, 9 and 10: degree
-    distributions and power-law exponent estimates. *)
+    distributions and power-law exponent estimates.  Every degree is a
+    total (in + out) degree, and the power-law fit uses the fixed lower
+    cut-off [xmin] = 2. *)
 
-type degree_kind = Total | In_deg | Out_deg
+val degrees : Digraph.t -> int array
+(** Total (in + out) degree of every node. *)
 
-val degrees : ?kind:degree_kind -> Digraph.t -> int array
-
-val degree_histogram : ?kind:degree_kind -> Digraph.t -> (int * int) list
+val degree_histogram : Digraph.t -> (int * int) list
 (** (degree, count) for every occurring degree, ascending. *)
 
-val degree_ccdf : ?kind:degree_kind -> Digraph.t -> (int * float) list
+val degree_ccdf : Digraph.t -> (int * float) list
 (** Complementary cumulative distribution P(D >= d). *)
 
-val power_law_alpha : ?kind:degree_kind -> ?xmin:int -> Digraph.t -> float option
+val power_law_alpha : Digraph.t -> float option
 (** Discrete maximum-likelihood power-law exponent (Clauset–Shalizi–Newman
-    2009 approximation) over degrees >= [xmin]. *)
+    2009 approximation) over degrees >= 2. *)
 
 type summary = {
   nodes : int;

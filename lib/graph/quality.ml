@@ -129,10 +129,3 @@ let summary_json r =
     {|{"nodes": %d, "arcs": %d, "communities": %d, "modularity": %.6f, "coverage": %.6f, "mean_conductance": %.6f, "max_conductance": %.6f, "min_intra_ratio": %.6f}|}
     r.q_nodes r.q_arcs r.q_communities r.q_modularity r.q_coverage r.q_mean_conductance
     r.q_max_conductance r.q_min_intra_ratio
-
-let pp ppf r =
-  Format.fprintf ppf
-    "partition quality: %d communities on %d nodes / %d arcs@.  modularity %.4f, \
-     coverage %.4f, conductance mean %.4f max %.4f, min intra-ratio %.4f@."
-    r.q_communities r.q_nodes r.q_arcs r.q_modularity r.q_coverage r.q_mean_conductance
-    r.q_max_conductance r.q_min_intra_ratio

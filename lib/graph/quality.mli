@@ -34,5 +34,3 @@ val of_communities : Digraph.t -> int list list -> report
 val summary_json : report -> string
 (** One-line JSON object with the aggregate metrics (no per-community
     breakdown); deterministic field order, %.6f floats. *)
-
-val pp : Format.formatter -> report -> unit

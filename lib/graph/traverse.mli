@@ -23,22 +23,6 @@ val ancestors : Digraph.t -> int list -> int list
 (** Nodes from which any target is reachable (targets included) — the
     static backward slice, ascending. *)
 
-val reachable : Digraph.t -> from:int -> target:int -> bool
-
-val any_path : Digraph.t -> sources:int list -> targets:int list -> bool
-(** The simulated-sampling test of paper Section 6: does any directed path
-    lead from a bug location to an instrumented node? *)
-
-val shortest_path : Digraph.t -> src:int -> dst:int -> int list option
-(** One shortest path as a node list, [None] if disconnected. *)
-
-val shortest_path_dag_nodes : Digraph.t -> sources:int list -> targets:int list -> int list
-(** Nodes lying on at least one shortest source-to-target path, for {e any}
-    target — the "path segments from the bugs to the sampled nodes" the
-    paper highlights.  The criterion is per target
-    ([d(sources, v) + d(v, t) = d(sources, t)]), so nodes on shortest
-    paths to farther targets are included; ascending. *)
-
 (** {1 Masked-CSR variants}
 
     The same primitives over a frozen {!Csr} snapshot restricted to a
@@ -55,13 +39,6 @@ val bfs_dist_csr : Csr.t -> alive:Csr.mask -> int list -> int array
 val bfs_dist_rev_csr : rev:Csr.t -> alive:Csr.mask -> int list -> int array
 (** Distances {e to} the given targets; [rev] is the transpose CSR. *)
 
-val descendants_csr : Csr.t -> alive:Csr.mask -> int list -> int list
-(** Alive nodes reachable from any alive source (sources included),
-    ascending. *)
-
 val ancestors_csr : rev:Csr.t -> alive:Csr.mask -> int list -> int list
 (** Alive nodes from which any alive target is reachable (targets
     included), ascending — the masked static backward slice. *)
-
-val topological_order : Digraph.t -> int list option
-(** Kahn topological order; [None] when the graph has a directed cycle. *)

@@ -160,10 +160,16 @@ let parse_number c =
   | Some f when Float.is_finite f -> Num f
   | _ -> error c (Printf.sprintf "bad number %S" text)
 
-let rec parse_value c =
+(* Protocol messages nest 3 deep; the parser recurses once per level, so
+   deeper input is refused before it costs the reactor stack and time. *)
+let max_depth = 64
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> error c "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+      error c (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
       advance c;
       skip_ws c;
@@ -178,7 +184,7 @@ let rec parse_value c =
           let key = parse_string c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws c;
           match peek c with
@@ -201,7 +207,7 @@ let rec parse_value c =
       else begin
         let items = ref [] in
         let rec elements () =
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           items := v :: !items;
           skip_ws c;
           match peek c with
@@ -223,7 +229,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
       skip_ws c;
       if c.pos <> String.length s then

@@ -13,8 +13,8 @@ type t =
   | Obj of (string * t) list
 
 val of_string : string -> (t, string) result
-(** Parse one complete JSON value; trailing non-whitespace bytes are an
-    error. *)
+(** Parse one complete JSON value; trailing non-whitespace bytes and
+    arrays or objects nested more than 64 deep are errors. *)
 
 val to_string : t -> string
 (** Compact single-line rendering (never contains a newline, so a

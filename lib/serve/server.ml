@@ -182,6 +182,13 @@ let decode_query st v =
     i
   in
   let knob name default = non_negative name (field_int name default v) in
+  (* Only G-N reads gn_approx, and 0 means exact G-N: normalized to absent
+     otherwise, so equal computations share one cache entry. *)
+  let gn_approx =
+    match Option.map (non_negative "gn_approx") (field_int_opt "gn_approx" v) with
+    | Some g when g > 0 && detector = Core.Refine.Girvan_newman -> Some g
+    | _ -> None
+  in
   {
     q_targets = targets;
     q_detector = detector;
@@ -190,7 +197,7 @@ let decode_query st v =
     q_min_community = knob "min_community" 3;
     q_max_iterations = knob "max_iterations" 10;
     q_stop_size = knob "stop_size" 30;
-    q_gn_approx = Option.map (non_negative "gn_approx") (field_int_opt "gn_approx" v);
+    q_gn_approx = gn_approx;
     q_min_cluster = knob "min_cluster" 4;
   }
 

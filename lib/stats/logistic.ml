@@ -4,6 +4,11 @@
    variables with nonzero coefficients, tuning the regularization strength
    until about five survive. *)
 
+let max_iter = 2000 (* proximal steps per fit *)
+let tol = 1e-8 (* coefficient L1 change that ends a fit *)
+let threshold = 1e-8 (* |weight| above which a feature is selected *)
+let path_steps = 24 (* points on the regularization path *)
+
 type model = {
   weights : float array;  (* per (standardized) feature *)
   bias : float;
@@ -51,7 +56,7 @@ let lipschitz z =
   !lambda /. (4.0 *. float_of_int n)
 
 (* Fit with fixed [lambda]; [y] entries are 0 or 1. *)
-let fit ?(max_iter = 2000) ?(tol = 1e-8) ~lambda (x : Matrix.t) (y : float array) : model =
+let fit ~lambda (x : Matrix.t) (y : float array) : model =
   let n = Matrix.rows x and p = Matrix.cols x in
   if Array.length y <> n then invalid_arg "Logistic.fit: label length mismatch";
   let z, means, stds = standardize_features x in
@@ -99,7 +104,7 @@ let predict_proba model row =
 
 let predict model row = if predict_proba model row >= 0.5 then 1.0 else 0.0
 
-let nonzero_features ?(threshold = 1e-8) model =
+let nonzero_features model =
   let acc = ref [] in
   Array.iteri (fun j w -> if abs_float w > threshold then acc := j :: !acc) model.weights;
   List.rev !acc
@@ -124,7 +129,7 @@ let lambda_max (x : Matrix.t) (y : float array) =
    variables".  Returns the model whose support size is closest to the
    target among those with at least one surviving feature, preferring the
    stronger penalty on ties. *)
-let fit_select ?(target = 5) ?(path_steps = 24) (x : Matrix.t) (y : float array) : model =
+let fit_select ?(target = 5) (x : Matrix.t) (y : float array) : model =
   let hi = Float.max (lambda_max x y) 1e-8 in
   let ratio = (1e-4) ** (1.0 /. float_of_int (path_steps - 1)) in
   let best = ref None in

@@ -13,20 +13,23 @@ val sigmoid : float -> float
 val soft_threshold : float -> float -> float
 (** [soft_threshold x t] shrinks [x] toward zero by [t]. *)
 
-val fit : ?max_iter:int -> ?tol:float -> lambda:float -> Matrix.t -> float array -> model
+val fit : lambda:float -> Matrix.t -> float array -> model
 (** Fit on rows of [x] with labels [y] in {0,1}; features are standardized
     internally and the step size comes from a power-iteration Lipschitz
-    estimate. *)
+    estimate.  At most 2000 steps, stopping once the coefficients' L1
+    change falls below 1e-8. *)
 
 val predict_proba : model -> float array -> float
 val predict : model -> float array -> float
 
-val nonzero_features : ?threshold:float -> model -> int list
-(** Indices of surviving (selected) features. *)
+val nonzero_features : model -> int list
+(** Indices of surviving (selected) features: weight above 1e-8 in
+    magnitude. *)
 
 val lambda_max : Matrix.t -> float array -> float
 (** Smallest penalty that zeroes every coefficient. *)
 
-val fit_select : ?target:int -> ?path_steps:int -> Matrix.t -> float array -> model
-(** Walk a geometric regularization path and return the model whose
-    support size is closest to [target] (paper: "about five variables"). *)
+val fit_select : ?target:int -> Matrix.t -> float array -> model
+(** Walk a 24-point geometric regularization path and return the model
+    whose support size is closest to [target] (paper: "about five
+    variables"). *)

@@ -57,9 +57,12 @@ type eigen = {
   vectors : t;  (* vectors.(k) is the k-th eigenvector, matching values.(k) *)
 }
 
+let jacobi_max_sweeps = 100
+let jacobi_tol = 1e-12
+
 (* Cyclic Jacobi eigendecomposition of a symmetric matrix.  O(p^3) per
    sweep; plenty for p <= a few hundred. *)
-let jacobi_eigen ?(max_sweeps = 100) ?(tol = 1e-12) (m0 : t) : eigen =
+let jacobi_eigen (m0 : t) : eigen =
   let p = rows m0 in
   if cols m0 <> p then invalid_arg "Matrix.jacobi_eigen: not square";
   let a = copy m0 in
@@ -101,7 +104,7 @@ let jacobi_eigen ?(max_sweeps = 100) ?(tol = 1e-12) (m0 : t) : eigen =
     end
   in
   let sweeps = ref 0 in
-  while off_diag () > tol && !sweeps < max_sweeps do
+  while off_diag () > jacobi_tol && !sweeps < jacobi_max_sweeps do
     incr sweeps;
     for i = 0 to p - 2 do
       for j = i + 1 to p - 1 do

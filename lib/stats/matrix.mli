@@ -22,7 +22,9 @@ type eigen = {
   vectors : t;  (** [vectors.(k)] is the unit eigenvector for [values.(k)] *)
 }
 
-val jacobi_eigen : ?max_sweeps:int -> ?tol:float -> t -> eigen
-(** Cyclic Jacobi eigendecomposition of a symmetric matrix. *)
+val jacobi_eigen : t -> eigen
+(** Cyclic Jacobi eigendecomposition of a symmetric matrix: at most 100
+    sweeps, stopping once the off-diagonal Frobenius norm falls below
+    1e-12. *)
 
 val pp : Format.formatter -> t -> unit

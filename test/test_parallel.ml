@@ -38,13 +38,10 @@ let float_arrays_close ?eps a b =
       Array.iteri (fun i x -> if not (close ?eps x b.(i)) then ok := false) a;
       !ok)
 
-let table_sorted tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
-let tables_close ?eps a b =
-  let a = table_sorted a and b = table_sorted b in
-  List.length a = List.length b
-  && List.for_all2 (fun (k, v) (k', v') -> k = k' && close ?eps v v') a b
+(* Exact Brandes scores over the graph's CSR, sequential or pooled:
+   per node, and per arc in arc-id order. *)
+let node_bc ?pool g = (Betweenness.csr_compute ?pool (Csr.of_digraph g)).Betweenness.csr_node_bc
+let edge_bc ?pool g = (Betweenness.csr_compute ?pool (Csr.of_digraph g)).Betweenness.csr_edge_bc
 
 (* --- Pool unit tests ----------------------------------------------------------- *)
 
@@ -98,9 +95,8 @@ let with_pool_shuts_down () =
 
 let empty_graph_all_paths () =
   let g = Digraph.create () in
-  Alcotest.(check (array (float 1e-12))) "node bc" [||]
-    (Betweenness.node_betweenness ~pool:pool4 g);
-  check_int "edge bc" 0 (Hashtbl.length (Betweenness.edge_betweenness ~pool:pool4 g));
+  Alcotest.(check (array (float 1e-12))) "node bc" [||] (node_bc ~pool:pool4 g);
+  check_int "edge bc" 0 (Array.length (edge_bc ~pool:pool4 g));
   Alcotest.(check (array (float 1e-12))) "eigenvector" [||]
     (Centrality.eigenvector ~pool:pool4 g);
   let step = Community.girvan_newman_step ~pool:pool4 g in
@@ -115,11 +111,10 @@ let edgeless_graph_betweenness () =
   let acc = Rca_oracle.Brandes.create_acc g in
   check_int "acc nodes" 5 (Array.length acc.Rca_oracle.Brandes.node_bc);
   check_int "acc edges empty" 0 (Hashtbl.length acc.Rca_oracle.Brandes.edge_bc);
-  let seq = Betweenness.node_betweenness ~normalized:false g in
-  let par = Betweenness.node_betweenness ~normalized:false ~pool:pool4 g in
-  Alcotest.(check (array (float 1e-12))) "all zero seq" (Array.make 5 0.0) seq;
-  Alcotest.(check (array (float 1e-12))) "all zero par" (Array.make 5 0.0) par;
-  check_int "no edges scored" 0 (Hashtbl.length (Betweenness.edge_betweenness ~pool:pool2 g))
+  Alcotest.(check (array (float 1e-12))) "all zero seq" (Array.make 5 0.0) (node_bc g);
+  Alcotest.(check (array (float 1e-12))) "all zero par" (Array.make 5 0.0)
+    (node_bc ~pool:pool4 g);
+  check_int "no edges scored" 0 (Array.length (edge_bc ~pool:pool2 g))
 
 let disconnected_graph_partition () =
   (* two triangles plus an isolated node *)
@@ -130,15 +125,12 @@ let disconnected_graph_partition () =
   let par = (Community.girvan_newman ~target:3 ~pool:pool4 g).Community.partition in
   Alcotest.(check (array int)) "labels identical" seq.Community.labels par.Community.labels;
   check_bool "betweenness agrees" true
-    (tables_close (Betweenness.edge_betweenness g) (Betweenness.edge_betweenness ~pool:pool4 g))
+    (float_arrays_close (edge_bc g) (edge_bc ~pool:pool4 g))
 
 let self_loop_graph_differential () =
   let g = Digraph.of_edges ~n:4 [ (0, 0); (0, 1); (1, 2); (2, 2); (2, 3); (3, 3) ] in
-  let seq = Betweenness.node_betweenness ~normalized:false g in
-  let par = Betweenness.node_betweenness ~normalized:false ~pool:pool2 g in
-  check_bool "node bc agrees" true (float_arrays_close seq par);
-  check_bool "edge bc agrees" true
-    (tables_close (Betweenness.edge_betweenness g) (Betweenness.edge_betweenness ~pool:pool2 g))
+  check_bool "node bc agrees" true (float_arrays_close (node_bc g) (node_bc ~pool:pool2 g));
+  check_bool "edge bc agrees" true (float_arrays_close (edge_bc g) (edge_bc ~pool:pool2 g))
 
 (* --- QCheck differential properties -------------------------------------------- *)
 
@@ -159,19 +151,14 @@ let pools = [ ("2 domains", pool2); ("4 domains", pool4) ]
 let prop_node_betweenness_differential =
   QCheck2.Test.make ~name:"parallel node betweenness = sequential (1e-9)" ~count:60
     graph_gen (fun g ->
-      let seq = Betweenness.node_betweenness ~normalized:false g in
-      List.for_all
-        (fun (_, pool) ->
-          float_arrays_close seq (Betweenness.node_betweenness ~normalized:false ~pool g))
-        pools)
+      let seq = node_bc g in
+      List.for_all (fun (_, pool) -> float_arrays_close seq (node_bc ~pool g)) pools)
 
 let prop_edge_betweenness_differential =
   QCheck2.Test.make ~name:"parallel edge betweenness = sequential (1e-9)" ~count:60
     graph_gen (fun g ->
-      let seq = Betweenness.edge_betweenness g in
-      List.for_all
-        (fun (_, pool) -> tables_close seq (Betweenness.edge_betweenness ~pool g))
-        pools)
+      let seq = edge_bc g in
+      List.for_all (fun (_, pool) -> float_arrays_close seq (edge_bc ~pool g)) pools)
 
 let prop_girvan_newman_differential =
   QCheck2.Test.make ~name:"parallel Girvan-Newman partition = sequential" ~count:40
@@ -214,8 +201,8 @@ let prop_eigenvector_differential =
 let prop_parallel_bitwise_deterministic =
   QCheck2.Test.make ~name:"parallel runs bitwise-identical (repeat + 2 vs 4 domains)"
     ~count:40 graph_gen (fun g ->
-      let eb pool = table_sorted (Betweenness.edge_betweenness ~pool g) in
-      let bc pool = Betweenness.node_betweenness ~normalized:false ~pool g in
+      let eb pool = edge_bc ~pool g in
+      let bc pool = node_bc ~pool g in
       let labels pool =
         (Community.girvan_newman ~target:2 ~pool g).Community.partition.Community.labels
       in

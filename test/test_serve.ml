@@ -75,7 +75,11 @@ let json_errors () =
       "[1,]";
       "nan";
       "\"ctrl \x01 char\"";
-    ]
+      (* nesting is bounded at 64 *)
+      String.make 65 '[' ^ String.make 65 ']';
+    ];
+  check_bool "64 deep parses" true
+    (Result.is_ok (J.of_string (String.make 64 '[' ^ String.make 64 ']')))
 
 let json_accessors () =
   let v = Result.get_ok (J.of_string {|{"n":5,"s":"x","l":[1],"f":2.5}|}) in
@@ -500,6 +504,11 @@ let daemon_survives_garbage () =
             | Some msg -> String.length msg > 0
             | None -> false)
       | Error msg -> Alcotest.failf "no reply to garbage: %s" msg);
+      (* a 1 MB line of '[' is refused at the nesting bound, not parsed *)
+      Client.send_line conn (String.make 1_000_000 '[');
+      (match Client.recv conn with
+      | Ok r -> check_bool "deep nesting -> error reply" true (status r = Some "error")
+      | Error msg -> Alcotest.failf "no reply to deep nesting: %s" msg);
       let bad_cases =
         [
           [ ("op", J.Str "query"); ("detector", J.Str "bogus") ];
@@ -526,7 +535,7 @@ let daemon_survives_garbage () =
       let stats = reply conn [ ("op", J.Str "stats") ] in
       check_bool "errors counted" true
         (match Option.bind (J.member "errors" stats) J.int_opt with
-        | Some e -> e = 9
+        | Some e -> e = 10
         | None -> false))
 
 let strip_reply r =
@@ -548,6 +557,19 @@ let daemon_ignores_engine_field () =
       check_bool "same cache key" true (J.member "cached" with_engine = Some (J.Bool true));
       check_bool "same payload" true (strip_reply plain = strip_reply with_engine);
       check_bool "no engine member in replies" true (J.member "engine" plain = None))
+
+(* Only gn reads gn_approx: a greedy query carrying it is the same
+   computation as one without, so it shares the cache entry. *)
+let daemon_gn_approx_normalized () =
+  with_daemon (fun conn ->
+      let q = [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
+      let first = reply conn (q @ [ ("gn_approx", J.num 64) ]) in
+      check_bool "first not cached" true (J.member "cached" first = Some (J.Bool false));
+      let second = reply conn q in
+      check_bool "second cached" true (J.member "cached" second = Some (J.Bool true));
+      let stats = reply conn [ ("op", J.Str "stats") ] in
+      check_bool "one cache miss" true
+        (Option.bind (J.member "cache_misses" stats) J.int_opt = Some 1))
 
 (* The deliberately slow query: exact Girvan-Newman driven down to
    single-node communities.  Never primed, so it always computes. *)
@@ -786,6 +808,7 @@ let () =
           Alcotest.test_case "query and cache" `Quick daemon_query_and_cache;
           Alcotest.test_case "survives garbage" `Quick daemon_survives_garbage;
           Alcotest.test_case "engine field ignored" `Quick daemon_ignores_engine_field;
+          Alcotest.test_case "gn_approx normalized" `Quick daemon_gn_approx_normalized;
           Alcotest.test_case "concurrent out-of-order" `Quick daemon_concurrent_out_of_order;
           Alcotest.test_case "in-flight coalescing" `Quick daemon_inflight_coalescing;
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
