@@ -8,16 +8,18 @@
             table1 table2 fig4 fig10 fig11 ablation micro micro-par gn
             pipeline refine scaling lint serve campaign
 
-   Flags: --json PATH     write the `gn`/`pipeline`/`refine`/`scaling`
-                          target's telemetry as JSON
+   Flags: --json PATH     write the target's telemetry and gates as one
+                          compact JSON object {"bench", fields..., "gates"}
+                          (`gn`, `pipeline`, `refine`, `scaling`, `lint`;
+                          `serve` and `campaign` always write one)
           --domains N     pool size for the parallel `gn` runs (default 4)
           --detector NAME community detector for the `pipeline`/`refine`/
                           `campaign` targets (any name rca_main's
                           --detector accepts: both parse with
                           Refine.partitioner_of_string)
           --trace PATH    record the run under lib/obs and write a Chrome
-                          trace-event JSON (`gn`, `pipeline` and `refine`
-                          targets)
+                          trace-event JSON (`gn`, `pipeline`, `refine` and
+                          `campaign` targets)
 
    Each experiment target regenerates the corresponding paper artifact at
    the "paper" model scale and prints the same rows/series the paper
@@ -31,24 +33,72 @@
    the results are identical, and writes the per-stage telemetry
    (BENCH_pipeline.json); `refine` checks the masked engine against the
    test/oracle list engine; `scaling` times each detector at small,
-   paper and huge scale. *)
+   paper and huge scale.  Every target with identity checks or bounds
+   reports them as gates and exits 1 when one fails. *)
 
 open Rca_experiments
 module MG = Rca_metagraph.Metagraph
 module G = Rca_graph
+module J = Rca_obs.Jsonio
 
 let config = Rca_synth.Config.paper
 
 let params =
   lazy { (Harness.default_params config) with Harness.ensemble_members = 20 }
 
-let time label f =
-  let t0 = Unix.gettimeofday () in
+(* Seconds on the OS monotonic clock: NTP can step the wall clock in the
+   middle of a gated measurement. *)
+let timeit f =
+  let t0 = Rca_obs.Obs.monotonic_ns () in
   let r = f () in
-  Printf.printf "[%s finished in %.1fs]\n\n%!" label (Unix.gettimeofday () -. t0);
+  (r, Int64.to_float (Int64.sub (Rca_obs.Obs.monotonic_ns ()) t0) /. 1e9)
+
+(* The last result and the shortest of [k] timings, for comparisons
+   that single-shot timings would drown in scheduler and GC noise. *)
+let best_of k f =
+  let rec go k best =
+    let r, t = timeit f in
+    if k <= 1 then (r, Float.min best t) else go (k - 1) (Float.min best t)
+  in
+  go k infinity
+
+let time label f =
+  let r, t = timeit f in
+  Printf.printf "[%s finished in %.1fs]\n\n%!" label t;
   r
 
 let hr () = print_endline (String.make 78 '-')
+
+(* A gate is a named pass/fail check that fails the run.  [report]
+   prints every gate, writes {"bench", ...fields, "gates"} to [json] when
+   a path is given, and exits 1 if any gate failed. *)
+let report ~bench ~json gates fields =
+  List.iter
+    (fun (name, ok) -> Printf.printf "  gate %-52s %s\n%!" name (if ok then "PASS" else "FAIL"))
+    gates;
+  Option.iter
+    (fun path ->
+      J.to_file path
+        (J.Obj
+           ((("bench", J.Str bench) :: fields)
+           @ [ ("gates", J.Obj (List.map (fun (name, ok) -> (name, J.Bool ok)) gates)) ]));
+      Printf.printf "  telemetry written to %s\n%!" path)
+    json;
+  if List.exists (fun (_, ok) -> not ok) gates then begin
+    Printf.eprintf "%s bench: a gate failed\n%!" bench;
+    exit 1
+  end
+
+(* Stop recording and, with --trace PATH, write the Chrome trace. *)
+let write_trace trace =
+  Rca_obs.Obs.disable ();
+  Option.iter
+    (fun path ->
+      Rca_obs.Obs.write_chrome_trace path;
+      Printf.printf "  chrome trace written to %s\n%!" path)
+    trace
+
+let verdict identical = if identical then "identical" else "MISMATCH"
 
 (* --- experiments (figures 5-8, 12-15 as textual series) ------------------------ *)
 
@@ -206,68 +256,64 @@ let microbenchmarks () =
 (* Sequential vs pooled edge betweenness (and one Girvan–Newman step) on
    the paper-scale GOFFGRATCH slice — the asymptotic hot path of the
    refinement loop.  Besides timing, every parallel run is differentially
-   checked against the sequential reference: identical per-arc
-   betweenness (within 1e-9 relative) and identical G-N partitions. *)
+   checked against the sequential reference, one gate per run: identical
+   per-arc betweenness (within 1e-9 relative) and identical G-N
+   partitions. *)
 let run_micro_par () =
   hr ();
-  ignore
-    (time "micro-par" (fun () ->
-         let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
-         let slice = goffgratch_slice fixture in
-         let sub = Rca_core.Slice.subgraph slice in
-         let g = G.Digraph.to_undirected sub.G.Digraph.graph in
-         Printf.printf
-           "domain-pool speedup on the paper-scale GOFFGRATCH slice (%d nodes, %d arcs; \
-            %d cores visible)\n"
-           (G.Digraph.n g) (G.Digraph.m g)
-           (Domain.recommended_domain_count ());
-         let timeit f =
-           let t0 = Unix.gettimeofday () in
-           let r = f () in
-           (r, Unix.gettimeofday () -. t0)
-         in
-         let csr = G.Csr.of_digraph g in
-         let edge_bc ?pool () = (G.Betweenness.csr_compute ?pool csr).G.Betweenness.csr_edge_bc in
-         let seq, t_seq = timeit edge_bc in
-         Printf.printf "  edge betweenness, %-12s %8.3f s   speedup 1.00x\n%!" "1 domain"
-           t_seq;
-         let arrays_agree a b =
-           Array.length a = Array.length b
-           && Array.for_all2 (fun v v' -> abs_float (v -. v') <= 1e-9 *. (1.0 +. abs_float v')) a b
-         in
-         List.iter
-           (fun d ->
-             G.Pool.with_pool d (fun pool ->
-                 let par, t_par = timeit (edge_bc ~pool) in
-                 Printf.printf
-                   "  edge betweenness, %-12s %8.3f s   speedup %.2fx   values %s\n%!"
-                   (string_of_int d ^ " domains")
-                   t_par (t_seq /. t_par)
-                   (if arrays_agree seq par then "identical" else "MISMATCH")))
-           [ 2; 4 ];
-         (* one G-N split, sampled betweenness, partition identity at 4 domains *)
-         let (p_seq, removed_seq), t_gn_seq =
-           timeit (fun () ->
-               let s = G.Community.girvan_newman_step ~approx:64 sub.G.Digraph.graph in
-               (s.G.Community.partition, s.G.Community.removed_edges))
-         in
-         G.Pool.with_pool 4 (fun pool ->
-             let (p_par, removed_par), t_gn_par =
-               timeit (fun () ->
-                   let s =
-                     G.Community.girvan_newman_step ~approx:64 ~pool sub.G.Digraph.graph
-                   in
-                   (s.G.Community.partition, s.G.Community.removed_edges))
-             in
-             Printf.printf
-               "  G-N step (approx 64), seq %.3f s vs 4 domains %.3f s   speedup %.2fx   \
-                partitions %s\n%!"
-               t_gn_seq t_gn_par (t_gn_seq /. t_gn_par)
-               (if
-                  p_seq.G.Community.labels = p_par.G.Community.labels
-                  && removed_seq = removed_par
-                then "identical"
-                else "MISMATCH"))))
+  let gates =
+    time "micro-par" (fun () ->
+        let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
+        let slice = goffgratch_slice fixture in
+        let sub = Rca_core.Slice.subgraph slice in
+        let g = G.Digraph.to_undirected sub.G.Digraph.graph in
+        Printf.printf
+          "domain-pool speedup on the paper-scale GOFFGRATCH slice (%d nodes, %d arcs; \
+           %d cores visible)\n"
+          (G.Digraph.n g) (G.Digraph.m g)
+          (Domain.recommended_domain_count ());
+        let csr = G.Csr.of_digraph g in
+        let edge_bc ?pool () = (G.Betweenness.csr_compute ?pool csr).G.Betweenness.csr_edge_bc in
+        let seq, t_seq = timeit edge_bc in
+        Printf.printf "  edge betweenness, %-12s %8.3f s   speedup 1.00x\n%!" "1 domain" t_seq;
+        let arrays_agree a b =
+          Array.length a = Array.length b
+          && Array.for_all2 (fun v v' -> abs_float (v -. v') <= 1e-9 *. (1.0 +. abs_float v')) a b
+        in
+        let bc_gates =
+          List.map
+            (fun d ->
+              G.Pool.with_pool d (fun pool ->
+                  let par, t_par = timeit (edge_bc ~pool) in
+                  let identical = arrays_agree seq par in
+                  Printf.printf "  edge betweenness, %-12s %8.3f s   speedup %.2fx   values %s\n%!"
+                    (string_of_int d ^ " domains")
+                    t_par (t_seq /. t_par) (verdict identical);
+                  (Printf.sprintf "edge betweenness at %d domains identical" d, identical)))
+            [ 2; 4 ]
+        in
+        (* one G-N split, sampled betweenness, partition identity at 4 domains *)
+        let (p_seq, removed_seq), t_gn_seq =
+          timeit (fun () ->
+              let s = G.Community.girvan_newman_step ~approx:64 sub.G.Digraph.graph in
+              (s.G.Community.partition, s.G.Community.removed_edges))
+        in
+        G.Pool.with_pool 4 (fun pool ->
+            let (p_par, removed_par), t_gn_par =
+              timeit (fun () ->
+                  let s = G.Community.girvan_newman_step ~approx:64 ~pool sub.G.Digraph.graph in
+                  (s.G.Community.partition, s.G.Community.removed_edges))
+            in
+            let identical =
+              p_seq.G.Community.labels = p_par.G.Community.labels && removed_seq = removed_par
+            in
+            Printf.printf
+              "  G-N step (approx 64), seq %.3f s vs 4 domains %.3f s   speedup %.2fx   \
+               partitions %s\n%!"
+              t_gn_seq t_gn_par (t_gn_seq /. t_gn_par) (verdict identical);
+            bc_gates @ [ ("G-N step at 4 domains identical", identical) ]))
+  in
+  report ~bench:"micro-par" ~json:None gates []
 
 (* --- Girvan-Newman engine benchmark (gn) ------------------------------------------------ *)
 
@@ -275,8 +321,8 @@ let run_micro_par () =
    reference (full betweenness recomputation per removal) vs the
    component-incremental CSR engine, sequentially and on a domain pool.
    Every run is differentially checked against the reference (identical
-   removal sequences and partitions) before any speedup is reported;
-   with --json PATH the telemetry is also written as a JSON artifact. *)
+   removal sequences and partitions), one gate per run; with --json PATH
+   the telemetry is also written as a JSON artifact. *)
 
 (* [clusters] gnm blobs of [size] nodes chained by [bridges] edges per
    consecutive pair: G-N must cut the bridges (highest betweenness)
@@ -296,96 +342,81 @@ let gn_fixture ~clusters ~size ~intra_m ~bridges =
   done;
   G.Digraph.of_edges ~n:(clusters * size) (List.rev !edges)
 
-let json_escape s =
-  String.concat "" (List.map (fun c ->
-      match c with
-      | '"' -> "\\\"" | '\\' -> "\\\\"
-      | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-      | c -> String.make 1 c)
-      (List.init (String.length s) (String.get s)))
-
-let run_gn_bench ?(trace = None) ~json ~domains () =
+let run_gn_bench ~trace ~json ~domains () =
   hr ();
   if trace <> None then Rca_obs.Obs.enable ();
-  ignore
-    (time "gn" (fun () ->
-         let clusters = 10 and size = 80 and intra_m = 300 and bridges = 2 in
-         let target = 8 in
-         let g = gn_fixture ~clusters ~size ~intra_m ~bridges in
-         let und = G.Digraph.to_undirected g in
-         Printf.printf
-           "exact Girvan-Newman to %d communities: reference vs component-incremental CSR\n"
-           target;
-         Printf.printf
-           "  fixture: %d clusters of %d nodes, %d nodes / %d arcs symmetrized (%d cores \
-            visible)\n%!"
-           clusters size (G.Digraph.n und) (G.Digraph.m und)
-           (Domain.recommended_domain_count ());
-         let timeit f =
-           let t0 = Unix.gettimeofday () in
-           let r = f () in
-           (r, Unix.gettimeofday () -. t0)
-         in
-         let reference, t_ref =
-           timeit (fun () -> Rca_oracle.Gn.girvan_newman ~target g)
-         in
-         let agrees (r : G.Community.gn_step) =
-           r.G.Community.removed_edges = reference.G.Community.removed_edges
-           && r.G.Community.partition.G.Community.labels
-              = reference.G.Community.partition.G.Community.labels
-         in
-         let runs = ref [] in
-         let record name dom t identical =
-           runs := (name, dom, t, t_ref /. t, identical) :: !runs;
-           Printf.printf "  %-28s %8.3f s   speedup %5.2fx   removals/partition %s\n%!"
-             name t (t_ref /. t)
-             (if identical then "identical" else "MISMATCH")
-         in
-         record "reference-seq" 1 t_ref true;
-         let inc_seq, t_inc = timeit (fun () -> G.Community.girvan_newman ~target g) in
-         record "incremental-seq" 1 t_inc (agrees inc_seq);
-         List.iter
-           (fun d ->
-             G.Pool.with_pool d (fun pool ->
-                 let inc_par, t_par =
-                   timeit (fun () -> G.Community.girvan_newman ~target ~pool g)
-                 in
-                 record (Printf.sprintf "incremental-%d-domains" d) d t_par
-                   (agrees inc_par)))
-           (List.sort_uniq compare [ 2; domains ] |> List.filter (fun d -> d > 1));
-         Printf.printf "  removal sequence length: %d edges cut, %d communities\n%!"
-           (List.length reference.G.Community.removed_edges)
-           (G.Community.community_count reference.G.Community.partition);
-         (match json with
-         | None -> ()
-         | Some path ->
-             let oc = open_out path in
-             Printf.fprintf oc
-               "{\n  \"bench\": \"girvan_newman\",\n  \"graph\": {\"nodes\": %d, \"arcs\": %d, \
-                \"clusters\": %d},\n  \"target_communities\": %d,\n  \"removals\": %d,\n  \
-                \"cores_visible\": %d,\n  \"runs\": [\n"
-               (G.Digraph.n und) (G.Digraph.m und) clusters target
-               (List.length reference.G.Community.removed_edges)
-               (Domain.recommended_domain_count ());
-             let rows = List.rev !runs in
-             List.iteri
-               (fun i (name, dom, t, speedup, identical) ->
-                 Printf.fprintf oc
-                   "    {\"name\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
-                    \"speedup_vs_reference\": %.3f, \"identical_to_reference\": %b}%s\n"
-                   (json_escape name) dom t speedup identical
-                   (if i = List.length rows - 1 then "" else ","))
-               rows;
-             Printf.fprintf oc "  ]\n}\n";
-             close_out oc;
-             Printf.printf "  telemetry written to %s\n%!" path);
-         (match trace with
-         | None -> ()
-         | Some path ->
-             Rca_obs.Obs.disable ();
-             Rca_obs.Obs.write_chrome_trace path;
-             Printf.printf "  chrome trace written to %s\n%!" path);
-         !runs))
+  let gates, fields =
+    time "gn" (fun () ->
+        let clusters = 10 and size = 80 and intra_m = 300 and bridges = 2 in
+        let target = 8 in
+        let g = gn_fixture ~clusters ~size ~intra_m ~bridges in
+        let und = G.Digraph.to_undirected g in
+        Printf.printf
+          "exact Girvan-Newman to %d communities: reference vs component-incremental CSR\n"
+          target;
+        Printf.printf
+          "  fixture: %d clusters of %d nodes, %d nodes / %d arcs symmetrized (%d cores \
+           visible)\n%!"
+          clusters size (G.Digraph.n und) (G.Digraph.m und)
+          (Domain.recommended_domain_count ());
+        let reference, t_ref = timeit (fun () -> Rca_oracle.Gn.girvan_newman ~target g) in
+        let agrees (r : G.Community.gn_step) =
+          r.G.Community.removed_edges = reference.G.Community.removed_edges
+          && r.G.Community.partition.G.Community.labels
+             = reference.G.Community.partition.G.Community.labels
+        in
+        let row name dom t identical =
+          Printf.printf "  %-28s %8.3f s   speedup %5.2fx   removals/partition %s\n%!" name t
+            (t_ref /. t) (verdict identical);
+          (name, dom, t, identical)
+        in
+        let reference_row = row "reference-seq" 1 t_ref true in
+        let inc_seq, t_inc = timeit (fun () -> G.Community.girvan_newman ~target g) in
+        let seq_row = row "incremental-seq" 1 t_inc (agrees inc_seq) in
+        let par_rows =
+          List.map
+            (fun d ->
+              G.Pool.with_pool d (fun pool ->
+                  let inc_par, t_par =
+                    timeit (fun () -> G.Community.girvan_newman ~target ~pool g)
+                  in
+                  row (Printf.sprintf "incremental-%d-domains" d) d t_par (agrees inc_par)))
+            (List.sort_uniq compare [ 2; domains ] |> List.filter (fun d -> d > 1))
+        in
+        let removals = List.length reference.G.Community.removed_edges in
+        Printf.printf "  removal sequence length: %d edges cut, %d communities\n%!" removals
+          (G.Community.community_count reference.G.Community.partition);
+        write_trace trace;
+        let incremental = seq_row :: par_rows in
+        let gate (name, _, _, identical) = (name ^ " identical to the reference", identical) in
+        ( List.map gate incremental,
+          [
+            ( "graph",
+              J.Obj
+                [
+                  ("nodes", J.num (G.Digraph.n und));
+                  ("arcs", J.num (G.Digraph.m und));
+                  ("clusters", J.num clusters);
+                ] );
+            ("target_communities", J.num target);
+            ("removals", J.num removals);
+            ("cores_visible", J.num (Domain.recommended_domain_count ()));
+            ( "runs",
+              J.Arr
+                (List.map
+                   (fun (name, dom, t, identical) ->
+                     J.Obj
+                       [
+                         ("name", J.Str name);
+                         ("domains", J.num dom);
+                         ("seconds", J.Num t);
+                         ("speedup_vs_reference", J.Num (t_ref /. t));
+                         ("identical_to_reference", J.Bool identical);
+                       ])
+                   (reference_row :: incremental)) );
+          ] ))
+  in
+  report ~bench:"girvan_newman" ~json gates fields
 
 (* --- end-to-end pipeline benchmark under tracing (pipeline) ----------------------------- *)
 
@@ -398,7 +429,7 @@ let run_gn_bench ?(trace = None) ~json ~domains () =
    tracing ever perturbs the pipeline. *)
 let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
   hr ();
-  let outcome =
+  let gates, fields =
     time "pipeline" (fun () ->
         let config = Rca_synth.Config.small in
         let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
@@ -411,11 +442,6 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
             ~gn_approx:128 ~stop_size:30 ~partitioner ~domains fixture.Fixture.mg
             ~outputs:[ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ]
             ~detect
-        in
-        let timeit f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (r, Unix.gettimeofday () -. t0)
         in
         let plain, t_plain = timeit run in
         Rca_obs.Obs.enable ();
@@ -437,8 +463,7 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
           (List.length r.Refine.iterations)
           (Refine.outcome_string r.Refine.outcome);
         Printf.printf "  uninstrumented %8.3f s\n  instrumented   %8.3f s   results %s\n%!"
-          t_plain t_traced
-          (if identical then "identical" else "MISMATCH");
+          t_plain t_traced (verdict identical);
         List.iter
           (fun name ->
             let c = Rca_obs.Obs.span_count name in
@@ -450,34 +475,21 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
             "refine.detect"; "gn.step"; "gn.recompute"; "brandes.csr_sources";
             "centrality.eigenvector"; "pool.run_chunks";
           ];
-        (match trace with
-        | None -> ()
-        | Some path ->
-            Rca_obs.Obs.write_chrome_trace path;
-            Printf.printf "  chrome trace written to %s\n%!" path);
-        (match json with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            Printf.fprintf oc
-              "{\n  \"bench\": \"pipeline\",\n  \"scale\": \"small\",\n  \"domains\": %d,\n  \
-               \"slice_nodes\": %d,\n  \"iterations\": %d,\n  \"outcome\": \"%s\",\n  \
-               \"seconds_uninstrumented\": %.6f,\n  \"seconds_instrumented\": %.6f,\n  \
-               \"identical\": %b,\n  \"obs\": %s\n}\n"
-              domains
-              (Rca_core.Slice.size plain.Pipeline.slice)
-              (List.length r.Refine.iterations)
-              (Refine.outcome_string r.Refine.outcome)
-              t_plain t_traced identical
-              (Rca_obs.Obs.summary_json ());
-            close_out oc;
-            Printf.printf "  telemetry written to %s\n%!" path);
-        identical)
+        write_trace trace;
+        ( [ ("instrumented run identical to uninstrumented", identical) ],
+          [
+            ("scale", J.Str "small");
+            ("domains", J.num domains);
+            ("slice_nodes", J.num (Slice.size plain.Pipeline.slice));
+            ("iterations", J.num (List.length r.Refine.iterations));
+            ("outcome", J.Str (Refine.outcome_string r.Refine.outcome));
+            ("seconds_uninstrumented", J.Num t_plain);
+            ("seconds_instrumented", J.Num t_traced);
+            ("identical", J.Bool identical);
+            ("obs", Rca_obs.Obs.summary_json ());
+          ] ))
   in
-  if not outcome then begin
-    Printf.eprintf "pipeline bench: instrumented and uninstrumented results DIFFER\n";
-    exit 1
-  end
+  report ~bench:"pipeline" ~json gates fields
 
 (* --- masked refinement engine benchmark (refine) ---------------------------------------- *)
 
@@ -492,7 +504,7 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
    oracle. *)
 let run_refine_bench ~json ~trace ~domains ~partitioner () =
   hr ();
-  let ok =
+  let gates, fields =
     time "refine" (fun () ->
         let config = Rca_synth.Config.small in
         let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
@@ -511,21 +523,6 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
           Rca_oracle.List_engine.pipeline ~keep_module ~min_cluster:4 ~gn_approx:128
             ~stop_size:30 ~partitioner ~domains mg ~outputs ~detect
         in
-        (* best-of-3 wall clock: the engines differ by bookkeeping that
-           is small next to the shared G-N kernel, so single-shot
-           timings drown in scheduler/GC noise *)
-        let timeit f =
-          let best = ref infinity in
-          let result = ref None in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            let r = f () in
-            let dt = Unix.gettimeofday () -. t0 in
-            if dt < !best then best := dt;
-            result := Some r
-          done;
-          (Option.get !result, !best)
-        in
         let open Rca_core in
         let same a b =
           a.Pipeline.slice.Slice.nodes = b.Pipeline.slice.Slice.nodes
@@ -533,54 +530,66 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
           && a.Pipeline.result = b.Pipeline.result
           && Pipeline.located_bugs mg a ~bug_nodes = Pipeline.located_bugs mg b ~bug_nodes
         in
-        let all_ok = ref true in
         let baseline = ref None in
-        let runs = ref [] in
-        let record engine dom t identical speedup =
-          runs := (engine, dom, t, identical, speedup) :: !runs;
+        let row engine dom t identical speedup =
           Printf.printf "  %-8s %2d domain%s %8.3f s   speedup vs list %5.2fx   results %s\n%!"
             engine dom
             (if dom = 1 then " " else "s")
-            t speedup
-            (if identical then "identical" else "MISMATCH")
+            t speedup (verdict identical);
+          J.Obj
+            [
+              ("engine", J.Str engine);
+              ("domains", J.num dom);
+              ("seconds", J.Num t);
+              ("speedup_vs_list", J.Num speedup);
+              ("identical", J.Bool identical);
+            ]
         in
         let dom_counts =
           List.sort_uniq compare [ 1; domains ] |> List.filter (fun d -> d >= 1)
         in
         Printf.printf
           "masked-CSR refinement engine vs the list oracle (GOFFGRATCH, small scale)\n%!";
-        List.iter
-          (fun d ->
-            let list_r, t_list = timeit (run_list ~domains:d) in
-            let masked_r, t_masked = timeit (run_masked ~domains:d) in
-            let identical =
-              same list_r masked_r
-              &&
-              match !baseline with
-              | None ->
-                  baseline := Some list_r;
-                  true
-              | Some b -> same b list_r
-            in
-            if not identical then all_ok := false;
-            record "list" d t_list identical 1.0;
-            record "masked" d t_masked identical (t_list /. t_masked))
-          dom_counts;
-        (match !baseline with
-        | Some r ->
-            Printf.printf "  slice %d nodes, %d iterations, outcome %s, %d/%d bugs located\n%!"
-              (Slice.size r.Pipeline.slice)
-              (List.length r.Pipeline.result.Refine.iterations)
-              (Refine.outcome_string r.Pipeline.result.Refine.outcome)
-              (List.length (Pipeline.located_bugs mg r ~bug_nodes))
-              (List.length bug_nodes)
-        | None -> ());
+        (* best of 3: the engines differ by bookkeeping that is small
+           next to the shared G-N kernel *)
+        let per_domains =
+          List.map
+            (fun d ->
+              let list_r, t_list = best_of 3 (run_list ~domains:d) in
+              let masked_r, t_masked = best_of 3 (run_masked ~domains:d) in
+              let identical =
+                same list_r masked_r
+                &&
+                match !baseline with
+                | None ->
+                    baseline := Some list_r;
+                    true
+                | Some b -> same b list_r
+              in
+              let list_row = row "list" d t_list identical 1.0 in
+              let masked_row = row "masked" d t_masked identical (t_list /. t_masked) in
+              ( (Printf.sprintf "%d-domain masked run identical to the list oracle" d, identical),
+                [ list_row; masked_row ] ))
+            dom_counts
+        in
+        let slice =
+          match !baseline with
+          | Some r ->
+              Printf.printf "  slice %d nodes, %d iterations, outcome %s, %d/%d bugs located\n%!"
+                (Slice.size r.Pipeline.slice)
+                (List.length r.Pipeline.result.Refine.iterations)
+                (Refine.outcome_string r.Pipeline.result.Refine.outcome)
+                (List.length (Pipeline.located_bugs mg r ~bug_nodes))
+                (List.length bug_nodes);
+              r.Pipeline.slice
+          | None -> assert false
+        in
         (* One traced sequential masked run: its "refine.iteration" spans
            are the per-iteration telemetry (and the --trace artifact). *)
         Gc.compact ();
         Rca_obs.Obs.enable ();
         ignore (run_masked ~domains:1 ());
-        Rca_obs.Obs.disable ();
+        write_trace trace;
         let masked_iters =
           List.filter_map
             (fun s ->
@@ -591,11 +600,6 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
         in
         let freeze_ms = Rca_obs.Obs.span_total_ms "frozen.freeze" in
         let masked_slice_ms = Rca_obs.Obs.span_total_ms "slice.of_internals" in
-        (match trace with
-        | None -> ()
-        | Some path ->
-            Rca_obs.Obs.write_chrome_trace path;
-            Printf.printf "  chrome trace (masked run) written to %s\n%!" path);
         Printf.printf "  per-iteration spans (masked, sequential, ms):";
         List.iter (fun ms -> Printf.printf " %.3f" ms) masked_iters;
         Printf.printf "\n    slice: masked %.3f ms (freeze %.3f ms)\n%!" masked_slice_ms freeze_ms;
@@ -603,34 +607,29 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
            isolation over many repetitions: the restricted-ancestors
            closure (one induced-subgraph rebuild per call vs one masked
            reverse BFS) and the slice itself. *)
-        let slice =
-          match !baseline with
-          | Some r -> r.Pipeline.slice
-          | None -> assert false
-        in
         let fz = Frozen.freeze mg.MG.graph in
         let alive = Frozen.mask_of_list fz slice.Slice.nodes in
         let reps = 50 in
-        let time_reps f =
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            ignore (Sys.opaque_identity (f ()))
-          done;
-          (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps
+        let ms_per_call f =
+          let (), t =
+            timeit (fun () ->
+                for _ = 1 to reps do
+                  ignore (Sys.opaque_identity (f ()))
+                done)
+          in
+          t *. 1000.0 /. float_of_int reps
         in
         let anc_list =
-          time_reps (fun () ->
+          ms_per_call (fun () ->
               Rca_oracle.List_engine.ancestors_within mg slice.Slice.nodes slice.Slice.targets)
         in
-        let anc_masked =
-          time_reps (fun () -> Frozen.ancestors fz ~alive slice.Slice.targets)
-        in
+        let anc_masked = ms_per_call (fun () -> Frozen.ancestors fz ~alive slice.Slice.targets) in
         let slice_list =
-          time_reps (fun () ->
+          ms_per_call (fun () ->
               Rca_oracle.List_engine.slice_of_outputs ~keep_module ~min_cluster:4 mg outputs)
         in
         let slice_masked =
-          time_reps (fun () -> Slice.of_outputs ~keep_module ~min_cluster:4 ~frozen:fz mg outputs)
+          ms_per_call (fun () -> Slice.of_outputs ~keep_module ~min_cluster:4 ~frozen:fz mg outputs)
         in
         Printf.printf
           "  engine primitives (%d reps, ms/call):\n\
@@ -638,40 +637,27 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
           \    slice:            list %8.3f  masked %8.3f   speedup %6.2fx\n%!"
           reps anc_list anc_masked (anc_list /. anc_masked) slice_list slice_masked
           (slice_list /. slice_masked);
-        (match json with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            Printf.fprintf oc
-              "{\n  \"bench\": \"refine\",\n  \"scale\": \"small\",\n  \"domains\": %d,\n  \
-               \"identical\": %b,\n  \"runs\": [\n"
-              domains !all_ok;
-            let rows = List.rev !runs in
-            List.iteri
-              (fun i (engine, dom, t, identical, speedup) ->
-                Printf.fprintf oc
-                  "    {\"engine\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
-                   \"speedup_vs_list\": %.3f, \"identical\": %b}%s\n"
-                  (json_escape engine) dom t speedup identical
-                  (if i = List.length rows - 1 then "" else ","))
-              rows;
-            Printf.fprintf oc "  ],\n  \"masked_iterations_ms\": [%s],\n"
-              (String.concat ", " (List.map (Printf.sprintf "%.3f") masked_iters));
-            Printf.fprintf oc
-              "  \"slice_ms\": {\"masked\": %.3f, \"freeze\": %.3f},\n  \
-               \"primitives_ms\": {\"ancestors_list\": %.4f, \"ancestors_masked\": %.4f, \
-               \"slice_list\": %.4f, \"slice_masked\": %.4f},\n  \
-               \"obs\": %s\n}\n"
-              masked_slice_ms freeze_ms anc_list anc_masked slice_list slice_masked
-              (Rca_obs.Obs.summary_json ());
-            close_out oc;
-            Printf.printf "  telemetry written to %s\n%!" path);
-        !all_ok)
+        let gates = List.map fst per_domains in
+        ( gates,
+          [
+            ("scale", J.Str "small");
+            ("domains", J.num domains);
+            ("identical", J.Bool (List.for_all snd gates));
+            ("runs", J.Arr (List.concat_map snd per_domains));
+            ("masked_iterations_ms", J.Arr (List.map (fun ms -> J.Num ms) masked_iters));
+            ("slice_ms", J.Obj [ ("masked", J.Num masked_slice_ms); ("freeze", J.Num freeze_ms) ]);
+            ( "primitives_ms",
+              J.Obj
+                [
+                  ("ancestors_list", J.Num anc_list);
+                  ("ancestors_masked", J.Num anc_masked);
+                  ("slice_list", J.Num slice_list);
+                  ("slice_masked", J.Num slice_masked);
+                ] );
+            ("obs", Rca_obs.Obs.summary_json ());
+          ] ))
   in
-  if not ok then begin
-    Printf.eprintf "refine bench: masked engine and list oracle DIFFER\n";
-    exit 1
-  end
+  report ~bench:"refine" ~json gates fields
 
 (* --- detector scaling trajectory (scaling) ---------------------------------------------- *)
 
@@ -691,266 +677,195 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
    Everything is written to BENCH_scaling.json (--json path). *)
 let run_scaling_bench ~json ~domains () =
   hr ();
-  let ok =
+  let gates, fields =
     time "scaling" (fun () ->
         let module Q = G.Quality in
         let module R = Rca_core.Refine in
-        let timeit f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (r, Unix.gettimeofday () -. t0)
-        in
         let outputs = [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ] in
-        let all_ok = ref true in
-        let gate name cond =
-          Printf.printf "  gate %-52s %s\n%!" name (if cond then "PASS" else "FAIL");
-          if not cond then all_ok := false
-        in
-        let gates = ref [] in
-        let checked name cond =
-          gates := (name, cond) :: !gates;
-          gate name cond
-        in
-        let scale_jsons = ref [] in
         let paper_exact_t = ref nan in
         let paper_greedy_t = ref nan in
         let paper_greedy_q = ref nan in
         let located_ok = ref true in
         Printf.printf "detector scaling on the GOFFGRATCH slice (%d cores visible)\n%!"
           (Domain.recommended_domain_count ());
-        List.iter
-          (fun (label, config, run_exact, run_pipelines) ->
-            let fixture =
-              Fixture.make ~inject:Experiments.goffgratch.Harness.inject config
-            in
-            let mg = fixture.Fixture.mg in
-            let bug_nodes =
-              Fixture.bug_nodes fixture
-                ~canonicals:Experiments.goffgratch.Harness.bug_canonicals
-            in
-            let detect = Rca_core.Detector.reachability mg ~bug_nodes in
-            let slice = goffgratch_slice fixture in
-            let sub = Rca_core.Slice.subgraph slice in
-            let sg = sub.G.Digraph.graph in
-            Printf.printf
-              "  %s: metagraph %d nodes / %d arcs, slice %d nodes / %d arcs\n%!" label
-              (MG.n_nodes mg) (G.Digraph.m mg.MG.graph) (G.Digraph.n sg) (G.Digraph.m sg);
-            (* one G-N split / one partition per detector, timed *)
-            let partition_rows = ref [] in
-            let record_partition name t (p : G.Community.partition) =
-              let q = Q.of_partition sg p in
-              partition_rows := (name, t, q) :: !partition_rows;
-              Printf.printf "    partition %-12s %9.3f s   %4d communities   Q %.4f\n%!"
-                name t q.Q.q_communities q.Q.q_modularity;
-              q
-            in
-            if run_exact then begin
-              let step, t = timeit (fun () -> G.Community.girvan_newman_step sg) in
-              ignore (record_partition "gn" t step.G.Community.partition);
-              if label = "paper" then paper_exact_t := t
-            end;
-            let greedy_p, t_greedy = timeit (fun () -> G.Community.modularity_greedy sg) in
-            let greedy_q = record_partition "greedy" t_greedy greedy_p in
-            let lp_p, t_lp = timeit (fun () -> G.Community.label_propagation sg) in
-            ignore (record_partition "lp" t_lp lp_p);
-            if label = "paper" then begin
-              paper_greedy_t := t_greedy;
-              paper_greedy_q := greedy_q.Q.q_modularity
-            end;
-            (* end-to-end oracle per detector *)
-            let pipeline_rows = ref [] in
-            if run_pipelines then begin
-              let located_sets =
-                List.map
-                  (fun det ->
-                    let name = R.partitioner_string det in
-                    let pl, t =
-                      timeit (fun () ->
-                          Rca_core.Pipeline.run
-                            ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-                            ~gn_approx:128 ~stop_size:30 ~partitioner:det mg ~outputs
-                            ~detect)
-                    in
-                    let located = Rca_core.Pipeline.located_bugs mg pl ~bug_nodes in
-                    let r = pl.Rca_core.Pipeline.result in
-                    let sampled =
-                      List.fold_left
-                        (fun acc it -> acc + List.length it.Rca_core.Refine.sampled)
-                        0 r.Rca_core.Refine.iterations
-                    in
-                    Printf.printf
-                      "    pipeline  %-12s %9.3f s   %d iterations, outcome %s, %d sampled \
-                       sites, %d/%d bugs located\n%!"
-                      name t
-                      (List.length r.Rca_core.Refine.iterations)
-                      (R.outcome_string r.Rca_core.Refine.outcome)
-                      sampled (List.length located) (List.length bug_nodes);
-                    pipeline_rows :=
-                      ( name,
-                        t,
-                        List.length r.Rca_core.Refine.iterations,
-                        R.outcome_string r.Rca_core.Refine.outcome,
-                        sampled,
-                        located )
-                      :: !pipeline_rows;
-                    located)
-                  [ R.Girvan_newman; R.Modularity_greedy; R.Label_propagation ]
+        let scales =
+          List.map
+            (fun (label, config, run_exact, run_pipelines) ->
+              let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
+              let mg = fixture.Fixture.mg in
+              let bug_nodes =
+                Fixture.bug_nodes fixture ~canonicals:Experiments.goffgratch.Harness.bug_canonicals
               in
-              match located_sets with
-              | ref_set :: rest ->
-                  if not (List.for_all (fun s -> s = ref_set) rest) then
-                    located_ok := false
-              | [] -> ()
-            end;
-            let partition_json =
-              List.rev_map
-                (fun (name, t, q) ->
-                  Printf.sprintf
-                    {|        {"detector": "%s", "seconds": %.6f, "communities": %d, "modularity": %.6f, "mean_conductance": %.6f}|}
-                    name t q.Q.q_communities q.Q.q_modularity q.Q.q_mean_conductance)
-                !partition_rows
-            in
-            let pipeline_json =
-              List.rev_map
-                (fun (name, t, iters, outcome, sampled, located) ->
-                  Printf.sprintf
-                    {|        {"detector": "%s", "seconds": %.6f, "iterations": %d, "outcome": "%s", "sampled_sites": %d, "located_bugs": [%s]}|}
-                    name t iters outcome sampled
-                    (String.concat ", " (List.map string_of_int located)))
-                !pipeline_rows
-            in
-            scale_jsons :=
-              Printf.sprintf
-                "    {\"scale\": \"%s\", \"metagraph_nodes\": %d, \"metagraph_arcs\": \
-                 %d, \"slice_nodes\": %d, \"slice_arcs\": %d,\n\
-                 \      \"partition\": [\n\
-                 %s\n\
-                 \      ],\n\
-                 \      \"pipeline\": [\n\
-                 %s\n\
-                 \      ]}"
-                label (MG.n_nodes mg)
-                (G.Digraph.m mg.MG.graph)
-                (G.Digraph.n sg) (G.Digraph.m sg)
-                (String.concat ",\n" partition_json)
-                (String.concat ",\n" pipeline_json)
-              :: !scale_jsons)
-          [
-            ("small", Rca_synth.Config.small, true, true);
-            ("paper", config, true, true);
-            ("huge", Rca_synth.Config.huge, false, false);
-          ];
+              let detect = Rca_core.Detector.reachability mg ~bug_nodes in
+              let slice = goffgratch_slice fixture in
+              let sub = Rca_core.Slice.subgraph slice in
+              let sg = sub.G.Digraph.graph in
+              Printf.printf "  %s: metagraph %d nodes / %d arcs, slice %d nodes / %d arcs\n%!" label
+                (MG.n_nodes mg) (G.Digraph.m mg.MG.graph) (G.Digraph.n sg) (G.Digraph.m sg);
+              (* one G-N split / one partition per detector, timed *)
+              let partition_rows = ref [] in
+              let record_partition name t (p : G.Community.partition) =
+                let q = Q.of_partition sg p in
+                Printf.printf "    partition %-12s %9.3f s   %4d communities   Q %.4f\n%!" name t
+                  q.Q.q_communities q.Q.q_modularity;
+                partition_rows :=
+                  J.Obj
+                    [
+                      ("detector", J.Str name);
+                      ("seconds", J.Num t);
+                      ("communities", J.num q.Q.q_communities);
+                      ("modularity", J.Num q.Q.q_modularity);
+                      ("mean_conductance", J.Num q.Q.q_mean_conductance);
+                    ]
+                  :: !partition_rows;
+                q
+              in
+              if run_exact then begin
+                let step, t = timeit (fun () -> G.Community.girvan_newman_step sg) in
+                ignore (record_partition "gn" t step.G.Community.partition);
+                if label = "paper" then paper_exact_t := t
+              end;
+              let greedy_p, t_greedy = timeit (fun () -> G.Community.modularity_greedy sg) in
+              let greedy_q = record_partition "greedy" t_greedy greedy_p in
+              let lp_p, t_lp = timeit (fun () -> G.Community.label_propagation sg) in
+              ignore (record_partition "lp" t_lp lp_p);
+              if label = "paper" then begin
+                paper_greedy_t := t_greedy;
+                paper_greedy_q := greedy_q.Q.q_modularity
+              end;
+              (* end-to-end oracle per detector *)
+              let pipeline_rows =
+                if not run_pipelines then []
+                else begin
+                  let rows =
+                    List.map
+                      (fun det ->
+                        let name = R.partitioner_string det in
+                        let pl, t =
+                          timeit (fun () ->
+                              Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module
+                                ~min_cluster:4 ~gn_approx:128 ~stop_size:30 ~partitioner:det mg
+                                ~outputs ~detect)
+                        in
+                        let located = Rca_core.Pipeline.located_bugs mg pl ~bug_nodes in
+                        let r = pl.Rca_core.Pipeline.result in
+                        let iterations = List.length r.Rca_core.Refine.iterations in
+                        let outcome = R.outcome_string r.Rca_core.Refine.outcome in
+                        let sampled =
+                          List.fold_left
+                            (fun acc it -> acc + List.length it.Rca_core.Refine.sampled)
+                            0 r.Rca_core.Refine.iterations
+                        in
+                        Printf.printf
+                          "    pipeline  %-12s %9.3f s   %d iterations, outcome %s, %d sampled \
+                           sites, %d/%d bugs located\n%!"
+                          name t iterations outcome sampled (List.length located)
+                          (List.length bug_nodes);
+                        ( located,
+                          J.Obj
+                            [
+                              ("detector", J.Str name);
+                              ("seconds", J.Num t);
+                              ("iterations", J.num iterations);
+                              ("outcome", J.Str outcome);
+                              ("sampled_sites", J.num sampled);
+                              ("located_bugs", J.Arr (List.map J.num located));
+                            ] ))
+                      [ R.Girvan_newman; R.Modularity_greedy; R.Label_propagation ]
+                  in
+                  (match List.map fst rows with
+                  | ref_set :: rest ->
+                      if not (List.for_all (fun s -> s = ref_set) rest) then located_ok := false
+                  | [] -> ());
+                  List.map snd rows
+                end
+              in
+              J.Obj
+                [
+                  ("scale", J.Str label);
+                  ("metagraph_nodes", J.num (MG.n_nodes mg));
+                  ("metagraph_arcs", J.num (G.Digraph.m mg.MG.graph));
+                  ("slice_nodes", J.num (G.Digraph.n sg));
+                  ("slice_arcs", J.num (G.Digraph.m sg));
+                  ("partition", J.Arr (List.rev !partition_rows));
+                  ("pipeline", J.Arr pipeline_rows);
+                ])
+            [
+              ("small", Rca_synth.Config.small, true, true);
+              ("paper", config, true, true);
+              ("huge", Rca_synth.Config.huge, false, false);
+            ]
+        in
         (* adaptive parallelism: the paper-scale pipeline must not get
            slower when domains are requested (the pre-fix regression was
            2.5x slower at 4 domains on a 1-core container) *)
         let fixture = Fixture.make ~inject:Experiments.goffgratch.Harness.inject config in
         let mg = fixture.Fixture.mg in
         let bug_nodes =
-          Fixture.bug_nodes fixture
-            ~canonicals:Experiments.goffgratch.Harness.bug_canonicals
+          Fixture.bug_nodes fixture ~canonicals:Experiments.goffgratch.Harness.bug_canonicals
         in
         let detect = Rca_core.Detector.reachability mg ~bug_nodes in
         let pipeline_at d =
-          let best = ref infinity in
-          for _ = 1 to 2 do
-            let _, t =
-              timeit (fun () ->
-                  Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module
-                    ~min_cluster:4 ~gn_approx:128 ~stop_size:30 ~domains:d mg ~outputs
-                    ~detect)
-            in
-            if t < !best then best := t
-          done;
-          !best
+          snd
+            (best_of 2 (fun () ->
+                 Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module
+                   ~min_cluster:4 ~gn_approx:128 ~stop_size:30 ~domains:d mg ~outputs ~detect))
         in
         let t_seq = pipeline_at 1 in
         let t_par = pipeline_at domains in
-        Printf.printf
-          "  paper pipeline, 1 domain %8.3f s vs %d domains %8.3f s (ratio %.2f)\n%!"
+        Printf.printf "  paper pipeline, 1 domain %8.3f s vs %d domains %8.3f s (ratio %.2f)\n%!"
           t_seq domains t_par (t_par /. t_seq);
         let speedup = !paper_exact_t /. !paper_greedy_t in
-        Printf.printf "  paper partition: exact %.3f s, greedy %.4f s -> %.0fx\n%!"
-          !paper_exact_t !paper_greedy_t speedup;
+        Printf.printf "  paper partition: exact %.3f s, greedy %.4f s -> %.0fx\n%!" !paper_exact_t
+          !paper_greedy_t speedup;
         let greedy_modularity_floor = 0.30 in
-        checked "greedy >= 10x exact G-N on the paper slice" (speedup >= 10.0);
-        checked "located_bugs identical across detectors" !located_ok;
-        checked
-          (Printf.sprintf "greedy modularity >= %.2f on the paper slice"
-             greedy_modularity_floor)
-          (!paper_greedy_q >= greedy_modularity_floor);
-        checked
-          (Printf.sprintf "%d-domain pipeline <= 1.15x sequential" domains)
-          (t_par <= 1.15 *. t_seq);
-        (match json with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            Printf.fprintf oc
-              "{\n\
-              \  \"bench\": \"scaling\",\n\
-              \  \"cores_visible\": %d,\n\
-              \  \"domains_requested\": %d,\n\
-              \  \"scales\": [\n\
-               %s\n\
-              \  ],\n\
-              \  \"parallel\": {\"scale\": \"paper\", \"seconds_sequential\": %.6f, \
-               \"seconds_parallel\": %.6f, \"ratio\": %.4f},\n\
-              \  \"paper_speedup_greedy_vs_exact\": %.2f,\n\
-              \  \"gates\": {\n\
-               %s\n\
-              \  }\n\
-               }\n"
-              (Domain.recommended_domain_count ())
-              domains
-              (String.concat ",\n" (List.rev !scale_jsons))
-              t_seq t_par (t_par /. t_seq) speedup
-              (String.concat ",\n"
-                 (List.rev_map
-                    (fun (name, cond) ->
-                      Printf.sprintf {|    "%s": %b|} (json_escape name) cond)
-                    !gates));
-            close_out oc;
-            Printf.printf "  telemetry written to %s\n%!" path);
-        !all_ok)
+        ( [
+            ("greedy >= 10x exact G-N on the paper slice", speedup >= 10.0);
+            ("located_bugs identical across detectors", !located_ok);
+            ( Printf.sprintf "greedy modularity >= %.2f on the paper slice" greedy_modularity_floor,
+              !paper_greedy_q >= greedy_modularity_floor );
+            ( Printf.sprintf "%d-domain pipeline <= 1.15x sequential" domains,
+              t_par <= 1.15 *. t_seq );
+          ],
+          [
+            ("cores_visible", J.num (Domain.recommended_domain_count ()));
+            ("domains_requested", J.num domains);
+            ("scales", J.Arr scales);
+            ( "parallel",
+              J.Obj
+                [
+                  ("scale", J.Str "paper");
+                  ("seconds_sequential", J.Num t_seq);
+                  ("seconds_parallel", J.Num t_par);
+                  ("ratio", J.Num (t_par /. t_seq));
+                ] );
+            ("paper_speedup_greedy_vs_exact", J.Num speedup);
+          ] ))
   in
-  if not ok then begin
-    Printf.eprintf "scaling bench: a gate failed\n";
-    exit 1
-  end
+  report ~bench:"scaling" ~json gates fields
 
 (* --- static analysis: lint + differential oracle on the small model ------------------- *)
 
 let run_lint_bench ~json () =
   hr ();
-  let ok =
+  let gates, fields =
     time "lint" (fun () ->
         let module An = Rca_analysis.Analysis in
         let module Or = Rca_analysis.Oracle in
         let module Di = Rca_analysis.Diagnostics in
         let config = Rca_synth.Config.small in
         let fixture = Fixture.make config in
-        let timeit f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (r, Unix.gettimeofday () -. t0)
-        in
-        let an, t_analyze =
-          timeit (fun () -> An.analyze fixture.Fixture.covered_program)
-        in
+        let an, t_analyze = timeit (fun () -> An.analyze fixture.Fixture.covered_program) in
         let resolution, t_resolve =
           timeit (fun () -> Rca_analysis.Resolve.program fixture.Fixture.covered_program)
         in
         let ty_diags, t_typecheck =
           timeit (fun () ->
-              List.concat_map
-                (fun sa -> Rca_analysis.Typecheck.of_sub sa.An.sa_scope)
-                an.An.subs)
+              List.concat_map (fun sa -> Rca_analysis.Typecheck.of_sub sa.An.sa_scope) an.An.subs)
         in
         let call_diags, t_callcheck =
           timeit (fun () ->
-              List.concat_map
-                (fun sa -> Rca_analysis.Callcheck.of_sub sa.An.sa_scope)
-                an.An.subs)
+              List.concat_map (fun sa -> Rca_analysis.Callcheck.of_sub sa.An.sa_scope) an.An.subs)
         in
         let oracle, t_oracle = timeit (fun () -> An.check_oracle an fixture.Fixture.mg) in
         let dead = An.dead_node_ids an fixture.Fixture.mg in
@@ -968,75 +883,55 @@ let run_lint_bench ~json () =
           (List.length call_diags) t_oracle oracle.Or.rp_pairs oracle.Or.rp_edges
           (List.length oracle.Or.rp_mismatches)
           (List.length oracle.Or.rp_orphans);
-        (match json with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            Printf.fprintf oc
-              "{\n  \"bench\": \"lint\",\n  \"scale\": \"small\",\n  \"subprograms\": %d,\n  \
-               \"symbols\": %d,\n  \"diagnostics\": %d,\n  \"errors\": %d,\n  \
-               \"static_dead_nodes\": %d,\n  \"typecheck_diagnostics\": %d,\n  \
-               \"callcheck_diagnostics\": %d,\n  \"seconds_analyze\": %.6f,\n  \
-               \"seconds_resolve\": %.6f,\n  \"seconds_typecheck\": %.6f,\n  \
-               \"seconds_callcheck\": %.6f,\n  \"seconds_oracle\": %.6f,\n  \"oracle\": %s\n}\n"
-              (List.length an.An.subs)
-              (Rca_analysis.Resolve.n_symbols resolution)
-              (List.length an.An.diags)
-              (Di.count_severity an.An.diags Di.Error)
-              (List.length dead) (List.length ty_diags) (List.length call_diags) t_analyze
-              t_resolve t_typecheck t_callcheck t_oracle (Or.summary_json oracle);
-            close_out oc;
-            Printf.printf "  telemetry written to %s\n%!" path);
-        Or.ok oracle)
+        ( [ ("oracle: no def-use mismatches or orphan edges", Or.ok oracle) ],
+          [
+            ("scale", J.Str "small");
+            ("subprograms", J.num (List.length an.An.subs));
+            ("symbols", J.num (Rca_analysis.Resolve.n_symbols resolution));
+            ("diagnostics", J.num (List.length an.An.diags));
+            ("errors", J.num (Di.count_severity an.An.diags Di.Error));
+            ("static_dead_nodes", J.num (List.length dead));
+            ("typecheck_diagnostics", J.num (List.length ty_diags));
+            ("callcheck_diagnostics", J.num (List.length call_diags));
+            ("seconds_analyze", J.Num t_analyze);
+            ("seconds_resolve", J.Num t_resolve);
+            ("seconds_typecheck", J.Num t_typecheck);
+            ("seconds_callcheck", J.Num t_callcheck);
+            ("seconds_oracle", J.Num t_oracle);
+            ("oracle", Or.summary_json oracle);
+          ] ))
   in
-  if not ok then begin
-    Printf.eprintf "lint bench: differential oracle found mismatches or orphans\n";
-    exit 1
-  end
+  report ~bench:"lint" ~json gates fields
 
 (* --- fault-injection campaign ---------------------------------------------------------- *)
 
 (* Run the tiny-scale fault campaign twice with one seed and require the
    two scorecards to be byte-identical — the determinism regression the
-   corpus's single SplitMix seed promises — then write the scorecard
-   artifact (CAMPAIGN_scorecard.json, or the --json path). *)
+   corpus's single SplitMix seed promises — then write the scorecard's
+   members and the gate (CAMPAIGN_scorecard.json, or the --json path). *)
 let run_campaign_bench ~json ~trace ~domains ~partitioner () =
   hr ();
   let module Campaign = Rca_faults.Campaign in
   if trace <> None then Rca_obs.Obs.enable ();
-  time "campaign" (fun () ->
-      let params =
-        {
-          (Campaign.default_params Rca_synth.Config.tiny) with
-          Campaign.domains;
-          partitioner;
-        }
-      in
-      let timeit f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let c1, t1 = timeit (fun () -> Campaign.run params) in
-      let c2, t2 = timeit (fun () -> Campaign.run params) in
-      let s1 = Campaign.scorecard_json c1 and s2 = Campaign.scorecard_json c2 in
-      Format.printf "%a" Campaign.pp c1;
-      Printf.printf "  run 1  %8.3f s\n  run 2  %8.3f s\n" t1 t2;
-      Printf.printf "  scorecards byte-identical: %b\n%!" (s1 = s2);
-      let path = Option.value ~default:"CAMPAIGN_scorecard.json" json in
-      let oc = open_out path in
-      output_string oc s1;
-      close_out oc;
-      Printf.printf "  scorecard written to %s\n%!" path;
-      (match trace with
-      | None -> ()
-      | Some path ->
-          Rca_obs.Obs.write_chrome_trace path;
-          Printf.printf "  chrome trace written to %s\n%!" path);
-      if s1 <> s2 then begin
-        Printf.eprintf "campaign bench: same-seed scorecards differ\n";
-        exit 1
-      end)
+  let gates, fields =
+    time "campaign" (fun () ->
+        let params =
+          { (Campaign.default_params Rca_synth.Config.tiny) with Campaign.domains; partitioner }
+        in
+        let c1, t1 = timeit (fun () -> Campaign.run params) in
+        let c2, t2 = timeit (fun () -> Campaign.run params) in
+        let s1 = Campaign.scorecard_json c1 in
+        let identical = J.to_string s1 = J.to_string (Campaign.scorecard_json c2) in
+        Format.printf "%a" Campaign.pp c1;
+        Printf.printf "  run 1  %8.3f s\n  run 2  %8.3f s\n" t1 t2;
+        Printf.printf "  scorecards byte-identical: %b\n%!" identical;
+        write_trace trace;
+        ( [ ("same-seed scorecards byte-identical", identical) ],
+          match s1 with J.Obj fields -> fields | other -> [ ("scorecard", other) ] ))
+  in
+  report ~bench:"campaign"
+    ~json:(Some (Option.value ~default:"CAMPAIGN_scorecard.json" json))
+    gates fields
 
 (* --- serve: snapshot + query-daemon benchmark ------------------------------------------- *)
 
@@ -1061,19 +956,16 @@ let run_serve_bench ~json () =
   let module Snap = Rca_serve.Snapshot in
   let module Server = Rca_serve.Server in
   let module Client = Rca_serve.Client in
-  let module J = Rca_serve.Jsonio in
   time "serve" (fun () ->
       let config = Rca_synth.Config.small in
       let spec = Experiments.goffgratch in
-      let now_ms () = Int64.to_float (Rca_obs.Obs.monotonic_ns ()) /. 1e6 in
-      let timeit f =
-        let t0 = now_ms () in
-        let r = f () in
-        (r, now_ms () -. t0)
+      let timeit_ms f =
+        let r, t = timeit f in
+        (r, t *. 1e3)
       in
       (* 1. full build: parse -> coverage -> metagraph -> selection -> freeze *)
       let (fixture, sel, bug_nodes, frozen), t_build =
-        timeit (fun () ->
+        timeit_ms (fun () ->
             let fixture = Fixture.make ~inject:spec.Harness.inject config in
             let p = Harness.default_params config in
             let sel = Harness.select_affected spec p fixture in
@@ -1111,10 +1003,10 @@ let run_serve_bench ~json () =
       Unix.mkdir dir 0o700;
       let snap_path = Filename.concat dir "model.rcasnap" in
       let sock_path = Filename.concat dir "rca.sock" in
-      let (), t_save = timeit (fun () -> Snap.save snap_path snap) in
+      let (), t_save = timeit_ms (fun () -> Snap.save snap_path snap) in
       (* 2. timed load vs the full build *)
       let loaded, t_load =
-        timeit (fun () ->
+        timeit_ms (fun () ->
             match Snap.load snap_path with
             | Ok s -> s
             | Error msg -> failwith ("snapshot load failed: " ^ msg))
@@ -1238,7 +1130,7 @@ let run_serve_bench ~json () =
         |> List.sort_uniq compare
       in
       let one label =
-        timeit (fun () ->
+        timeit_ms (fun () ->
             get_reply
               (query [ ("targets", J.Arr [ J.Str label ]); ("detector", J.Str "greedy") ]))
       in
@@ -1382,7 +1274,7 @@ let run_serve_bench ~json () =
         List.map
           (fun l ->
             let r, t =
-              timeit (fun () ->
+              timeit_ms (fun () ->
                   get_reply
                     (query2
                        [
@@ -1440,62 +1332,41 @@ let run_serve_bench ~json () =
             && warm_restart_p50 <= Float.max (2.0 *. warm_p50) 1.0 );
         ]
       in
-      List.iter
-        (fun (name, cond) ->
-          Printf.printf "  gate %-36s %s\n%!" name (if cond then "PASS" else "FAIL"))
-        gates;
-      let path = Option.value ~default:"BENCH_serve.json" json in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"serve\",\n\
-        \  \"scale\": \"small\",\n\
-        \  \"experiment\": \"%s\",\n\
-        \  \"build_ms\": %.3f,\n\
-        \  \"save_ms\": %.3f,\n\
-        \  \"load_ms\": %.3f,\n\
-        \  \"load_speedup\": %.1f,\n\
-        \  \"keys\": %d,\n\
-        \  \"cold_p50_ms\": %.3f,\n\
-        \  \"cold_p99_ms\": %.3f,\n\
-        \  \"warm_p50_ms\": %.3f,\n\
-        \  \"warm_p99_ms\": %.3f,\n\
-        \  \"cold_qps\": %.1f,\n\
-        \  \"warm_qps\": %.1f,\n\
-        \  \"stampede_coalesced\": %d,\n\
-        \  \"slow_job_ms\": %.3f,\n\
-        \  \"concurrent_fast_p50_ms\": %.3f,\n\
-        \  \"concurrent_fast_p99_ms\": %.3f,\n\
-        \  \"warm_restart_p50_ms\": %.3f,\n\
-        \  \"warm_entries\": %d,\n\
-        \  \"cache_sidecar\": \"%s\",\n\
-        \  \"served\": %d,\n\
-        \  \"errors\": %d,\n\
-        \  \"cache_hits\": %d,\n\
-        \  \"identity\": %b,\n\
-        \  \"restart_identity\": %b,\n\
-        \  \"gates\": {\n%s\n  }\n}\n"
-        (json_escape spec.Harness.name) t_build t_save t_load speedup
-        (List.length labels) cold_p50 cold_p99 warm_p50 warm_p99 (qps cold) (qps warm)
-        n_coalesced slow_ms concurrent_p50 concurrent_p99 warm_restart_p50
-        warm_entries
-        (json_escape cache_path) served_total errors cache_hits identity
-        restart_identity
-        (String.concat ",\n"
-           (List.map
-              (fun (name, cond) -> Printf.sprintf {|    "%s": %b|} (json_escape name) cond)
-              gates));
-      close_out oc;
-      Printf.printf "  telemetry written to %s\n%!" path;
       (try
          Sys.remove snap_path;
          if Sys.file_exists sock_path then Sys.remove sock_path;
          Unix.rmdir dir
        with Sys_error _ | Unix.Unix_error _ -> ());
-      if List.exists (fun (_, cond) -> not cond) gates then begin
-        Printf.eprintf "serve bench: a gate failed\n";
-        exit 1
-      end)
+      report ~bench:"serve"
+        ~json:(Some (Option.value ~default:"BENCH_serve.json" json))
+        gates
+        [
+          ("scale", J.Str "small");
+          ("experiment", J.Str spec.Harness.name);
+          ("build_ms", J.Num t_build);
+          ("save_ms", J.Num t_save);
+          ("load_ms", J.Num t_load);
+          ("load_speedup", J.Num speedup);
+          ("keys", J.num (List.length labels));
+          ("cold_p50_ms", J.Num cold_p50);
+          ("cold_p99_ms", J.Num cold_p99);
+          ("warm_p50_ms", J.Num warm_p50);
+          ("warm_p99_ms", J.Num warm_p99);
+          ("cold_qps", J.Num (qps cold));
+          ("warm_qps", J.Num (qps warm));
+          ("stampede_coalesced", J.num n_coalesced);
+          ("slow_job_ms", J.Num slow_ms);
+          ("concurrent_fast_p50_ms", J.Num concurrent_p50);
+          ("concurrent_fast_p99_ms", J.Num concurrent_p99);
+          ("warm_restart_p50_ms", J.Num warm_restart_p50);
+          ("warm_entries", J.num warm_entries);
+          ("cache_sidecar", J.Str cache_path);
+          ("served", J.num served_total);
+          ("errors", J.num errors);
+          ("cache_hits", J.num cache_hits);
+          ("identity", J.Bool identity);
+          ("restart_identity", J.Bool restart_identity);
+        ])
 
 (* --- driver ---------------------------------------------------------------------------- *)
 

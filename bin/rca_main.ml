@@ -213,9 +213,7 @@ let lint_cmd =
     (match report_path with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Rca_analysis.Analysis.report_json ?oracle an);
-        close_out oc;
+        Rca_obs.Jsonio.to_file path (Rca_analysis.Analysis.report_json ?oracle an);
         Printf.printf "report written to %s\n" path);
     if D.has_errors diags || oracle_bad then 1 else 0
   in
@@ -289,9 +287,7 @@ let experiment_cmd =
         (match (analysis_report, r.Harness.analysis) with
         | Some path, Some an ->
             let oracle = Rca_analysis.Analysis.check_oracle an r.Harness.fixture.Fixture.mg in
-            let oc = open_out path in
-            output_string oc (Rca_analysis.Analysis.report_json ~oracle an);
-            close_out oc;
+            Rca_obs.Jsonio.to_file path (Rca_analysis.Analysis.report_json ~oracle an);
             Printf.printf "analysis report written to %s\n" path
         | _ -> ());
         Format.printf "%a@." Harness.pp r;
@@ -365,9 +361,7 @@ let campaign_cmd =
     (match scorecard with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Rca_faults.Campaign.scorecard_json t);
-        close_out oc;
+        Rca_obs.Jsonio.to_file path (Rca_faults.Campaign.scorecard_json t);
         Printf.printf "scorecard written to %s\n" path);
     let overall = t.Rca_faults.Campaign.overall in
     let precision = overall.Rca_faults.Campaign.fs_pipeline.Rca_faults.Campaign.precision in

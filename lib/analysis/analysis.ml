@@ -130,11 +130,12 @@ let check_oracle (t : t) (mg : MG.t) : Oracle.report = Oracle.check t.program_sc
 
 (* The stable lint report; when an oracle report is supplied its summary
    is embedded under "oracle". *)
-let report_json ?oracle (t : t) : string =
+let report_json ?oracle (t : t) =
+  let module J = Rca_obs.Jsonio in
   let extra =
-    ("subprograms", string_of_int (List.length t.subs))
-    :: ("symbols", string_of_int (Resolve.n_symbols t.resolution))
-    :: ("strict_types", string_of_bool t.strict_types)
+    ("subprograms", J.num (List.length t.subs))
+    :: ("symbols", J.num (Resolve.n_symbols t.resolution))
+    :: ("strict_types", J.Bool t.strict_types)
     ::
     (match oracle with Some r -> [ ("oracle", Oracle.summary_json r) ] | None -> [])
   in

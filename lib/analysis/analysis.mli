@@ -44,6 +44,6 @@ val check_oracle : t -> MG.t -> Oracle.report
 
 (* The stable lint report; when an oracle report is supplied its summary
    is embedded under "oracle". *)
-val report_json : ?oracle:Oracle.report -> t -> string
+val report_json : ?oracle:Oracle.report -> t -> Rca_obs.Jsonio.t
 
 val errors : t -> Diagnostics.diag list

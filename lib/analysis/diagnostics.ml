@@ -195,47 +195,38 @@ let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 (* ---- JSON ---------------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Rca_obs.Jsonio
 
 let diag_json d =
-  Printf.sprintf
-    {|{"kind":"%s","severity":"%s","module":"%s","subprogram":"%s","line":%d,"variable":"%s","symbol":%d,"def_file":"%s","def_line":%d,"message":"%s"}|}
-    (kind_name d.kind) (severity_name d.severity) (json_escape d.dmodule)
-    (json_escape d.dsub) d.line (json_escape d.var) d.sym (json_escape d.def_file)
-    d.def_line (json_escape d.message)
+  J.Obj
+    [
+      ("kind", J.Str (kind_name d.kind));
+      ("severity", J.Str (severity_name d.severity));
+      ("module", J.Str d.dmodule);
+      ("subprogram", J.Str d.dsub);
+      ("line", J.num d.line);
+      ("variable", J.Str d.var);
+      ("symbol", J.num d.sym);
+      ("def_file", J.Str d.def_file);
+      ("def_line", J.num d.def_line);
+      ("message", J.Str d.message);
+    ]
 
 (* Stable report: version, severity/kind summary, diagnostics sorted by
    (module, subprogram, line, kind, variable). *)
 let report_json ?(extra = []) (ds : diag list) =
   let ds = sort_diags ds in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"version\": 2,\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  \"%s\": %s,\n" (json_escape k) v))
-    extra;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"summary\": {\"error\": %d, \"warning\": %d, \"info\": %d, \"total\": %d},\n"
-       (count_severity ds Error) (count_severity ds Warning) (count_severity ds Info)
-       (List.length ds));
-  Buffer.add_string buf "  \"by_kind\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map (fun k -> Printf.sprintf "\"%s\": %d" (kind_name k) (count_kind ds k)) all_kinds));
-  Buffer.add_string buf "},\n  \"diagnostics\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map (fun d -> "    " ^ diag_json d) ds));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    ((("version", J.num 2) :: extra)
+    @ [
+        ( "summary",
+          J.Obj
+            [
+              ("error", J.num (count_severity ds Error));
+              ("warning", J.num (count_severity ds Warning));
+              ("info", J.num (count_severity ds Info));
+              ("total", J.num (List.length ds));
+            ] );
+        ("by_kind", J.Obj (List.map (fun k -> (kind_name k, J.num (count_kind ds k))) all_kinds));
+        ("diagnostics", J.Arr (List.map diag_json ds));
+      ])

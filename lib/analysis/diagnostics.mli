@@ -58,8 +58,7 @@ val sort_diags : diag list -> diag list
 val count_severity : diag list -> severity -> int
 val count_kind : diag list -> kind -> int
 val has_errors : diag list -> bool
-val diag_json : diag -> string
 
-(* Stable report: version, severity/kind summary, diagnostics sorted by
-   (module, subprogram, line, kind, variable). *)
-val report_json : ?extra:(string * string) list -> diag list -> string
+(* Stable report: version, [extra] members, severity/kind summary,
+   diagnostics sorted by (module, subprogram, line, kind, variable). *)
+val report_json : ?extra:(string * Rca_obs.Jsonio.t) list -> diag list -> Rca_obs.Jsonio.t

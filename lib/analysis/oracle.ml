@@ -368,8 +368,11 @@ let report_lines r =
   List.map mismatch_str r.rp_mismatches @ List.map orphan_str r.rp_orphans
 
 let summary_json r =
-  Printf.sprintf
-    {|{"pairs": %d, "edges": %d, "mismatches": %d, "orphans": %d}|}
-    r.rp_pairs r.rp_edges
-    (List.length r.rp_mismatches)
-    (List.length r.rp_orphans)
+  let module J = Rca_obs.Jsonio in
+  J.Obj
+    [
+      ("pairs", J.num r.rp_pairs);
+      ("edges", J.num r.rp_edges);
+      ("mismatches", J.num (List.length r.rp_mismatches));
+      ("orphans", J.num (List.length r.rp_orphans));
+    ]

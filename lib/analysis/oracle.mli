@@ -40,4 +40,4 @@ val static_pairs : Scope.program_scope -> pair list
 val check : Scope.program_scope -> Rca_metagraph.Metagraph.t -> report
 
 val report_lines : report -> string list
-val summary_json : report -> string
+val summary_json : report -> Rca_obs.Jsonio.t

@@ -384,92 +384,84 @@ let families_present t = List.length t.per_family
 
 (* ---- scorecard ------------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Rca_obs.Jsonio
 
 let score_json s =
-  Printf.sprintf {|{"precision": %.4f, "recall": %.4f, "f1": %.4f}|} s.precision s.recall
-    s.f1
+  J.Obj [ ("precision", J.Num s.precision); ("recall", J.Num s.recall); ("f1", J.Num s.f1) ]
 
 let fault_json (r : fault_result) =
   let f = r.fault in
   let head =
-    Printf.sprintf
-      {|"id": "%s", "family": "%s", "file": "%s", "line": %d, "description": "%s", "expected": [%s]|}
-      (json_escape f.Fault.id)
-      (Fault.family_name f.Fault.family)
-      (json_escape f.Fault.file) f.Fault.line
-      (json_escape f.Fault.description)
-      (String.concat ", "
-         (List.map (fun n -> "\"" ^ json_escape n ^ "\"") r.expected_names))
+    [
+      ("id", J.Str f.Fault.id);
+      ("family", J.Str (Fault.family_name f.Fault.family));
+      ("file", J.Str f.Fault.file);
+      ("line", J.num f.Fault.line);
+      ("description", J.Str f.Fault.description);
+      ("expected", J.Arr (List.map (fun n -> J.Str n) r.expected_names));
+    ]
   in
-  match r.outcome with
-  | Crashed msg ->
-      Printf.sprintf {|{%s, "status": "crashed", "error": "%s"}|} head (json_escape msg)
-  | Undetected -> Printf.sprintf {|{%s, "status": "undetected"}|} head
-  | Scored s ->
-      let quality =
-        match s.s_quality with
-        | None -> ""
-        | Some q -> Printf.sprintf {|, "quality": %s|} (Rca_graph.Quality.summary_json q)
-      in
-      Printf.sprintf
-        {|{%s, "status": "scored", "located": %b, "iterations": %d, "slice_nodes": %d, "refine_outcome": "%s", "candidates": %d, "sampled_sites": %d, "pipeline": %s, "baseline_candidates": %d, "baseline_watched": %d, "baseline": %s%s}|}
-        head s.s_located s.s_iterations s.s_slice_nodes
-        (json_escape s.s_refine_outcome)
-        s.s_candidates s.s_sampled_sites (score_json s.s_pipeline) s.s_baseline_candidates
-        s.s_baseline_watched (score_json s.s_baseline) quality
+  let tail =
+    match r.outcome with
+    | Crashed msg -> [ ("status", J.Str "crashed"); ("error", J.Str msg) ]
+    | Undetected -> [ ("status", J.Str "undetected") ]
+    | Scored s ->
+        [
+          ("status", J.Str "scored");
+          ("located", J.Bool s.s_located);
+          ("iterations", J.num s.s_iterations);
+          ("slice_nodes", J.num s.s_slice_nodes);
+          ("refine_outcome", J.Str s.s_refine_outcome);
+          ("candidates", J.num s.s_candidates);
+          ("sampled_sites", J.num s.s_sampled_sites);
+          ("pipeline", score_json s.s_pipeline);
+          ("baseline_candidates", J.num s.s_baseline_candidates);
+          ("baseline_watched", J.num s.s_baseline_watched);
+          ("baseline", score_json s.s_baseline);
+        ]
+        @ Option.fold ~none:[]
+            ~some:(fun q -> [ ("quality", Rca_graph.Quality.summary_json q) ])
+            s.s_quality
+  in
+  J.Obj (head @ tail)
 
 let family_json (fs : family_stats) =
-  Printf.sprintf
-    {|{"family": "%s", "faults": %d, "detected": %d, "located": %d, "crashed": %d, "mean_iterations": %.2f, "mean_sampled_sites": %.1f, "mean_baseline_watched": %.1f, "pipeline": %s, "baseline": %s}|}
-    (json_escape fs.fs_name) fs.fs_total fs.fs_detected fs.fs_located fs.fs_crashed
-    fs.fs_mean_iterations fs.fs_mean_sampled fs.fs_mean_watched
-    (score_json fs.fs_pipeline) (score_json fs.fs_baseline)
+  J.Obj
+    [
+      ("family", J.Str fs.fs_name);
+      ("faults", J.num fs.fs_total);
+      ("detected", J.num fs.fs_detected);
+      ("located", J.num fs.fs_located);
+      ("crashed", J.num fs.fs_crashed);
+      ("mean_iterations", J.Num fs.fs_mean_iterations);
+      ("mean_sampled_sites", J.Num fs.fs_mean_sampled);
+      ("mean_baseline_watched", J.Num fs.fs_mean_watched);
+      ("pipeline", score_json fs.fs_pipeline);
+      ("baseline", score_json fs.fs_baseline);
+    ]
 
-let scorecard_json (t : t) : string =
-  let buf = Buffer.create 8192 in
+let scorecard_json (t : t) =
   let p = t.params in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{
-  "campaign": {"scale": "%s", "seed": %d, "detector": "%s", "faults": %d, "families": %d, "max_per_family": %d, "ensemble_members": %d, "experimental_members": %d, "stop_size": %d, "baseline_k": %d},
-|}
-       (json_escape p.scale_label) p.corpus.Corpus.seed
-       (Rca_core.Refine.partitioner_string p.partitioner)
-       (List.length t.results) (families_present t) p.corpus.Corpus.max_per_family
-       p.ensemble_members p.experimental_members p.stop_size p.baseline_k);
-  Buffer.add_string buf "  \"faults\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (fault_json r);
-      if i < List.length t.results - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    t.results;
-  Buffer.add_string buf "  ],\n  \"families\": [\n";
-  List.iteri
-    (fun i fs ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (family_json fs);
-      if i < List.length t.per_family - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    t.per_family;
-  Buffer.add_string buf "  ],\n  \"overall\": ";
-  Buffer.add_string buf (family_json t.overall);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ( "campaign",
+        J.Obj
+          [
+            ("scale", J.Str p.scale_label);
+            ("seed", J.num p.corpus.Corpus.seed);
+            ("detector", J.Str (Rca_core.Refine.partitioner_string p.partitioner));
+            ("faults", J.num (List.length t.results));
+            ("families", J.num (families_present t));
+            ("max_per_family", J.num p.corpus.Corpus.max_per_family);
+            ("ensemble_members", J.num p.ensemble_members);
+            ("experimental_members", J.num p.experimental_members);
+            ("stop_size", J.num p.stop_size);
+            ("baseline_k", J.num p.baseline_k);
+          ] );
+      ("faults", J.Arr (List.map fault_json t.results));
+      ("families", J.Arr (List.map family_json t.per_family));
+      ("overall", family_json t.overall);
+    ]
 
 (* ---- report ----------------------------------------------------------------------- *)
 

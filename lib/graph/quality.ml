@@ -125,7 +125,15 @@ let of_communities g communities : report =
   of_partition g (Community.partition_of_labels labels !next)
 
 let summary_json r =
-  Printf.sprintf
-    {|{"nodes": %d, "arcs": %d, "communities": %d, "modularity": %.6f, "coverage": %.6f, "mean_conductance": %.6f, "max_conductance": %.6f, "min_intra_ratio": %.6f}|}
-    r.q_nodes r.q_arcs r.q_communities r.q_modularity r.q_coverage r.q_mean_conductance
-    r.q_max_conductance r.q_min_intra_ratio
+  let module J = Rca_obs.Jsonio in
+  J.Obj
+    [
+      ("nodes", J.num r.q_nodes);
+      ("arcs", J.num r.q_arcs);
+      ("communities", J.num r.q_communities);
+      ("modularity", J.Num r.q_modularity);
+      ("coverage", J.Num r.q_coverage);
+      ("mean_conductance", J.Num r.q_mean_conductance);
+      ("max_conductance", J.Num r.q_max_conductance);
+      ("min_intra_ratio", J.Num r.q_min_intra_ratio);
+    ]

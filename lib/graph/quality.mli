@@ -31,6 +31,6 @@ val of_communities : Digraph.t -> int list list -> report
 (** Score a community list (node ids of the given graph); nodes not
     covered by any listed community are treated as singletons. *)
 
-val summary_json : report -> string
-(** One-line JSON object with the aggregate metrics (no per-community
-    breakdown); deterministic field order, %.6f floats. *)
+val summary_json : report -> Rca_obs.Jsonio.t
+(** JSON object with the aggregate metrics (no per-community
+    breakdown); deterministic field order. *)

@@ -1,8 +1,9 @@
-(** Minimal JSON codec for the serve protocol (line-delimited request /
-    response objects).  Parsing never raises: malformed input comes back
-    as [Error msg] so the server can turn garbage into a protocol-level
-    error reply.  Printing is compact (no whitespace), escapes control
-    characters, and renders integral numbers without a decimal point. *)
+(** The one JSON codec: serve protocol lines and every JSON artifact.
+    Parsing never raises: malformed input comes back as [Error msg] so
+    the server can turn garbage into a protocol-level error reply.
+    Printing is compact and escapes control characters; numbers print
+    exactly when integral and below 1e15, with 12 significant digits
+    otherwise, and as [null] when not finite. *)
 
 type t =
   | Null
@@ -19,6 +20,9 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 (** Compact single-line rendering (never contains a newline, so a
     printed value plus ["\n"] is a valid protocol frame). *)
+
+val to_file : string -> t -> unit
+(** [to_file path v] writes [to_string v] and a newline to [path]. *)
 
 (** {1 Accessors} — shape-checking helpers that return [None] on a
     type mismatch instead of raising. *)

@@ -139,76 +139,56 @@ let span_total_ms name =
 
 (* --- emitters -------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no NaN/infinity literals; clamp to null. *)
-let float_json f =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
 let arg_json = function
-  | Int i -> string_of_int i
-  | Float f -> float_json f
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Int i -> Jsonio.num i
+  | Float f -> Jsonio.Num f
+  | Str s -> Jsonio.Str s
 
-let args_json buf args =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) (arg_json v)))
-    args;
-  Buffer.add_char buf '}'
+let args_json args = Jsonio.Obj (List.map (fun (k, v) -> (k, arg_json v)) args)
+let counters_json cs = Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.num v)) cs)
 
 (* Chrome trace-event JSON (the object form, "X" complete events; load
    in chrome://tracing or Perfetto).  ts/dur are microseconds. *)
 let chrome_trace_json () =
-  let evs = spans () in
-  let buf = Buffer.create 4096 in
-  (* wallClockStartUs anchors the monotonic timeline to calendar time —
-     the only place wall time appears *)
-  Buffer.add_string buf
-    (Printf.sprintf "{\"displayTimeUnit\":\"ms\",\"wallClockStartUs\":%s,\"traceEvents\":["
-       (float_json !wall_epoch));
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n{\"name\":\"%s\",\"cat\":\"rca\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s"
-           (json_escape ev.span_name) ev.tid (float_json ev.ts_us) (float_json ev.dur_us));
-      if ev.span_args <> [] then begin
-        Buffer.add_string buf ",\"args\":";
-        args_json buf ev.span_args
-      end;
-      Buffer.add_char buf '}')
-    evs;
+  let event name ph ~tid ~ts rest =
+    Jsonio.Obj
+      ([
+         ("name", Jsonio.Str name);
+         ("cat", Jsonio.Str "rca");
+         ("ph", Jsonio.Str ph);
+         ("pid", Jsonio.num 0);
+         ("tid", Jsonio.num tid);
+         ("ts", Jsonio.Num ts);
+       ]
+      @ rest)
+  in
+  let span ev =
+    event ev.span_name "X" ~tid:ev.tid ~ts:ev.ts_us
+      (("dur", Jsonio.Num ev.dur_us)
+      :: (if ev.span_args = [] then [] else [ ("args", args_json ev.span_args) ]))
+  in
   (* final counter values as one metadata-style event, so a trace alone
      carries the counters too *)
-  let cs = counters () in
-  if cs <> [] then begin
-    if evs <> [] then Buffer.add_char buf ',';
-    Buffer.add_string buf
-      "\n{\"name\":\"counters\",\"cat\":\"rca\",\"ph\":\"I\",\"pid\":0,\"tid\":0,\"ts\":0,\"s\":\"g\",\"args\":";
-    args_json buf (List.map (fun (k, v) -> (k, Int v)) cs);
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let counters_event =
+    match counters () with
+    | [] -> []
+    | cs ->
+        let args = [ ("s", Jsonio.Str "g"); ("args", counters_json cs) ] in
+        [ event "counters" "I" ~tid:0 ~ts:0.0 args ]
+  in
+  (* wallClockStartUs anchors the monotonic timeline to calendar time —
+     the only place wall time appears *)
+  Jsonio.Obj
+    [
+      ("displayTimeUnit", Jsonio.Str "ms");
+      ("wallClockStartUs", Jsonio.Num !wall_epoch);
+      ("traceEvents", Jsonio.Arr (List.map span (spans ()) @ counters_event));
+    ]
 
 (* Flat aggregate: per-span-name count/total/mean/max plus counters and
    gauges, keys sorted for stable diffs — the shape BENCH_pipeline.json
    embeds. *)
 let summary_json () =
-  let evs = spans () in
   let agg : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun e ->
@@ -217,33 +197,23 @@ let summary_json () =
       in
       Hashtbl.replace agg e.span_name
         (n + 1, tot +. (e.dur_us /. 1e3), Float.max mx (e.dur_us /. 1e3)))
-    evs;
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) agg [] |> List.sort compare in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"spans\":{";
-  List.iteri
-    (fun i name ->
-      (* [name] comes from folding [agg] itself, but a bare Hashtbl.find
-         on a serve-reachable path is a daemon-killing Not_found waiting
-         for a refactor; default explicitly instead *)
-      let n, tot, mx = Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt agg name) in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n  \"%s\":{\"count\":%d,\"total_ms\":%s,\"mean_ms\":%s,\"max_ms\":%s}"
-           (json_escape name) n (float_json tot)
-           (float_json (tot /. float_of_int (max 1 n)))
-           (float_json mx)))
-    names;
-  Buffer.add_string buf "},\n\"counters\":";
-  args_json buf (List.map (fun (k, v) -> (k, Int v)) (counters ()));
-  Buffer.add_string buf ",\n\"gauges\":";
-  args_json buf (List.map (fun (k, v) -> (k, Float v)) (gauges ()));
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+    (spans ());
+  let span_json (name, (n, tot, mx)) =
+    ( name,
+      Jsonio.Obj
+        [
+          ("count", Jsonio.num n);
+          ("total_ms", Jsonio.Num tot);
+          ("mean_ms", Jsonio.Num (tot /. float_of_int (max 1 n)));
+          ("max_ms", Jsonio.Num mx);
+        ] )
+  in
+  let spans = Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg [] |> List.sort compare in
+  Jsonio.Obj
+    [
+      ("spans", Jsonio.Obj (List.map span_json spans));
+      ("counters", counters_json (counters ()));
+      ("gauges", Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Num v)) (gauges ())));
+    ]
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let write_chrome_trace path = write_file path (chrome_trace_json ())
-let write_summary path = write_file path (summary_json ())
+let write_chrome_trace path = Jsonio.to_file path (chrome_trace_json ())

@@ -1,10 +1,10 @@
 (** Pipeline-wide tracing and metrics: span-scoped monotonic-clock
     timers, named counters and gauges, recorded into one global
-    process-wide buffer and emitted as Chrome trace-event JSON or a flat
-    JSON summary.  Span timing uses [CLOCK_MONOTONIC] (never stepped by
-    NTP, so durations are always non-negative even in a long-lived
-    server); wall time is recorded once per {!enable} purely to anchor a
-    trace to calendar time.
+    process-wide buffer and emitted as {!Jsonio} values: Chrome
+    trace-event JSON or a flat JSON summary.  Span timing uses
+    [CLOCK_MONOTONIC] (never stepped by NTP, so durations are always
+    non-negative even in a long-lived server); wall time is recorded
+    once per {!enable} purely to anchor a trace to calendar time.
 
     Everything is a no-op until {!enable}: a disabled {!span} costs one
     atomic load before running its body, a disabled {!incr} one atomic
@@ -75,16 +75,16 @@ val span_total_ms : string -> float
 
 (** {1 Emitters} *)
 
-val chrome_trace_json : unit -> string
+val chrome_trace_json : unit -> Jsonio.t
 (** The recorded spans as Chrome trace-event JSON (object form, ["X"]
     complete events, microsecond timestamps); final counter values ride
     along as one instant event.  Loadable in chrome://tracing or
     Perfetto. *)
 
-val summary_json : unit -> string
+val summary_json : unit -> Jsonio.t
 (** Flat aggregate JSON: per-span-name [count]/[total_ms]/[mean_ms]/
     [max_ms], counters and gauges, keys sorted — the shape
     [BENCH_pipeline.json] embeds. *)
 
 val write_chrome_trace : string -> unit
-val write_summary : string -> unit
+(** [write_chrome_trace path] writes {!chrome_trace_json} to [path]. *)

@@ -61,7 +61,8 @@ type stats = {
 type conn = {
   fd : Unix.file_descr;
   mutable pending : string;  (* bytes read but not yet terminated by \n *)
-  mutable out : string;  (* reply bytes accepted but not yet written *)
+  out : Buffer.t;  (* reply bytes; those before [out_pos] are written *)
+  mutable out_pos : int;
   mutable alive : bool;
 }
 
@@ -303,7 +304,9 @@ let answer_json ~id ~cached ~coalesced ~elapsed_ms (a : Cache.answer) =
 
 let error_json ~id msg = J.Obj [ ("id", id); ("status", J.Str "error"); ("error", J.Str msg) ]
 
-let enqueue_reply conn v = if conn.alive then conn.out <- conn.out ^ J.to_string v ^ "\n"
+let enqueue_reply conn v = if conn.alive then Buffer.add_string conn.out (J.to_string v ^ "\n")
+
+let has_out conn = Buffer.length conn.out > conn.out_pos
 
 (* Deliver one finished computation to everyone waiting on its key and
    publish it to the LRU.  Runs on the reactor only. *)
@@ -476,15 +479,31 @@ let listener_of addr =
       Unix.set_nonblock fd;
       fd
 
-(* Write as much of a connection's out buffer as the socket accepts
-   right now; the select loop retries the rest when it turns writable. *)
-let flush_out conn =
-  if conn.alive && conn.out <> "" then begin
-    let b = Bytes.of_string conn.out in
-    match Unix.write conn.fd b 0 (Bytes.length b) with
-    | k -> conn.out <- String.sub conn.out k (String.length conn.out - k)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception (Unix.Unix_error _ | Sys_error _) -> conn.alive <- false
+(* Write as much of a connection's unsent bytes as the socket accepts
+   right now, one [scratch]-sized chunk at a time; the select loop
+   retries the rest when it turns writable.  Dropping the written prefix
+   once it passes half the buffer copies each byte a bounded number of
+   times, however far behind the client reads. *)
+let flush_out scratch conn =
+  let rec write () =
+    let n = min (Bytes.length scratch) (Buffer.length conn.out - conn.out_pos) in
+    if conn.alive && n > 0 then begin
+      Buffer.blit conn.out conn.out_pos scratch 0 n;
+      match Unix.single_write conn.fd scratch 0 n with
+      | k ->
+          conn.out_pos <- conn.out_pos + k;
+          if k = n then write ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+      | exception (Unix.Unix_error _ | Sys_error _) -> conn.alive <- false
+    end
+  in
+  write ();
+  let len = Buffer.length conn.out in
+  if conn.out_pos > len / 2 then begin
+    let rest = Buffer.sub conn.out conn.out_pos (len - conn.out_pos) in
+    Buffer.reset conn.out;
+    Buffer.add_string conn.out rest;
+    conn.out_pos <- 0
   end
 
 (* Split every complete line out of a connection's buffer. *)
@@ -521,7 +540,7 @@ let serve_loop ?cache_save_every st listener =
   in
   while st.running do
     let rfds = st.notify_r :: listener :: List.map (fun c -> c.fd) !conns in
-    let wfds = List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) !conns in
+    let wfds = List.filter_map (fun c -> if has_out c then Some c.fd else None) !conns in
     let timeout =
       match !next_save with
       | None -> -1.0
@@ -541,7 +560,8 @@ let serve_loop ?cache_save_every st listener =
             match Unix.accept listener with
             | fd, _ ->
                 Unix.set_nonblock fd;
-                conns := !conns @ [ { fd; pending = ""; out = ""; alive = true } ];
+                let out = Buffer.create 4096 in
+                conns := !conns @ [ { fd; pending = ""; out; out_pos = 0; alive = true } ];
                 accept_all ()
             | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all ()
@@ -573,7 +593,7 @@ let serve_loop ?cache_save_every st listener =
         (* opportunistic flush: newly-ready replies usually fit the
            socket buffer, so most rounds never wait for writability *)
         List.iter
-          (fun conn -> if List.mem conn.fd writable || conn.out <> "" then flush_out conn)
+          (fun conn -> if List.mem conn.fd writable || has_out conn then flush_out buf conn)
           !conns;
         conns :=
           List.filter
@@ -602,14 +622,14 @@ let serve_loop ?cache_save_every st listener =
   process_completions st;
   let flush_deadline = Unix.gettimeofday () +. 5.0 in
   while
-    List.exists (fun c -> c.alive && c.out <> "") !conns
+    List.exists (fun c -> c.alive && has_out c) !conns
     && Unix.gettimeofday () < flush_deadline
   do
-    let wfds = List.filter_map (fun c -> if c.alive && c.out <> "" then Some c.fd else None) !conns in
+    let wfds = List.filter_map (fun c -> if c.alive && has_out c then Some c.fd else None) !conns in
     (match Unix.select [] wfds [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | _ -> ());
-    List.iter flush_out !conns
+    List.iter (flush_out buf) !conns
   done;
   List.iter (fun conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) !conns
 

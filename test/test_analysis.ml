@@ -328,11 +328,17 @@ let json_report_is_stable () =
     analyze
       "module m\ncontains\nsubroutine s(y)\nreal(r8), intent(out) :: y\nreal(r8) :: t\ny = t\nend subroutine\nend module m"
   in
+  let module J = Rca_obs.Jsonio in
   let json = A.report_json an in
-  check_bool "has version" true (contains_substring json "\"version\": 2");
-  check_bool "has the finding" true (contains_substring json "\"use-before-def\"");
-  check_bool "has symbol field" true (contains_substring json "\"symbol\":");
-  check_bool "has def provenance" true (contains_substring json "\"def_file\":")
+  check_bool "has version" true (Option.bind (J.member "version" json) J.int_opt = Some 2);
+  let finding =
+    Option.bind (J.member "diagnostics" json) J.list_opt
+    |> Option.value ~default:[]
+    |> List.find_opt (fun d -> J.member "kind" d = Some (J.Str "use-before-def"))
+  in
+  check_bool "has the finding" true (finding <> None);
+  check_bool "has symbol field" true (Option.bind finding (J.member "symbol") <> None);
+  check_bool "has def provenance" true (Option.bind finding (J.member "def_file") <> None)
 
 (* --- resolver: adversarial scoping ------------------------------------------------ *)
 

@@ -173,7 +173,8 @@ let mini_params () =
 let campaign_same_seed_byte_identical () =
   let p = mini_params () in
   let a = Campaign.run p and b = Campaign.run p in
-  let sa = Campaign.scorecard_json a and sb = Campaign.scorecard_json b in
+  let scorecard t = Rca_obs.Jsonio.to_string (Campaign.scorecard_json t) in
+  let sa = scorecard a and sb = scorecard b in
   check_bool "non-empty corpus" true (a.Campaign.results <> []);
   check_int "no crashes" 0 a.Campaign.overall.Campaign.fs_crashed;
   check_string "byte-identical scorecards" sa sb

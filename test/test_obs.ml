@@ -1,12 +1,13 @@
 (* Tests for rca_obs (span recording, counters, disabled no-op contract,
-   emitter well-formedness) and the determinism contract the pipeline's
-   instrumentation depends on: enabled vs disabled runs of the full
-   pipeline on the two-cluster fixture yield identical results, with one
-   refine.iteration span per recorded iteration. *)
+   emitters parsed back through Jsonio) and the determinism contract the
+   pipeline's instrumentation depends on: enabled vs disabled runs of the
+   full pipeline on the two-cluster fixture yield identical results, with
+   one refine.iteration span per recorded iteration. *)
 
 module MG = Rca_metagraph.Metagraph
 module G = Rca_graph
 module Obs = Rca_obs.Obs
+module J = Rca_obs.Jsonio
 open Rca_core
 
 let check_int = Alcotest.(check int)
@@ -78,48 +79,33 @@ let enable_resets () =
   check_int "counters cleared" 0 (Obs.counter_value "stale");
   check_int "spans cleared" 0 (Obs.span_count "stale")
 
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
-  at 0
-
-(* Minimal structural validation: balanced braces/brackets outside
-   strings, expected top-level keys, every recorded span named. *)
-let json_balanced s =
-  let depth = ref 0 and in_str = ref false and esc = ref false and ok = ref true in
-  String.iter
-    (fun c ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if c = '\\' then esc := true else if c = '"' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
-
+(* Both emitters print through Jsonio and parse back: the escaped span
+   arg survives the round trip and a non-finite gauge becomes null. *)
 let emitters_well_formed () =
   Obs.enable ();
   ignore (Obs.span ~args:[ ("quote", Obs.Str "a\"b\\c\nd") ] "esc" (fun () -> ()));
   Obs.incr "events";
   Obs.gauge "nan_gauge" Float.nan;
   Obs.disable ();
-  let trace = Obs.chrome_trace_json () in
-  check_bool "trace balanced" true (json_balanced trace);
-  check_bool "traceEvents key" true
-    (contains_substring trace "\"traceEvents\"");
-  check_bool "complete event" true (contains_substring trace "\"ph\":\"X\"");
-  let summary = Obs.summary_json () in
-  check_bool "summary balanced" true (json_balanced summary);
-  check_bool "span aggregated" true (contains_substring summary "\"esc\"");
-  (* non-finite gauge must not produce bare [nan] (invalid JSON) *)
-  check_bool "no bare nan" false (contains_substring summary ": nan")
+  let parse v =
+    match J.of_string (J.to_string v) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "emitter output does not parse: %s" msg
+  in
+  let path keys v = List.fold_left (fun v k -> Option.bind v (J.member k)) (Some v) keys in
+  let trace = parse (Obs.chrome_trace_json ()) in
+  let esc =
+    Option.bind (path [ "traceEvents" ] trace) J.list_opt
+    |> Option.value ~default:[]
+    |> List.find_opt (fun ev -> J.member "name" ev = Some (J.Str "esc"))
+  in
+  check_bool "esc span quote arg survives" true
+    (Option.bind esc (path [ "args"; "quote" ]) = Some (J.Str "a\"b\\c\nd"));
+  check_bool "esc span complete event" true
+    (Option.bind esc (J.member "ph") = Some (J.Str "X"));
+  let summary = parse (Obs.summary_json ()) in
+  check_bool "span aggregated" true (path [ "spans"; "esc"; "count" ] summary = Some (J.num 1));
+  check_bool "nan gauge is null" true (path [ "gauges"; "nan_gauge" ] summary = Some J.Null)
 
 (* --- monotonic clock ------------------------------------------------------------ *)
 
@@ -156,7 +142,7 @@ let wall_anchor_recorded () =
   Obs.disable ();
   check_bool "wall epoch captured" true (Obs.wall_epoch_us () > 0.0);
   check_bool "trace carries wall anchor" true
-    (contains_substring (Obs.chrome_trace_json ()) "\"wallClockStartUs\"");
+    (J.member "wallClockStartUs" (Obs.chrome_trace_json ()) <> None);
   Obs.reset ()
 
 (* --- pipeline determinism under instrumentation --------------------------------- *)

@@ -670,6 +670,30 @@ let daemon_concurrent_out_of_order () =
         | Some items -> List.filter_map J.string_opt items = expected_located
         | None -> false))
 
+(* A client that sends every request before reading any reply: the
+   replies (about 5 MB, far past the socket buffer) queue on the daemon
+   and must still arrive whole, once per id, each equal to a lone
+   query's reply. *)
+let daemon_reply_backlog () =
+  with_daemon (fun conn ->
+      let lone = reply conn [ ("op", J.Str "query") ] in
+      check_bool "lone query ok" true (status lone = Some "ok");
+      let n = 300 in
+      for id = 1 to n do
+        Client.send conn (J.Obj [ ("op", J.Str "query"); ("id", J.num id) ])
+      done;
+      let seen = Array.make (n + 1) 0 in
+      for _ = 1 to n do
+        match Client.recv conn with
+        | Error msg -> Alcotest.failf "recv failed: %s" msg
+        | Ok r ->
+            (match Option.bind (J.member "id" r) J.int_opt with
+            | Some id when id >= 1 && id <= n -> seen.(id) <- seen.(id) + 1
+            | _ -> Alcotest.fail "reply without a request's id");
+            check_bool "reply equals the lone query's" true (strip_reply r = strip_reply lone)
+      done;
+      check_bool "every id exactly once" true (Array.for_all (( = ) 1) (Array.sub seen 1 n)))
+
 (* Two identical cold requests pipelined together: the second attaches
    to the first's in-flight job instead of recomputing. *)
 let daemon_inflight_coalescing () =
@@ -813,5 +837,6 @@ let () =
           Alcotest.test_case "in-flight coalescing" `Quick daemon_inflight_coalescing;
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
           Alcotest.test_case "empty targets use defaults" `Quick daemon_empty_targets_default;
+          Alcotest.test_case "reply backlog" `Quick daemon_reply_backlog;
         ] );
     ]
