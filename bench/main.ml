@@ -1,11 +1,12 @@
 (* Benchmark & reproduction harness.
 
      dune exec bench/main.exe            -- everything (tables, figures,
-                                            experiments, microbenchmarks)
+                                            experiments, pool speedup, gn,
+                                            pipeline, refine)
      dune exec bench/main.exe -- <target>
 
    Targets: wsubbug randmt goffgratch avx2 avx2full randombug dyn3bug
-            table1 table2 fig4 fig10 fig11 ablation micro micro-par gn
+            table1 table2 fig4 fig10 fig11 ablation micro-par gn
             pipeline refine scaling lint serve campaign
 
    Flags: --json PATH     write the target's telemetry and gates as one
@@ -24,8 +25,8 @@
    Each experiment target regenerates the corresponding paper artifact at
    the "paper" model scale and prints the same rows/series the paper
    reports: slice sizes, community structure, sampled central nodes,
-   detection outcomes, failure-rate tables and degree distributions.  The
-   `micro` target runs Bechamel timings of the pipeline stages; `gn`
+   detection outcomes, failure-rate tables and degree distributions.
+   `micro-par` times the domain pool's betweenness speedup; `gn`
    benchmarks exact Girvan–Newman (the component-incremental CSR engine,
    sequential and pooled, against the test/oracle reference) on a
    clustered fixture; `pipeline` runs the end-to-end slice-and-refine
@@ -189,67 +190,6 @@ let run_ablation () =
          let rows = Ablation.run Rca_synth.Config.small in
          Format.printf "%a@." Ablation.pp rows;
          rows))
-
-(* --- Bechamel microbenchmarks ------------------------------------------------------- *)
-
-let microbenchmarks () =
-  hr ();
-  print_endline "Bechamel microbenchmarks of the pipeline stages (small scale)";
-  let open Bechamel in
-  let small = Rca_synth.Config.small in
-  let srcs = Rca_synth.Model.generate small in
-  let program =
-    Rca_synth.Model.build_filter
-      (Rca_synth.Model.parse_program ~strict:false srcs)
-      ~driver:"cam_driver"
-  in
-  let mg = MG.build program in
-  let slice = Rca_core.Slice.of_internals mg [ "qsout2"; "cld"; "flwds" ] in
-  let sub = Rca_core.Slice.subgraph slice in
-  let opts = Rca_synth.Model.default_opts small in
-  let tests =
-    [
-      Test.make ~name:"parse-model-sources" (Staged.stage (fun () ->
-          ignore (Rca_synth.Model.parse_program ~strict:false srcs)));
-      Test.make ~name:"metagraph-build" (Staged.stage (fun () -> ignore (MG.build program)));
-      Test.make ~name:"model-run-9-steps" (Staged.stage (fun () ->
-          ignore (Rca_synth.Model.run program opts)));
-      Test.make ~name:"backward-slice" (Staged.stage (fun () ->
-          ignore (Rca_core.Slice.of_internals mg [ "qsout2"; "cld"; "flwds" ])));
-      Test.make ~name:"girvan-newman-step" (Staged.stage (fun () ->
-          ignore (G.Community.girvan_newman_step ~approx:64 sub.G.Digraph.graph)));
-      Test.make ~name:"eigenvector-in-centrality" (Staged.stage (fun () ->
-          ignore (G.Centrality.eigenvector ~direction:G.Centrality.In sub.G.Digraph.graph)));
-      Test.make ~name:"nonbacktracking-centrality" (Staged.stage (fun () ->
-          ignore (G.Centrality.non_backtracking ~direction:G.Centrality.In sub.G.Digraph.graph)));
-      Test.make ~name:"module-quotient-rank" (Staged.stage (fun () ->
-          ignore (Rca_core.Module_rank.rank mg)));
-    ]
-  in
-  let benchmark test =
-    let quota = Time.second 1.0 in
-    let cfg = Benchmark.cfg ~limit:500 ~quota ~kde:None () in
-    let measure = Toolkit.Instance.monotonic_clock in
-    let raw = Benchmark.all cfg [ measure ] (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ]) in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        measure raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-            let label =
-              match String.index_opt name ' ' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name
-            in
-            Printf.printf "  %-32s %12.3f ms/run\n%!" label (est /. 1e6)
-        | _ -> ())
-      ols
-  in
-  List.iter benchmark tests
 
 (* --- Parallel microbenchmark: domain-pool speedup --------------------------------------- *)
 
@@ -1388,7 +1328,6 @@ let run_target ~json ~trace ~domains ~partitioner = function
   | "fig4" -> run_fig4 ()
   | "fig10" -> run_fig10 ()
   | "fig11" -> run_fig11 ()
-  | "micro" -> microbenchmarks ()
   | "micro-par" -> run_micro_par ()
   | "gn" -> run_gn_bench ~trace ~json ~domains ()
   | "pipeline" -> run_pipeline_bench ~json ~trace ~domains ~partitioner ()
@@ -1446,7 +1385,6 @@ let () =
       run_fig10 ();
       run_fig11 ();
       run_ablation ();
-      microbenchmarks ();
       run_micro_par ();
       run_gn_bench ~trace ~json ~domains ();
       run_pipeline_bench ~json:None ~trace:None ~domains ~partitioner ();

@@ -23,8 +23,9 @@
    masked reverse BFS, never the Digraph.induced_subgraph rebuild per
    ancestor computation — at least three per iteration — that the paper
    calls the bottleneck of iterative refinement.  The community and
-   centrality kernels receive their induced subgraphs materialized from
-   the frozen rows in the adjacency order a rebuild would produce, so
+   centrality kernels run on plain CSRs cut from the frozen arrays
+   (Csr.induced on the symmetric closure for step 5, on the transpose
+   for step 6), slot for slot what a rebuild would hand them, so
    iteration sequences, partitions and outcomes are bit identical to the
    list-based reference in test/oracle (locked by differential tests and
    the `bench refine` oracle). *)
@@ -80,28 +81,24 @@ let partitioner_of_string = function
   | "lp" | "label-propagation" -> Some Label_propagation
   | _ -> None
 
+(* The node array the step-5/6 kernels are cut on: Csr.induced takes
+   strictly ascending ids, and node [i] of the cut stands for
+   [verts.(i)]. *)
+let verts_of nodes = Array.of_list (List.sort_uniq compare nodes)
+
 let communities_of ?gn_approx ?(min_community = 3) ?(partitioner = Girvan_newman) ?pool
     ~frozen nodes =
-  (* G-N and label propagation partition the induced subgraph
-     materialized from the frozen rows *)
-  let on_induced partition =
-    let sub = Frozen.induced_sub frozen nodes in
-    G.Community.significant_communities ~min_size:min_community
-      (partition sub.G.Digraph.graph)
-    |> List.map (List.map (G.Digraph.sub_to_parent sub))
+  let verts = verts_of nodes in
+  let und = G.Csr.induced frozen.Frozen.und verts in
+  let partition =
+    match partitioner with
+    | Girvan_newman ->
+        (G.Community.girvan_newman_step_csr ?approx:gn_approx ?pool und).G.Community.partition
+    | Modularity_greedy -> G.Community.modularity_greedy_csr und
+    | Label_propagation -> G.Community.label_propagation_csr und
   in
-  match partitioner with
-  | Girvan_newman ->
-      on_induced (fun g ->
-          (G.Community.girvan_newman_step ?approx:gn_approx ?pool g).G.Community.partition)
-  | Label_propagation -> on_induced (fun g -> G.Community.label_propagation g)
-  | Modularity_greedy ->
-      (* The greedy engine runs directly on the frozen CSR restricted to
-         the live nodes — the one partitioner that needs no induced
-         subgraph at all. *)
-      let alive = Frozen.mask_of_list frozen nodes in
-      G.Community.modularity_greedy_masked frozen.Frozen.csr frozen.Frozen.rev ~alive
-      |> List.filter (fun comm -> List.length comm >= min_community)
+  G.Community.significant_communities ~min_size:min_community partition
+  |> List.map (List.map (fun i -> verts.(i)))
 
 (* Node-importance measure for step 6.  The paper settles on eigenvector
    in-centrality; the alternatives support the ablation bench. *)
@@ -117,14 +114,22 @@ let centrality_scores ?pool measure g =
 (* Top-m central nodes of one community (directed subgraph induced on the
    community's nodes).  Synthetic nodes (localized intrinsics, PRNG
    markers) cannot be instrumented at runtime and are skipped when picking
-   sampling sites. *)
+   sampling sites.  The paper's measure gathers over the transposed
+   subgraph cut from the frozen rows; the ablation-only measures keep
+   their digraph kernels on an induced rebuild. *)
 let central_nodes (mg : MG.t) ?(m_sample = 10) ?(measure = Eigenvector_in) ?pool ~frozen
     community =
-  let sub = Frozen.induced_sub frozen community in
-  let cent = centrality_scores ?pool measure sub.G.Digraph.graph in
-  G.Centrality.top_k cent (G.Digraph.n sub.G.Digraph.graph)
+  let verts = verts_of community in
+  let cent =
+    match measure with
+    | Eigenvector_in -> G.Centrality.eigenvector_csr ?pool (G.Csr.induced frozen.Frozen.rev verts)
+    | _ ->
+        centrality_scores measure
+          (G.Digraph.induced_subgraph mg.MG.graph (Array.to_list verts)).G.Digraph.graph
+  in
+  G.Centrality.top_k cent (Array.length verts)
   |> List.filter_map (fun (id, _) ->
-         let parent = G.Digraph.sub_to_parent sub id in
+         let parent = verts.(id) in
          if (MG.node mg parent).MG.synthetic then None else Some parent)
   |> List.filteri (fun i _ -> i < m_sample)
 
@@ -192,8 +197,8 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
   let run_with pool =
   (* One frozen snapshot for the whole refinement (reused from the
      caller's when given): every 8a/8b ancestor sweep is a masked reverse
-     BFS on it, and the per-iteration induced subgraphs handed to the
-     community/centrality kernels are materialized from its rows. *)
+     BFS on it, and the community/centrality kernels run on subgraphs
+     cut from its arrays. *)
   let frozen = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
   let iterations = ref [] in
   let finish outcome final_nodes =

@@ -3,11 +3,13 @@
     a k-ary search over the slice.
 
     The metagraph is frozen once into a {!Frozen.t} CSR and the 8a/8b
-    removals are node-alive bitmask flips plus masked reverse BFS.
-    Iteration sequences, partitions, final node sets and outcomes are
-    bit identical to the list-based reference in test/oracle, which
-    rebuilds [Digraph.induced_subgraph] for every ancestor
-    computation. *)
+    removals are node-alive bitmask flips plus masked reverse BFS; the
+    step-5 and step-6 kernels run on subgraphs cut from the frozen
+    arrays with {!Rca_graph.Csr.induced}.  Iteration sequences,
+    partitions, final node sets and outcomes are bit identical to the
+    list-based reference in test/oracle, which rebuilds
+    [Digraph.induced_subgraph] for every ancestor computation and every
+    kernel call. *)
 
 module MG := Rca_metagraph.Metagraph
 
@@ -37,8 +39,7 @@ type partitioner =
   | Girvan_newman  (** exact incremental G-N — the paper's detector *)
   | Modularity_greedy
       (** deterministic modularity-greedy agglomeration
-          ({!Rca_graph.Community.modularity_greedy}), run directly on the
-          frozen CSR with no induced subgraph *)
+          ({!Rca_graph.Community.modularity_greedy_csr}) *)
   | Label_propagation
 
 val partitioner_string : partitioner -> string
@@ -62,7 +63,8 @@ val communities_of :
   int list ->
   int list list
 (** Step 5's community split on the subgraph induced on the given nodes
-    of [frozen]: one Girvan–Newman iteration by default, or one of the
+    of [frozen] (sorted and deduplicated first), cut from its symmetric
+    closure: one Girvan–Newman iteration by default, or one of the
     alternative partitioners.  [pool] parallelizes the Girvan–Newman
     betweenness recomputations. *)
 
@@ -80,8 +82,10 @@ val central_nodes :
   int list ->
   int list
 (** The top-m central, runtime-instrumentable nodes of one community
-    (step 6), on the subgraph induced from [frozen]'s rows;
-    eigenvector in-centrality by default. *)
+    (step 6; the node list is sorted and deduplicated first).  The
+    default eigenvector in-centrality gathers over the subgraph cut from
+    [frozen]'s transpose; the other measures run their digraph kernels
+    on [Digraph.induced_subgraph] of the metagraph. *)
 
 val centrality_ranking : MG.t -> int list -> (int * float) list
 (** Full in-centrality ranking of a community, for reporting (the paper's

@@ -17,8 +17,12 @@ let fail line msg = raise (Parse_error (msg, line))
 
 type cursor = { mutable toks : Lexer.token list; cline : int }
 
+(* A line the lexer rejects fails like any other malformed line, so
+   [Parse_error] is the one exception parsing raises. *)
 let cursor_of_line (l : Source.logical_line) =
-  { toks = Lexer.tokenize l.text; cline = l.line }
+  match Lexer.tokenize l.text with
+  | toks -> { toks; cline = l.line }
+  | exception Lexer.Lex_error msg -> fail l.line msg
 
 let peek c = match c.toks with [] -> None | t :: _ -> Some t
 
@@ -285,8 +289,6 @@ let rec parse_stmt st (l : Source.logical_line) : stmt =
         wrap (Assign (d, rhs))
   with
   | Parse_error _ as e -> if st.strict then raise e else wrap (Unparsed l.text)
-  | Lexer.Lex_error msg ->
-      if st.strict then fail l.line msg else wrap (Unparsed l.text)
 
 (* Body statements until [stop_pred] matches a line; the matching line is
    left in the stream. *)

@@ -11,11 +11,13 @@ exception Parse_error of string * int
 val parse_file : ?strict:bool -> file:string -> string -> Ast.module_unit list
 (** Parse one source file into its modules.  [strict] (default [false])
     controls whether statement-level failures raise {!Parse_error} or
-    degrade to {!Ast.Unparsed}. *)
+    degrade to {!Ast.Unparsed}.  Any other malformed line — a
+    declaration, an interface body, broken block structure, or a line
+    the lexer rejects — raises {!Parse_error} in either mode. *)
 
 val parse_expression : string -> Ast.expr
 (** Parse a single expression from a string.  Raises {!Parse_error} on
-    trailing tokens. *)
+    malformed input or trailing tokens. *)
 
 val parse_statement : ?strict:bool -> string -> Ast.stmt
 (** Parse a single statement from one logical line of text ([strict]

@@ -25,36 +25,32 @@ let degree ?(direction = Out) g =
       let d = match direction with Out -> Digraph.out_degree g v | In -> Digraph.in_degree g v in
       float_of_int d *. scale)
 
-(* Eigenvector centrality by shifted power iteration, x <- x + M x with
-   M = A^T for [In] (x_v accumulates from predecessors) and M = A for
-   [Out].  The identity shift is the same trick NetworkX uses to force
-   convergence on graphs whose dominant eigenvalue is not unique.
+(* Eigenvector centrality by shifted power iteration, x <- x + M x, where
+   row v of the CSR [m] lists the nodes x_v accumulates from: the
+   transpose of A for in-centrality (predecessors), A itself for
+   out-centrality.  The identity shift is the same trick NetworkX uses
+   to force convergence on graphs whose dominant eigenvalue is not
+   unique.
 
-   The matvec runs as a gather over a frozen CSR view of M: row v lists
-   v's in-neighbours (for [In], the transposed CSR) in exactly the order
-   the historical sequential edge scatter visited them, so every x'(v)
-   is the same float summation sequence and the sweep is bitwise
-   identical to the scatter it replaced — while touching two flat int
-   arrays instead of chasing list cells.  With [pool] the rows are
-   chunked across domains; each x'(v) is still written by exactly one
-   chunk in the same order, so sequential and parallel sweeps agree
-   bitwise at every pool size. *)
+   The matvec runs as a gather over those rows: on a transpose they list
+   v's in-neighbours in exactly the order the historical sequential edge
+   scatter visited them, so every x'(v) is the same float summation
+   sequence and the sweep is bitwise identical to the scatter it
+   replaced — while touching two flat int arrays instead of chasing list
+   cells.  With [pool] the rows are chunked across domains; each x'(v)
+   is still written by exactly one chunk in the same order, so
+   sequential and parallel sweeps agree bitwise at every pool size. *)
 let matvec_chunk_nodes = 256
 
-let eigenvector ?(direction = In) ?pool g =
-  let n = Digraph.n g in
+let eigenvector_csr ?pool (m : Csr.t) =
+  let n = m.Csr.n in
   if n = 0 then [||]
   else begin
     let sweeps = ref 0 in
     Rca_obs.Obs.span' "centrality.eigenvector"
       (fun _ -> [ ("nodes", Rca_obs.Obs.Int n); ("sweeps", Rca_obs.Obs.Int !sweeps) ])
     @@ fun () ->
-    let csr =
-      match direction with
-      | In -> Csr.transpose (Csr.of_digraph g)
-      | Out -> Csr.of_digraph g
-    in
-    let row = csr.Csr.row and col = csr.Csr.col in
+    let row = m.Csr.row and col = m.Csr.col in
     let gather_range x x' lo hi =
       for v = lo to hi - 1 do
         let acc = ref x.(v) in
@@ -101,6 +97,10 @@ let eigenvector ?(direction = In) ?pool g =
     in
     iterate max_iter x x'
   end
+
+let eigenvector ?(direction = In) ?pool g =
+  let csr = Csr.of_digraph g in
+  eigenvector_csr ?pool (match direction with In -> Csr.transpose csr | Out -> csr)
 
 (* PageRank with damping [pagerank_d]; dangling mass is redistributed
    uniformly.  Eigenvector centrality "is related to PageRank" (paper

@@ -15,15 +15,20 @@ type direction = In | Out
 val degree : ?direction:direction -> Digraph.t -> float array
 (** Degree centrality, normalized by [n-1]. *)
 
-val eigenvector : ?direction:direction -> ?pool:Pool.t -> Digraph.t -> float array
+val eigenvector_csr : ?pool:Pool.t -> Csr.t -> float array
 (** Eigenvector centrality by shifted power iteration (x <- x + Mx, the
-    NetworkX convergence trick), L2-normalized.  [In] accumulates from
-    predecessors (information sinks), [Out] from successors.  The matvec
-    gathers over a frozen {!Csr} view whose row order reproduces the
-    historical edge-scatter summation sequence, so results are bitwise
-    identical to the adjacency-list implementation; [pool] chunks the
-    rows across domains without changing any sum (sequential and
-    parallel sweeps agree bitwise at every pool size). *)
+    NetworkX convergence trick), L2-normalized, gathering over the rows
+    it is given: row [v] lists the nodes [x_v] accumulates from.  On a
+    {!Csr.transpose} (or a subgraph {!Csr.induced} from one) that is
+    in-centrality, whose transposed rows reproduce the historical
+    edge-scatter summation sequence, so results are bitwise identical to
+    the adjacency-list implementation.  [pool] chunks the rows across
+    domains without changing any sum (sequential and parallel sweeps
+    agree bitwise at every pool size). *)
+
+val eigenvector : ?direction:direction -> ?pool:Pool.t -> Digraph.t -> float array
+(** {!eigenvector_csr} on the digraph's CSR: [In] (default) gathers from
+    predecessors (information sinks), [Out] from successors. *)
 
 val pagerank : Digraph.t -> float array
 (** PageRank with damping 0.85; dangling mass redistributed uniformly.

@@ -36,6 +36,21 @@ let partition_of_labels labels k =
   List.iteri (fun i comm -> List.iter (fun v -> labels'.(v) <- i) comm) communities;
   { labels = labels'; communities }
 
+(* Labels renumbered 0, 1, ... in order of first appearance, with their
+   count. *)
+let compact labels =
+  let remap = Hashtbl.create 16 in
+  Array.map
+    (fun c ->
+      match Hashtbl.find_opt remap c with
+      | Some c' -> c'
+      | None ->
+          let c' = Hashtbl.length remap in
+          Hashtbl.replace remap c c';
+          c')
+    labels
+  |> fun l -> (l, Hashtbl.length remap)
+
 let of_components g =
   let labels, k = Components.weakly_connected_labels g in
   partition_of_labels labels k
@@ -108,9 +123,7 @@ type gn_step = {
    reference's global chunking, which perturbs sums by last-ulp noise —
    absorbed by the relative 1e-9 margin of [Betweenness.beats], exactly
    as for sequential-vs-parallel. *)
-let remove_until ?approx ?pool ?(max_removals = 2000) ~stop g =
-  let work = Digraph.to_undirected g in
-  let csr = Csr.of_digraph work in
+let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
   let n = csr.Csr.n and m = csr.Csr.m in
   let row = csr.Csr.row and col = csr.Csr.col and src = csr.Csr.src in
   let alive = Bytes.make m '\001' in
@@ -309,18 +322,8 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop g =
   let current () =
     (* Relabel components in first-node order — the labeling
        [of_components] produces on the reference's working graph. *)
-    let labels = Array.make n 0 in
-    let remap = Hashtbl.create 16 in
-    for v = 0 to n - 1 do
-      labels.(v) <-
-        (match Hashtbl.find_opt remap comp.(v) with
-        | Some l -> l
-        | None ->
-            let l = Hashtbl.length remap in
-            Hashtbl.replace remap comp.(v) l;
-            l)
-    done;
-    partition_of_labels labels (Hashtbl.length remap)
+    let labels, k = compact comp in
+    partition_of_labels labels k
   in
   let initial_ncomps = !ncomps in
   let removed = ref [] in
@@ -349,15 +352,21 @@ let gn_span name f =
       ])
     f
 
-(* One Girvan–Newman iteration on (the symmetrized view of) [g]: remove
-   top-betweenness edges until the weak component count increases.
-   [max_removals] bounds the work; if reached, the current partition is
-   returned as-is. *)
-let girvan_newman_step ?approx ?pool ?max_removals g =
+(* The symmetric CSR every partitioner runs on, for a digraph caller. *)
+let symmetric g = Csr.of_digraph (Digraph.to_undirected g)
+
+(* One Girvan–Newman iteration on a symmetric CSR: remove top-betweenness
+   edges until the weak component count increases.  [max_removals]
+   bounds the work; if reached, the current partition is returned
+   as-is. *)
+let girvan_newman_step_csr ?approx ?pool ?max_removals csr =
   gn_span "gn.step" (fun () ->
       remove_until ?approx ?pool ?max_removals
         ~stop:(fun ~initial ~ncomps ~arcs:_ -> ncomps > initial)
-        g)
+        csr)
+
+let girvan_newman_step ?approx ?pool ?max_removals g =
+  girvan_newman_step_csr ?approx ?pool ?max_removals (symmetric g)
 
 (* Run G-N until at least [target] communities exist (or no edges
    remain).  Returns the state at the first point the target is met. *)
@@ -365,16 +374,15 @@ let girvan_newman ?approx ?pool ?max_removals ~target g =
   gn_span "gn.run" (fun () ->
       remove_until ?approx ?pool ?max_removals
         ~stop:(fun ~initial:_ ~ncomps ~arcs -> ncomps >= target || arcs = 0)
-        g)
+        (symmetric g))
 
-(* Asynchronous label propagation (Raghavan et al. 2007) on the symmetrized
-   view, deterministic (seed [lp_seed]).  Fast alternative partitioner. *)
+(* Asynchronous label propagation (Raghavan et al. 2007) on a symmetric
+   CSR, deterministic (seed [lp_seed]).  Fast alternative partitioner. *)
 let lp_seed = 7
 let lp_max_sweeps = 50
 
-let label_propagation g =
-  let und = Digraph.to_undirected g in
-  let n = Digraph.n und in
+let label_propagation_csr (csr : Csr.t) =
+  let n = csr.Csr.n and row = csr.Csr.row and col = csr.Csr.col in
   let labels = Array.init n (fun i -> i) in
   let rng = Rca_rng.Splitmix.create lp_seed in
   let order = Array.init n (fun i -> i) in
@@ -387,14 +395,12 @@ let label_propagation g =
     Rca_rng.Prng.shuffle rng order;
     Array.iter
       (fun v ->
-        let neighbors = Digraph.succ und v in
-        if neighbors <> [] then begin
+        if row.(v + 1) > row.(v) then begin
           Hashtbl.reset counts;
-          List.iter
-            (fun w ->
-              let c = labels.(w) in
-              Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-            neighbors;
+          for i = row.(v) to row.(v + 1) - 1 do
+            let c = labels.(col.(i)) in
+            Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
+          done;
           let best_label, best_count =
             Hashtbl.fold
               (fun c k ((bc, bk) as acc) ->
@@ -409,45 +415,20 @@ let label_propagation g =
         end)
       order
   done;
-  (* Compact label ids. *)
-  let remap = Hashtbl.create 16 in
-  Array.iteri
-    (fun v c ->
-      let c' =
-        match Hashtbl.find_opt remap c with
-        | Some c' -> c'
-        | None ->
-            let c' = Hashtbl.length remap in
-            Hashtbl.replace remap c c';
-            c'
-      in
-      labels.(v) <- c')
-    labels;
-  partition_of_labels labels (Hashtbl.length remap)
+  let labels, k = compact labels in
+  partition_of_labels labels k
+
+let label_propagation g = label_propagation_csr (symmetric g)
 
 (* Communities of at least [min_size] nodes — Algorithm 5.4 step 5 omits
    communities smaller than 3 nodes. *)
 let significant_communities ?(min_size = 3) p =
   List.filter (fun c -> List.length c >= min_size) p.communities
 
-let compact labels =
-  let remap = Hashtbl.create 16 in
-  Array.map
-    (fun c ->
-      match Hashtbl.find_opt remap c with
-      | Some c' -> c'
-      | None ->
-          let c' = Hashtbl.length remap in
-          Hashtbl.replace remap c c';
-          c')
-    labels
-  |> fun l -> (l, Hashtbl.length remap)
+(* --- modularity-greedy agglomeration on a symmetric CSR ------------------- *)
 
-(* --- modularity-greedy agglomeration on the masked CSR -------------------- *)
-
-(* A deterministic Louvain/Leiden-style engine built for the masked
-   refinement pipeline: level 0 runs directly over a frozen CSR plus a
-   node-alive mask (no induced subgraph, no hashtables on the hot path),
+(* A deterministic Louvain/Leiden-style engine: level 0 runs directly
+   over the rows of a symmetric CSR (no hashtables on the hot path),
    coarser levels over small explicit weighted graphs, and a final
    Leiden-flavoured local-move sweep back at level 0 lets individual
    nodes correct memberships the coarse levels locked in.
@@ -573,81 +554,57 @@ let greedy_contract ~n ~iter_nbrs ~self ~labels ~k =
   done;
   { cn = k; cnbr; cwgt; cself }
 
-(* The masked-CSR entry: partition the subgraph induced on the alive
-   nodes of [csr] (with [rev] its transpose, e.g. a [Frozen.t]'s two
-   halves) and return the communities as lists of *parent* node ids,
-   largest first.  Level 0 reads neighbourhoods as the deduplicated
-   union of out- and in-arcs restricted to alive endpoints — exactly
-   the symmetrized weight-1 view every other partitioner here uses —
-   without materializing anything. *)
+(* Partition a symmetric CSR.  Level 0 reads each row directly: every
+   neighbour other than the node itself once with weight 1, a self-loop
+   as self weight.  All weights and degrees are integer-valued floats,
+   so their sums are exact in any order, and the explicit tie-breaking
+   above then makes the result independent of slot order within a
+   row. *)
 let greedy_max_levels = 12
 
-let modularity_greedy_masked (csr : Csr.t) (rev : Csr.t) ~alive =
-  let verts = Array.of_list (Csr.mask_to_list alive) in
-  let na = Array.length verts in
-  if na = 0 then []
+let modularity_greedy_csr (csr : Csr.t) =
+  let n = csr.Csr.n in
+  if n = 0 then partition_of_labels [||] 0
   else begin
     Rca_obs.Obs.span' "greedy.partition"
-      (fun comms ->
+      (fun p ->
         [
-          ("nodes", Rca_obs.Obs.Int na);
-          ("communities", Rca_obs.Obs.Int (List.length comms));
+          ("nodes", Rca_obs.Obs.Int n);
+          ("communities", Rca_obs.Obs.Int (community_count p));
         ])
     @@ fun () ->
-    let dense = Array.make csr.Csr.n (-1) in
-    Array.iteri (fun i v -> dense.(v) <- i) verts;
     let row = csr.Csr.row and col = csr.Csr.col in
-    let rrow = rev.Csr.row and rcol = rev.Csr.col in
-    let seen_stamp = Array.make na (-1) in
-    let seen_gen = ref 0 in
-    let iter_nbrs0 i f =
-      incr seen_gen;
-      let g = !seen_gen in
-      let u = verts.(i) in
-      let visit v =
-        if v <> u && Csr.mask_mem alive v then begin
-          let j = dense.(v) in
-          if seen_stamp.(j) <> g then begin
-            seen_stamp.(j) <- g;
-            f j 1.0
-          end
-        end
-      in
+    let iter_nbrs0 u f =
       for a = row.(u) to row.(u + 1) - 1 do
-        visit col.(a)
-      done;
-      for a = rrow.(u) to rrow.(u + 1) - 1 do
-        visit rcol.(a)
+        if col.(a) <> u then f col.(a) 1.0
       done
     in
-    let self0 = Array.make na 0.0 in
-    let deg0 = Array.make na 0.0 in
+    let self0 = Array.make n 0.0 in
+    let deg0 = Array.make n 0.0 in
     let half_edges = ref 0 in
-    for i = 0 to na - 1 do
-      let u = verts.(i) in
-      for a = row.(u) to row.(u + 1) - 1 do
-        if col.(a) = u then self0.(i) <- 1.0
-      done;
+    for u = 0 to n - 1 do
       let nbrs = ref 0 in
-      iter_nbrs0 i (fun _ _ -> incr nbrs);
-      deg0.(i) <- (2.0 *. self0.(i)) +. float_of_int !nbrs;
+      for a = row.(u) to row.(u + 1) - 1 do
+        if col.(a) = u then self0.(u) <- 1.0 else incr nbrs
+      done;
+      deg0.(u) <- (2.0 *. self0.(u)) +. float_of_int !nbrs;
       half_edges := !half_edges + !nbrs
     done;
     let total_w =
       Array.fold_left ( +. ) 0.0 self0 +. (float_of_int !half_edges /. 2.0)
     in
-    if total_w = 0.0 then List.map (fun v -> [ v ]) (Array.to_list verts)
+    if total_w = 0.0 then partition_of_labels (Array.init n Fun.id) n
     else begin
       let m2 = 2.0 *. total_w in
-      let flat = Array.init na (fun i -> i) in
-      let labels0 = Array.init na (fun i -> i) in
-      let moved0 = greedy_local_phase ~n:na ~iter_nbrs:iter_nbrs0 ~deg:deg0 ~m2 labels0 in
+      let flat = Array.init n (fun i -> i) in
+      let labels0 = Array.init n (fun i -> i) in
+      let moved0 = greedy_local_phase ~n ~iter_nbrs:iter_nbrs0 ~deg:deg0 ~m2 labels0 in
       let levels = ref 1 in
       if moved0 then begin
         let labels0, k0 = compact labels0 in
-        Array.blit labels0 0 flat 0 na;
+        Array.blit labels0 0 flat 0 n;
         let cg =
-          ref (greedy_contract ~n:na ~iter_nbrs:iter_nbrs0 ~self:self0 ~labels:labels0 ~k:k0)
+          ref (greedy_contract ~n ~iter_nbrs:iter_nbrs0 ~self:self0 ~labels:labels0 ~k:k0)
         in
         let continue_ = ref true in
         while !continue_ && !levels < greedy_max_levels do
@@ -668,7 +625,7 @@ let modularity_greedy_masked (csr : Csr.t) (rev : Csr.t) ~alive =
           if not moved then continue_ := false
           else begin
             let labels, k = compact labels in
-            for i = 0 to na - 1 do
+            for i = 0 to n - 1 do
               flat.(i) <- labels.(flat.(i))
             done;
             cg := greedy_contract ~n:g.cn ~iter_nbrs ~self:g.cself ~labels ~k
@@ -677,20 +634,11 @@ let modularity_greedy_masked (csr : Csr.t) (rev : Csr.t) ~alive =
       end;
       (* Leiden-flavoured refinement: one more level-0 local-move phase
          seeded with the coarse assignment (still monotone in Q) *)
-      ignore (greedy_local_phase ~n:na ~iter_nbrs:iter_nbrs0 ~deg:deg0 ~m2 flat);
+      ignore (greedy_local_phase ~n ~iter_nbrs:iter_nbrs0 ~deg:deg0 ~m2 flat);
       Rca_obs.Obs.incr ~by:!levels "greedy.levels";
       let flat, k = compact flat in
-      let p = partition_of_labels flat k in
-      List.map (List.map (fun i -> verts.(i))) p.communities
+      partition_of_labels flat k
     end
   end
 
-(* Digraph entry (tests, quality scoring, non-frozen callers): same
-   engine over a fresh CSR of the graph with every node alive. *)
-let modularity_greedy g =
-  let csr = Csr.of_digraph g in
-  let rev = Csr.transpose csr in
-  let comms = modularity_greedy_masked csr rev ~alive:(Csr.full_mask csr) in
-  let labels = Array.make (Digraph.n g) 0 in
-  List.iteri (fun c comm -> List.iter (fun v -> labels.(v) <- c) comm) comms;
-  partition_of_labels labels (List.length comms)
+let modularity_greedy g = modularity_greedy_csr (symmetric g)

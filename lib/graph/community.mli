@@ -29,9 +29,10 @@ type gn_step = {
   removed_edges : (int * int) list;
 }
 
-val girvan_newman_step :
-  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
-(** One Girvan–Newman iteration on a symmetrized copy: remove
+val girvan_newman_step_csr :
+  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Csr.t -> gn_step
+(** One Girvan–Newman iteration on a symmetric CSR (an undirected view,
+    e.g. {!Csr.undirected} or a subgraph cut from it): remove
     top-betweenness edges until the weak component count increases.
     [approx] estimates betweenness from that many evenly spaced BFS
     sources (deterministic); [max_removals] bounds the work; [pool]
@@ -47,31 +48,36 @@ val girvan_newman_step :
     removal (the test/oracle reference) — bitwise sequentially, within
     the {!Betweenness.beats} tie margin under a pool. *)
 
+val girvan_newman_step :
+  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
+(** {!girvan_newman_step_csr} on the symmetrized digraph. *)
+
 val girvan_newman :
   ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> target:int -> Digraph.t -> gn_step
 (** Iterate until at least [target] communities exist (or edges run
-    out), on the same incremental engine; [removed_edges] lists the cut
-    sequence in order. *)
+    out), on the same incremental engine over the symmetrized digraph;
+    [removed_edges] lists the cut sequence in order. *)
+
+val label_propagation_csr : Csr.t -> partition
+(** Asynchronous label propagation (Raghavan et al. 2007) on a symmetric
+    CSR: a fast alternative partitioner, deterministic (fixed seed). *)
 
 val label_propagation : Digraph.t -> partition
-(** Asynchronous label propagation (Raghavan et al. 2007): a fast
-    alternative partitioner, deterministic (fixed seed). *)
+(** {!label_propagation_csr} on the symmetrized digraph. *)
+
+val modularity_greedy_csr : Csr.t -> partition
+(** Deterministic modularity-greedy agglomeration on a symmetric CSR
+    (Louvain-style local moves + contraction, plus a final
+    Leiden-flavoured level-0 refinement sweep).  Its tie-breaking is
+    explicit — ascending node order, equal gains keep the smaller
+    community id — and its weights are integer-valued, so the result is
+    a pure function of the graph, independent of slot order, hashing or
+    pool size.  Modularity is monotone from the all-singleton start, so
+    the returned partition's [Q] is never below the trivial
+    partition's. *)
 
 val modularity_greedy : Digraph.t -> partition
-(** Deterministic modularity-greedy agglomeration (Louvain-style local
-    moves + contraction, plus a final Leiden-flavoured level-0 refinement
-    sweep).  Its tie-breaking is explicit — ascending node order, equal
-    gains keep the smaller community id — so the result is a pure
-    function of the graph, independent of hashing or pool size.
-    Modularity is monotone from the all-singleton start, so the returned
-    partition's [Q] is never below the trivial partition's. *)
-
-val modularity_greedy_masked : Csr.t -> Csr.t -> alive:Csr.mask -> int list list
-(** {!modularity_greedy} run directly on a frozen CSR and its transpose
-    restricted to the [alive] nodes — no induced subgraph is built.
-    Neighbourhoods are the deduplicated union of out- and in-arcs between
-    alive endpoints (the symmetrized weight-1 view).  Returns communities
-    as lists of parent node ids, largest first. *)
+(** {!modularity_greedy_csr} on the symmetrized digraph. *)
 
 val significant_communities : ?min_size:int -> partition -> int list list
 (** Communities of at least [min_size] (default 3) nodes — Algorithm 5.4

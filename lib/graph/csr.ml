@@ -16,80 +16,157 @@ type t = {
   rev : int array;
 }
 
-(* Reverse-arc ids via one (u, v) -> id table pass; a self-loop maps to
-   itself. *)
-let compute_rev ~m ~col ~src =
-  let ids = Hashtbl.create (max 16 (2 * m)) in
-  for i = 0 to m - 1 do
-    Hashtbl.replace ids (src.(i), col.(i)) i
-  done;
-  Array.init m (fun i ->
-      match Hashtbl.find_opt ids (col.(i), src.(i)) with
-      | Some j -> j
-      | None -> -1)
-
-let of_digraph g =
-  let n = Digraph.n g in
-  let m = Digraph.m g in
-  let row = Array.make (n + 1) 0 in
-  let col = Array.make m 0 in
-  let src = Array.make m 0 in
-  let cursor = ref 0 in
-  for u = 0 to n - 1 do
-    row.(u) <- !cursor;
-    List.iter
-      (fun v ->
-        col.(!cursor) <- v;
-        src.(!cursor) <- u;
-        incr cursor)
-      (Digraph.succ g u)
-  done;
-  row.(n) <- !cursor;
-  assert (!cursor = m);
-  { n; m; row; col; src; rev = compute_rev ~m ~col ~src }
-
-(* Rebuild a CSR from serialized row/col arrays (the snapshot loader's
-   path: no digraph walk, just src recomputation and the rev table).
-   Slot order inside each row is whatever the arrays say — for a
-   snapshot that is the original succ-list order, so the result is
-   bitwise identical to [of_digraph] on the original graph. *)
-let of_rows ~row ~col =
-  let n = Array.length row - 1 in
-  if n < 0 then invalid_arg "Csr.of_rows: row array must have length >= 1";
+(* Arc ids grouped by target with a counting sort: the arcs into [v] are
+   [ids.(start.(v)) .. ids.(start.(v + 1) - 1)], ascending. *)
+let by_target ~n ~col =
   let m = Array.length col in
-  if row.(0) <> 0 || row.(n) <> m then invalid_arg "Csr.of_rows: row bounds mismatch";
-  let src = Array.make m 0 in
-  for u = 0 to n - 1 do
-    if row.(u + 1) < row.(u) then invalid_arg "Csr.of_rows: row array not monotone";
-    for i = row.(u) to row.(u + 1) - 1 do
-      if col.(i) < 0 || col.(i) >= n then invalid_arg "Csr.of_rows: col out of range";
-      src.(i) <- u
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    start.(col.(i) + 1) <- start.(col.(i) + 1) + 1
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let ids = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let v = col.(i) in
+    ids.(start.(v)) <- i;
+    start.(v) <- start.(v) + 1
+  done;
+  (* filling advanced each bucket's start to its end: shift them back *)
+  Array.blit start 0 start 1 n;
+  start.(0) <- 0;
+  (start, ids)
+
+(* Reverse-arc ids without a lookup table: walk the rows in order,
+   stamping each target of row [v] with its slot in [last]; an arc
+   (u, v) has its reverse exactly when [last.(u)] points into row [v]
+   (earlier rows only ever stamp slots below [row.(v)]).  A self-loop
+   maps to itself. *)
+let compute_rev ~n ~row ~col ~src =
+  let start, ids = by_target ~n ~col in
+  let last = Array.make n (-1) in
+  let rev = Array.make (Array.length col) (-1) in
+  for v = 0 to n - 1 do
+    for j = row.(v) to row.(v + 1) - 1 do
+      last.(col.(j)) <- j
+    done;
+    for k = start.(v) to start.(v + 1) - 1 do
+      let i = ids.(k) in
+      let j = last.(src.(i)) in
+      if j >= row.(v) then rev.(i) <- j
     done
   done;
-  { n; m; row = Array.copy row; col = Array.copy col; src; rev = compute_rev ~m ~col ~src }
+  rev
 
-let transpose t =
-  let n = t.n and m = t.m in
-  let row = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    row.(t.col.(i) + 1) <- row.(t.col.(i) + 1) + 1
-  done;
-  for v = 0 to n - 1 do
-    row.(v + 1) <- row.(v + 1) + row.(v)
-  done;
-  let cursor = Array.init n (fun v -> row.(v)) in
-  let col = Array.make m 0 in
+(* Complete a CSR from its row offsets and columns. *)
+let of_row_col ~n ~row ~col =
+  let m = Array.length col in
   let src = Array.make m 0 in
-  (* walking arcs in id order (ascending source) fills each transposed
-     row in ascending-source order *)
-  for i = 0 to m - 1 do
-    let v = t.col.(i) in
-    let slot = cursor.(v) in
-    cursor.(v) <- slot + 1;
-    col.(slot) <- t.src.(i);
-    src.(slot) <- v
+  for u = 0 to n - 1 do
+    Array.fill src row.(u) (row.(u + 1) - row.(u)) u
   done;
-  { n; m; row; col; src; rev = compute_rev ~m ~col ~src }
+  { n; m; row; col; src; rev = compute_rev ~n ~row ~col ~src }
+
+(* A CSR from a function presenting each row's columns in slot order:
+   one pass sizes the rows, a second fills them. *)
+let of_row_iter n iter_row =
+  let row = Array.make (n + 1) 0 in
+  for x = 0 to n - 1 do
+    let d = ref 0 in
+    iter_row x (fun _ -> incr d);
+    row.(x + 1) <- row.(x) + !d
+  done;
+  let col = Array.make row.(n) 0 in
+  let cursor = ref 0 in
+  for x = 0 to n - 1 do
+    iter_row x (fun v ->
+        col.(!cursor) <- v;
+        incr cursor)
+  done;
+  of_row_col ~n ~row ~col
+
+let of_digraph g = of_row_iter (Digraph.n g) (fun u f -> List.iter f (Digraph.succ g u))
+
+(* Arc ids ascend within each target, so every transposed row lists its
+   sources ascending. *)
+let transpose t =
+  let row, ids = by_target ~n:t.n ~col:t.col in
+  of_row_col ~n:t.n ~row ~col:(Array.map (fun i -> t.src.(i)) ids)
+
+(* Rows in the order the interface states, which is how symmetrizing an
+   induced subgraph of ascending nodes lays them out: that subgraph's
+   succ lists are the parent rows reversed (add_edge prepends), and
+   symmetrizing prepends again.  The transpose's rows list in-neighbours
+   ascending, and its reverse arcs tell which are also out-neighbours. *)
+let undirected t ~rev =
+  let iter_row x f =
+    for j = rev.row.(x + 1) - 1 downto rev.row.(x) do
+      let u = rev.col.(j) in
+      if u > x && rev.rev.(j) < 0 then f u
+    done;
+    for j = t.row.(x) to t.row.(x + 1) - 1 do
+      let w = t.col.(j) in
+      if w >= x || t.rev.(j) < 0 then f w
+    done;
+    for j = rev.row.(x + 1) - 1 downto rev.row.(x) do
+      let u = rev.col.(j) in
+      if u < x then f u
+    done
+  in
+  of_row_iter t.n iter_row
+
+(* Index lookup in the strictly ascending [verts] ([v]'s index, or -1)
+   through at most [k] buckets of 2^shift consecutive ids: [first.(b)] is
+   the first index in bucket [b] or later, and a lookup scans one bucket.
+   Sized by the cut, and O(1) per lookup on average where a binary
+   search over [verts] is O(log k). *)
+let local_ids verts =
+  let k = Array.length verts in
+  if k = 0 then fun _ -> -1
+  else begin
+    let lo = verts.(0) and hi = verts.(k - 1) in
+    let shift = ref 0 in
+    while (hi - lo) lsr !shift >= k do
+      incr shift
+    done;
+    let shift = !shift in
+    let first = Array.make (((hi - lo) lsr shift) + 2) k in
+    for i = k - 1 downto 0 do
+      first.((verts.(i) - lo) lsr shift) <- i
+    done;
+    for b = Array.length first - 2 downto 0 do
+      first.(b) <- Int.min first.(b) first.(b + 1)
+    done;
+    fun v ->
+      if v < lo || v > hi then -1
+      else begin
+        let i = ref first.((v - lo) lsr shift) in
+        while verts.(!i) < v do
+          incr i
+        done;
+        if verts.(!i) = v then !i else -1
+      end
+  end
+
+(* Both passes over the kept rows look every column up in the bucket
+   index: nothing is allocated at the parent's size, so cutting many
+   small subgraphs from a large snapshot stays cheap. *)
+let induced t verts =
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= t.n || (i > 0 && verts.(i - 1) >= v) then
+        invalid_arg "Csr.induced: nodes must be strictly ascending and in range")
+    verts;
+  let local_id = local_ids verts in
+  let iter_row i f =
+    let u = verts.(i) in
+    for j = t.row.(u) to t.row.(u + 1) - 1 do
+      let l = local_id t.col.(j) in
+      if l >= 0 then f l
+    done
+  in
+  of_row_iter (Array.length verts) iter_row
 
 (* --- node-alive masks ------------------------------------------------------
 
@@ -113,13 +190,6 @@ let mask_of_list t nodes =
   m
 
 let mask_mem m v = Bytes.unsafe_get m v <> '\000'
-
-let mask_to_list m =
-  let acc = ref [] in
-  for v = Bytes.length m - 1 downto 0 do
-    if Bytes.unsafe_get m v <> '\000' then acc := v :: !acc
-  done;
-  !acc
 
 (* Arcs with both endpoints alive — the induced subgraph's edge count,
    without building it.  O(sum of alive out-degrees). *)

@@ -13,7 +13,13 @@
     order [Digraph.succ g u] lists them, so any kernel that walks CSR
     rows visits neighbours in precisely the order the adjacency-list
     kernels do — float accumulation sequences, and therefore results,
-    are bitwise identical between the two representations. *)
+    are bitwise identical between the two representations.
+
+    Subgraphs are cut, not rebuilt: {!induced} takes the subgraph on a
+    node array from any CSR (a snapshot, its {!transpose} or its
+    {!undirected} closure) as a plain CSR of its own, so the community
+    and centrality kernels take one input type whether they run on a
+    whole graph or on one refinement step's subgraph. *)
 
 type t = private {
   n : int;  (** node count *)
@@ -29,18 +35,30 @@ val of_digraph : Digraph.t -> t
 (** Snapshot of the whole graph; arc [i] is the [i]-th edge of
     [Digraph.iter_edges]. *)
 
-val of_rows : row:int array -> col:int array -> t
-(** Rebuild a CSR from its row/col arrays (the snapshot loader's path):
-    [src] and [rev] are recomputed, slot order is taken verbatim, so a
-    round trip through the arrays is bitwise identical to the original.
-    Raises [Invalid_argument] on inconsistent bounds or out-of-range
-    columns. *)
-
 val transpose : t -> t
 (** Arc-reversed view: row [v] lists the sources of arcs into [v], in
     ascending-source order (= global iteration order), which is exactly
     the accumulation order of a sequential edge scatter — the gather
     over a transposed row is bitwise identical to it. *)
+
+val undirected : t -> rev:t -> t
+(** Symmetric closure of [t], given its transpose [rev].  Rows come in
+    the slot order {!Digraph.to_undirected} gives the
+    {!Digraph.induced_subgraph} of an ascending node list: for node [x],
+    the in-neighbours above [x] that are not out-neighbours (descending),
+    then the out-neighbours in row order less the in-neighbours below
+    [x], then the in-neighbours below [x] (descending).  Restricting a
+    row to a node set keeps this order, so [induced (undirected t ~rev)
+    verts] equals [of_digraph (Digraph.to_undirected sub)] field for
+    field, where [sub] is the induced subgraph on [verts]. *)
+
+val induced : t -> int array -> t
+(** [induced t verts] is the subgraph on the strictly ascending node
+    array [verts]: node [i] stands for [verts.(i)], and each row keeps
+    the parent's slot order.  Allocates only arrays sized by the
+    subgraph.  Raises [Invalid_argument] unless [verts] is strictly
+    ascending and in range.  On a transpose, [induced rev verts] equals
+    [transpose (of_digraph sub)] field for field. *)
 
 (** {1 Node-alive masks}
 
@@ -58,9 +76,6 @@ val mask_of_list : t -> int list -> mask
     ids. *)
 
 val mask_mem : mask -> int -> bool
-
-val mask_to_list : mask -> int list
-(** Alive nodes, ascending. *)
 
 val alive_arcs : t -> mask -> int
 (** Number of arcs with both endpoints alive — the induced subgraph's

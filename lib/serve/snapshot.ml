@@ -1,14 +1,14 @@
 (* Versioned, checksummed binary snapshots of a compiled model: the
-   metagraph (with its exact adjacency-list orders), the frozen CSR's
-   source material, and the experiment context a query server needs
-   (bug nodes, default targets, module restriction).
+   metagraph (with its exact adjacency-list orders) and the experiment
+   context a query server needs (bug nodes, default targets, module
+   restriction).
 
    Byte-identity is the whole point.  The pipeline's determinism
    contract ties results to succ- AND pred-list order (the builder
    prepends, the CSR walks succ lists in place), so both orders are
    serialized verbatim and the loader reconstructs the digraph with
-   [Digraph.of_adjacency], the CSR with [Csr.of_rows] over the
-   concatenated succ rows, and [by_canonical] with the same ascending
+   [Digraph.of_adjacency], freezes that digraph exactly as a fresh build
+   does, and rebuilds [by_canonical] with the same ascending
    [Array.iteri]/prepend loop [Metagraph.build] uses.  A pipeline run
    on a loaded snapshot is bitwise identical to one on the freshly
    built model.
@@ -199,27 +199,7 @@ let read_full ~version data =
     try G.Digraph.of_adjacency ~n ~succ ~pred
     with Invalid_argument msg -> raise (B.Corrupt msg)
   in
-  (* frozen CSR straight from the succ rows: row offsets from the list
-     lengths, columns by in-order concatenation — exactly the walk
-     [Csr.of_digraph] performs, so the arrays are bitwise equal *)
-  let row = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row.(u + 1) <- row.(u) + List.length succ.(u)
-  done;
-  let col = Array.make row.(n) 0 in
-  let cursor = ref 0 in
-  Array.iter
-    (fun vs ->
-      List.iter
-        (fun v ->
-          col.(!cursor) <- v;
-          incr cursor)
-        vs)
-    succ;
-  let csr =
-    try G.Csr.of_rows ~row ~col with Invalid_argument msg -> raise (B.Corrupt msg)
-  in
-  let frozen = Rca_core.Frozen.of_csr csr in
+  let frozen = Rca_core.Frozen.freeze graph in
   let by_key = Hashtbl.create (max 16 (2 * List.length by_key_pairs)) in
   List.iter (fun (k, id) -> Hashtbl.replace by_key k id) by_key_pairs;
   let by_canonical = Hashtbl.create 1024 in

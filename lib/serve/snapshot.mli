@@ -3,11 +3,11 @@
 
     A snapshot freezes everything a query server needs — the metagraph
     with its exact adjacency-list orders (the determinism contract ties
-    results to succ- {e and} pred-list order), the CSR source rows, the
-    lookup tables, and the experiment context (injected bug nodes,
-    default affected outputs, module restriction).  A pipeline run on a
-    loaded snapshot is bitwise identical to one on the freshly built
-    model.
+    results to succ- {e and} pred-list order), the lookup tables, and
+    the experiment context (injected bug nodes, default affected
+    outputs, module restriction).  The loader freezes the loaded graph
+    with {!Rca_core.Frozen.freeze}, so a pipeline run on a loaded
+    snapshot is bitwise identical to one on the freshly built model.
 
     The on-disk format is a fixed header (8-byte magic ["RCASNAP\n"],
     version, payload length, FNV-1a 64 checksum) followed by a flat
@@ -26,8 +26,8 @@ type t = {
   experiment : string;  (** [""] when compiled without an experiment *)
   mg : Rca_metagraph.Metagraph.t;
   frozen : Rca_core.Frozen.t;
-      (** the shared immutable CSR + transpose every masked-engine query
-          reuses *)
+      (** the shared immutable CSR, transpose and symmetric closure
+          every masked-engine query reuses *)
   keep_modules : string list option;
       (** compile-time module restriction; [None] keeps every module *)
   bug_nodes : int list;

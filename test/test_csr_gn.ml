@@ -122,7 +122,50 @@ let csr_rev_and_arc_id () =
       else check_int "no reverse arc" (-1) r)
     csr;
   check_int "absent arc" (-1) (Csr.arc_id csr 0 3);
-  check_int "absent arc (isolated)" (-1) (Csr.arc_id csr 4 0)
+  check_int "absent arc (isolated)" (-1) (Csr.arc_id csr 4 0);
+  (* brute force over random digraphs with one-way arcs, reciprocal
+     pairs and self-loops: every arc's [rev] is the one arc running the
+     other way (itself for a self-loop), or -1 — for a snapshot, its
+     transpose and its symmetric closure alike *)
+  let check_rev name (c : Csr.t) =
+    Csr.iter_arcs
+      (fun i u v ->
+        let reverse = ref (-1) in
+        Csr.iter_arcs (fun j u' v' -> if u' = v && v' = u then reverse := j) c;
+        check_int name !reverse c.Csr.rev.(i))
+      c
+  in
+  for seed = 0 to 399 do
+    let st = Random.State.make [| seed |] in
+    let n = 1 + Random.State.int st 40 in
+    let g = Gen.gnm ~seed ~n ~m:(Random.State.int st (n * n / 3 + 1)) in
+    for _ = 1 to Random.State.int st 4 do
+      let v = Random.State.int st n in
+      Digraph.add_edge g v v
+    done;
+    let csr = Csr.of_digraph g in
+    let rev = Csr.transpose csr in
+    check_rev "of_digraph rev" csr;
+    check_rev "transpose rev" rev;
+    check_rev "undirected rev" (Csr.undirected csr ~rev)
+  done
+
+(* [induced] takes strictly ascending in-range ids only; the empty cut
+   and the whole-graph cut are the edge cases of the same rule. *)
+let csr_induced_rejects_bad_nodes () =
+  let csr = Csr.of_digraph (fixture_graph ()) in
+  let rejects name verts =
+    check_bool name true
+      (match Csr.induced csr verts with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "unsorted" [| 2; 1 |];
+  rejects "repeated" [| 1; 1; 3 |];
+  rejects "negative" [| -1; 0 |];
+  rejects "past the end" [| 0; 6 |];
+  check_int "empty cut" 0 (Csr.induced csr [||]).Csr.n;
+  check_bool "whole-graph cut" true (Csr.induced csr (Array.init 6 Fun.id) = csr)
 
 let csr_transpose_reverses_arcs () =
   let g = fixture_graph () in
@@ -499,6 +542,27 @@ let prop_masked_components =
       && Components.weakly_connected_components_csr csr ~rev ~alive:(Csr.full_mask csr)
          = Components.weakly_connected_components g)
 
+(* Cutting a subgraph from the closure or the transpose must give, field
+   for field, the CSR that rebuilding the induced digraph and then
+   symmetrizing (or transposing) it gives: refinement's step-5/6 kernels
+   read the cuts, and bitwise-identical results rest on this. *)
+let prop_induced_cuts =
+  QCheck2.Test.make ~name:"induced cut of closure / transpose = rebuilt subgraph CSR"
+    ~count:80 masked_gen (fun (g, seed) ->
+      (* densities from every node down to one in eight, so the cut's
+         lookup sees dense runs, wide gaps and single nodes *)
+      let st = Random.State.make [| seed |] in
+      let one_in = 1 + Random.State.int st 8 in
+      let alive_nodes =
+        List.filter (fun _ -> Random.State.int st one_in = 0) (List.init (Digraph.n g) Fun.id)
+      in
+      let verts = Array.of_list alive_nodes in
+      let csr = Csr.of_digraph g in
+      let rev = Csr.transpose csr in
+      let sub = (Digraph.induced_subgraph g alive_nodes).Digraph.graph in
+      Csr.induced (Csr.undirected csr ~rev) verts = Csr.of_digraph (Digraph.to_undirected sub)
+      && Csr.induced rev verts = Csr.transpose (Csr.of_digraph sub))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -513,6 +577,7 @@ let qcheck_cases =
       prop_masked_bfs_dist;
       prop_masked_ancestors;
       prop_masked_components;
+      prop_induced_cuts;
     ]
 
 let () =
@@ -523,6 +588,7 @@ let () =
           Alcotest.test_case "mirrors digraph" `Quick csr_mirrors_digraph;
           Alcotest.test_case "rev + arc_id" `Quick csr_rev_and_arc_id;
           Alcotest.test_case "transpose" `Quick csr_transpose_reverses_arcs;
+          Alcotest.test_case "induced rejects bad nodes" `Quick csr_induced_rejects_bad_nodes;
           Alcotest.test_case "alive mask = edge removal" `Quick alive_mask_equals_removal;
         ] );
       ( "argmax",

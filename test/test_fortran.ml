@@ -346,6 +346,21 @@ let tolerant_mode_keeps_unparsed () =
       | _ -> Alcotest.fail "expected unparsed in middle")
   | _ -> Alcotest.fail "one module"
 
+(* A line the lexer rejects outside any statement — a derived-type
+   component, an interface body — is a [Parse_error] at its own line,
+   even in tolerant mode, not a lexer exception. *)
+let lex_errors_are_parse_errors () =
+  List.iter
+    (fun (name, src) ->
+      match Parser.parse_file ~file:"m.F90" src with
+      | exception Parser.Parse_error (_, line) -> check_int name 3 line
+      | _ -> Alcotest.failf "%s: expected Parse_error" name)
+    [
+      ("derived-type component", "module m\ntype t\nreal :: a @\nend type t\nend module m");
+      ( "interface body",
+        "module m\ninterface f\nmodule procedure a @\nend interface\nend module m" );
+    ]
+
 let line_numbers_recorded () =
   match Parser.parse_file ~strict:true ~file:"m.F90" sample_module with
   | [ m ] ->
@@ -648,6 +663,7 @@ let () =
           Alcotest.test_case "two modules" `Quick multiple_modules_one_file;
           Alcotest.test_case "tolerant keeps unparsed" `Quick tolerant_mode_keeps_unparsed;
           Alcotest.test_case "line numbers" `Quick line_numbers_recorded;
+          Alcotest.test_case "lexer errors are parse errors" `Quick lex_errors_are_parse_errors;
         ] );
       ( "pretty",
         [

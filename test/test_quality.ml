@@ -112,9 +112,6 @@ let alive_subset g seed =
   let st = Random.State.make [| seed |] in
   List.filter (fun _ -> Random.State.bool st) (List.init (Digraph.n g) Fun.id)
 
-let normalize comms =
-  List.map (List.sort compare) comms |> List.sort compare
-
 (* --- greedy: validity, determinism, floor ---------------------------------------- *)
 
 let prop_greedy_valid_partition =
@@ -158,20 +155,17 @@ let prop_greedy_modularity_floor =
 let prop_greedy_masked_equals_induced =
   QCheck2.Test.make ~name:"masked greedy = greedy on the induced subgraph" ~count:40
     masked_gen (fun (g, seed) ->
-      let alive_nodes = alive_subset g seed in
+      let verts = Array.of_list (alive_subset g seed) in
       let csr = Csr.of_digraph g in
-      let rev = Csr.transpose csr in
-      let alive = Csr.mask_of_list csr alive_nodes in
-      let masked = Community.modularity_greedy_masked csr rev ~alive in
-      let sub = Digraph.induced_subgraph g alive_nodes in
-      let reference =
-        (Community.modularity_greedy sub.Digraph.graph).Community.communities
-        |> List.map (List.map (Digraph.sub_to_parent sub))
-      in
-      normalize masked = normalize reference
-      (* and the full mask reproduces the digraph entry point *)
-      && normalize (Community.modularity_greedy_masked csr rev ~alive:(Csr.full_mask csr))
-         = normalize (Community.modularity_greedy g).Community.communities)
+      let und = Csr.undirected csr ~rev:(Csr.transpose csr) in
+      let cut = Community.modularity_greedy_csr (Csr.induced und verts) in
+      let sub = Digraph.induced_subgraph g (Array.to_list verts) in
+      let reference = Community.modularity_greedy sub.Digraph.graph in
+      List.map (List.map (fun i -> verts.(i))) cut.Community.communities
+      = List.map (List.map (Digraph.sub_to_parent sub)) reference.Community.communities
+      (* the whole closure partitions exactly like the digraph entry,
+         whose symmetric CSR lists each row in another slot order *)
+      && Community.modularity_greedy_csr und = Community.modularity_greedy g)
 
 (* --- pool sizing ------------------------------------------------------------------ *)
 

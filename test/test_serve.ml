@@ -233,7 +233,8 @@ let snapshot_structural_roundtrip () =
   check_bool "transpose row" true
     (fa.Rca_core.Frozen.rev.G.Csr.row = fb.Rca_core.Frozen.rev.G.Csr.row);
   check_bool "transpose col" true
-    (fa.Rca_core.Frozen.rev.G.Csr.col = fb.Rca_core.Frozen.rev.G.Csr.col)
+    (fa.Rca_core.Frozen.rev.G.Csr.col = fb.Rca_core.Frozen.rev.G.Csr.col);
+  check_bool "symmetric closure" true (fa.Rca_core.Frozen.und = fb.Rca_core.Frozen.und)
 
 let strip t =
   ( t.Rca_core.Pipeline.slice.Rca_core.Slice.nodes,
