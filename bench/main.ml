@@ -213,7 +213,12 @@ let run_micro_par () =
           (G.Digraph.n g) (G.Digraph.m g)
           (Domain.recommended_domain_count ());
         let csr = G.Csr.of_digraph g in
-        let edge_bc ?pool () = (G.Betweenness.csr_compute ?pool csr).G.Betweenness.csr_edge_bc in
+        let edge_bc ?pool () =
+          let edge_bc = Array.make csr.G.Csr.m 0.0 in
+          G.Betweenness.accumulate ?pool ~alive:(Bytes.make csr.G.Csr.m '\001') csr
+            (G.Betweenness.make_scratch csr) (Array.init csr.G.Csr.n Fun.id) ~edge_bc;
+          edge_bc
+        in
         let seq, t_seq = timeit edge_bc in
         Printf.printf "  edge betweenness, %-12s %8.3f s   speedup 1.00x\n%!" "1 domain" t_seq;
         let arrays_agree a b =
@@ -412,7 +417,7 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
                 (Rca_obs.Obs.span_total_ms name))
           [
             "pipeline.run"; "slice.of_internals"; "refine.run"; "refine.iteration";
-            "refine.detect"; "gn.step"; "gn.recompute"; "brandes.csr_sources";
+            "refine.detect"; "gn.step"; "gn.recompute"; "brandes.accumulate";
             "centrality.eigenvector"; "pool.run_chunks";
           ];
         write_trace trace;

@@ -607,12 +607,21 @@ let serve_cmd =
       & info [ "cache" ] ~docv:"N" ~doc:"LRU capacity for cached query answers.")
   in
   let workers_arg =
+    let at_least_one =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (`Msg (Printf.sprintf "invalid worker count %S (at least 1)" s))),
+          Format.pp_print_int )
+    in
     Arg.(
-      value & opt int 1
+      value
+      & opt at_least_one 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Compute worker domains feeding the reactor's work queue; 0 computes every \
-             query inline (a slow query then blocks other clients).")
+            "Compute worker domains (at least 1) draining the reactor's work queue, so a \
+             slow query never blocks other clients.")
   in
   let queue_arg =
     Arg.(

@@ -21,7 +21,7 @@ type t = {
    that one snapshot.  The materializing list path (pruned metagraph
    copy, induced-subgraph rebuilds) is the test/oracle reference. *)
 let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations ?stop_size
-    ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool ?(static_dead = []) ?frozen
+    ?gn_approx ?partitioner ?choose_when_stuck ?(domains = 1) ?pool ?(static_dead = []) ?frozen
     (mg : MG.t) ~outputs ~detect : t =
   Rca_obs.Obs.span' "pipeline.run"
     (fun t ->
@@ -74,10 +74,21 @@ let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations
       dead
   in
   let slice = Slice.of_outputs ?keep_module ~min_cluster ~frozen ~exclude mg outputs in
-  let result =
+  let refine pool =
     Refine.refine ?m_sample ?min_community ?max_iterations ?stop_size ?gn_approx
-      ?partitioner ?choose_when_stuck ?domains ?pool ~frozen mg ~initial:slice.Slice.nodes
-      ~detect
+      ?partitioner ?choose_when_stuck ?pool ~frozen mg ~initial:slice.Slice.nodes ~detect
+  in
+  (* One pool for the whole refinement: spawned once, reused by every
+     Girvan–Newman betweenness recomputation and centrality sweep — or
+     shared across many runs when the caller passes [?pool] (the
+     campaign runner does, one pool for the whole fault corpus).  A
+     [domains] request is clamped to the machine's usable parallelism. *)
+  let result =
+    match pool with
+    | Some _ -> refine pool
+    | None ->
+        let k = G.Pool.recommended_size ~requested:domains in
+        if k > 1 then G.Pool.with_pool k (fun p -> refine (Some p)) else refine None
   in
   { slice; result }
 

@@ -185,16 +185,13 @@ let outcome_string = function
   | Emptied -> "emptied"
 
 let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_size = 30)
-    ?gn_approx ?partitioner ?measure ?choose_when_stuck ?(domains = 1) ?pool ?frozen
+    ?gn_approx ?partitioner ?measure ?choose_when_stuck ?pool ?frozen
     (mg : MG.t) ~initial ~(detect : Detector.t) : result =
-  (* One pool for the whole refinement: spawned once, reused by every
-     Girvan–Newman betweenness recomputation and centrality sweep — or
-     shared across many refinements when the caller passes [?pool] (the
-     campaign runner does, one pool for the whole fault corpus).  A
-     [domains] request is clamped to the machine's usable parallelism;
-     an effective size of 1 keeps the sequential code paths
-     byte-for-byte. *)
-  let run_with pool =
+  (* The caller's pool, reused by every Girvan–Newman betweenness
+     recomputation and centrality sweep; a size-1 pool keeps the
+     sequential code paths byte-for-byte. *)
+  let pool = match pool with Some p when G.Pool.size p > 1 -> Some p | _ -> None in
+  let run () =
   (* One frozen snapshot for the whole refinement (reused from the
      caller's when given): every 8a/8b ancestor sweep is a masked reverse
      BFS on it, and the community/centrality kernels run on subgraphs
@@ -316,15 +313,9 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
   Rca_obs.Obs.span' "refine.run"
     (fun r ->
       [
-        ("domains", Rca_obs.Obs.Int domains);
+        ("domains", Rca_obs.Obs.Int (match pool with Some p -> G.Pool.size p | None -> 1));
         ("iterations", Rca_obs.Obs.Int (List.length r.iterations));
         ("final_nodes", Rca_obs.Obs.Int (List.length r.final_nodes));
         ("outcome", Rca_obs.Obs.Str (outcome_string r.outcome));
       ])
-  @@ fun () ->
-  match pool with
-  | Some p -> run_with (if G.Pool.size p > 1 then Some p else None)
-  | None ->
-      let k = G.Pool.recommended_size ~requested:domains in
-      if k > 1 then G.Pool.with_pool k (fun p -> run_with (Some p))
-      else run_with None
+  @@ run

@@ -110,7 +110,6 @@ val refine :
   ?partitioner:partitioner ->
   ?measure:centrality_measure ->
   ?choose_when_stuck:(int list -> int list -> int option) ->
-  ?domains:int ->
   ?pool:Rca_graph.Pool.t ->
   ?frozen:Frozen.t ->
   MG.t ->
@@ -121,14 +120,11 @@ val refine :
     sample (7), shrink by 8a (nothing detected: drop the sampled nodes'
     ancestor closure) or 8b (keep the detected nodes' ancestors), repeat
     (9); a [max_iterations] of zero or less stops before the first
-    split.  [domains] (default 1) sizes a domain pool — spawned once for
-    the whole refinement, clamped via {!Rca_graph.Pool.recommended_size}
-    to the machine's usable parallelism — that parallelizes the
-    community-detection and centrality hot paths; an effective size of 1
-    keeps the sequential code paths byte-for-byte and any value produces
-    the same final node set.  [pool] supplies an existing pool instead
-    (overrides [domains]; not shut down here) so many refinements can
-    share one set of worker domains.  [frozen] reuses the caller's
+    split.  [pool] (not shut down here) parallelizes the
+    community-detection and centrality hot paths, so many refinements
+    can share one set of worker domains; a pool of size 1, like none,
+    keeps the sequential code paths byte-for-byte, and every pool size
+    produces the same final node set.  [frozen] reuses the caller's
     snapshot (one per {!Pipeline.run}) instead of freezing again. *)
 
 val outcome_string : outcome -> string

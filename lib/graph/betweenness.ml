@@ -1,23 +1,21 @@
-(* Brandes' algorithm (2001) for betweenness centrality on unweighted
-   graphs, in both node and edge flavours.  Edge betweenness is the engine
-   of Girvan–Newman community detection (paper Section 5.2).
+(* Brandes' algorithm (2001) for edge betweenness on unweighted graphs:
+   the engine of Girvan–Newman community detection (paper Section 5.2).
 
    The kernel runs over a frozen {!Csr.t}: BFS and dependency
    accumulation with a plain [float array] edge accumulator indexed by
-   dense arc id, per-call scratch reused across sources (reset in
-   O(visited), so a source confined to a small component costs
-   O(n_c + m_c), not O(n)), and an optional arc-alive bitmask so
-   Girvan–Newman can "remove" edges without touching the snapshot.  CSR
-   rows list neighbours in exactly adjacency-list order, so the kernel
-   is bitwise identical to the historical adjacency-list + hashtable
-   implementation, which lives on in test/oracle as the differential
-   reference.
+   dense arc id, scratch reused across sources (reset in O(visited), so
+   a source confined to a small component costs O(n_c + m_c), not O(n)),
+   and an arc-alive bitmask so Girvan–Newman can "remove" edges without
+   touching the snapshot.  CSR rows list neighbours in exactly
+   adjacency-list order, so the kernel is bitwise identical to the
+   historical adjacency-list + hashtable implementation, which lives on
+   in test/oracle as the differential reference.
 
    Brandes is embarrassingly parallel over BFS sources: every source's
    contribution is independent, so with a Pool.t the source set is split
    into fixed-size chunks, each chunk accumulates into its own private
-   arrays, and the per-chunk partials are merged by a deterministic
-   tree reduction in chunk order.  The chunk structure depends only on the
+   array, and the per-chunk partials are merged by a deterministic tree
+   reduction in chunk order.  The chunk structure depends only on the
    source count — never on the pool size — so every pool size >= 2
    produces bitwise-identical results; a sequential run (no pool, or pool
    size 1) sums per source instead of per chunk and can differ from the
@@ -28,20 +26,10 @@
    sizes). *)
 let chunk_sources = 16
 
-(* --- CSR kernel ----------------------------------------------------------- *)
-
-type csr_acc = {
-  csr_node_bc : float array;  (* indexed by node id *)
-  csr_edge_bc : float array;  (* indexed by dense arc id *)
-}
-
-let create_csr_acc (csr : Csr.t) =
-  { csr_node_bc = Array.make csr.Csr.n 0.0; csr_edge_bc = Array.make csr.Csr.m 0.0 }
-
-(* Per-domain scratch, reused across the sources of one chunk and reset
-   in O(visited) after each source: a BFS confined to a small component
-   touches only that component's entries. *)
-type csr_scratch = {
+(* BFS scratch, reused across sources and reset in O(visited) after each
+   one: a BFS confined to a small component touches only that
+   component's entries. *)
+type scratch = {
   dist : int array;
   sigma : float array;
   delta : float array;
@@ -49,7 +37,7 @@ type csr_scratch = {
   queue : int Queue.t;
 }
 
-let make_csr_scratch (csr : Csr.t) =
+let make_scratch (csr : Csr.t) =
   {
     dist = Array.make csr.Csr.n (-1);
     sigma = Array.make csr.Csr.n 0.0;
@@ -61,15 +49,10 @@ let make_csr_scratch (csr : Csr.t) =
 (* One source over CSR.  Neighbour order equals adjacency-list order, so
    the float accumulation sequence — and hence every score — is bitwise
    identical to a hashtable Brandes on the corresponding digraph.  [alive]
-   masks arcs out (Girvan–Newman removals); omitted means all arcs. *)
-let csr_accumulate_from (csr : Csr.t) ?alive scratch ~node_bc ~edge_bc s =
+   masks arcs out (Girvan–Newman removals). *)
+let accumulate_from (csr : Csr.t) ~alive scratch ~edge_bc s =
   let { dist; sigma; delta; preds; queue = q } = scratch in
   let row = csr.Csr.row and col = csr.Csr.col and src = csr.Csr.src in
-  let arc_alive =
-    match alive with
-    | None -> fun _ -> true
-    | Some mask -> fun i -> Bytes.unsafe_get mask i <> '\000'
-  in
   let order = ref [] in
   dist.(s) <- 0;
   sigma.(s) <- 1.0;
@@ -78,7 +61,7 @@ let csr_accumulate_from (csr : Csr.t) ?alive scratch ~node_bc ~edge_bc s =
     let u = Queue.pop q in
     order := u :: !order;
     for i = row.(u) to row.(u + 1) - 1 do
-      if arc_alive i then begin
+      if Bytes.unsafe_get alive i <> '\000' then begin
         let v = col.(i) in
         if dist.(v) = -1 then begin
           dist.(v) <- dist.(u) + 1;
@@ -99,8 +82,7 @@ let csr_accumulate_from (csr : Csr.t) ?alive scratch ~node_bc ~edge_bc s =
           let c = sigma.(u) /. sigma.(w) *. (1.0 +. delta.(w)) in
           edge_bc.(i) <- edge_bc.(i) +. c;
           delta.(u) <- delta.(u) +. c)
-        preds.(w);
-      if w <> s then node_bc.(w) <- node_bc.(w) +. delta.(w))
+        preds.(w))
     !order;
   (* reset only what this source touched *)
   List.iter
@@ -111,16 +93,15 @@ let csr_accumulate_from (csr : Csr.t) ?alive scratch ~node_bc ~edge_bc s =
       preds.(w) <- [])
     !order
 
-let merge_csr_acc into src =
-  Array.iteri (fun i v -> into.csr_node_bc.(i) <- into.csr_node_bc.(i) +. v) src.csr_node_bc;
-  Array.iteri (fun i v -> into.csr_edge_bc.(i) <- into.csr_edge_bc.(i) +. v) src.csr_edge_bc;
+let add_into into src =
+  Array.iteri (fun i v -> into.(i) <- into.(i) +. v) src;
   into
 
-let csr_compute_sources ?pool ?alive (csr : Csr.t) sources =
+let accumulate ?pool ~alive (csr : Csr.t) scratch sources ~edge_bc =
   let nsources = Array.length sources in
   Rca_obs.Obs.span
     ~args:[ ("sources", Rca_obs.Obs.Int nsources); ("nodes", Rca_obs.Obs.Int csr.Csr.n) ]
-    "brandes.csr_sources"
+    "brandes.accumulate"
   @@ fun () ->
   match pool with
   (* Work-size gate: a single-chunk batch gains nothing from the pool
@@ -130,29 +111,17 @@ let csr_compute_sources ?pool ?alive (csr : Csr.t) sources =
       let chunks = (nsources + chunk_sources - 1) / chunk_sources in
       let partials =
         Pool.run_chunks p ~chunks (fun c ->
-            let acc = create_csr_acc csr in
-            let scratch = make_csr_scratch csr in
-            let lo = c * chunk_sources in
-            let hi = min nsources (lo + chunk_sources) in
-            for i = lo to hi - 1 do
-              csr_accumulate_from csr ?alive scratch ~node_bc:acc.csr_node_bc
-                ~edge_bc:acc.csr_edge_bc sources.(i)
+            let acc = Array.make csr.Csr.m 0.0 in
+            let scratch = make_scratch csr in
+            for i = c * chunk_sources to min nsources ((c + 1) * chunk_sources) - 1 do
+              accumulate_from csr ~alive scratch ~edge_bc:acc sources.(i)
             done;
             acc)
       in
-      Option.value ~default:(create_csr_acc csr) (Pool.tree_reduce merge_csr_acc partials)
-  | _ ->
-      let acc = create_csr_acc csr in
-      let scratch = make_csr_scratch csr in
-      Array.iter
-        (fun s ->
-          csr_accumulate_from csr ?alive scratch ~node_bc:acc.csr_node_bc
-            ~edge_bc:acc.csr_edge_bc s)
-        sources;
-      acc
-
-let csr_compute ?pool ?alive (csr : Csr.t) =
-  csr_compute_sources ?pool ?alive csr (Array.init csr.Csr.n Fun.id)
+      (* Scores are never negative: an arc holding +0.0 takes the merged
+         sum bitwise, and an arc no source reached keeps its score. *)
+      Option.iter (fun sum -> ignore (add_into edge_bc sum)) (Pool.tree_reduce add_into partials)
+  | _ -> Array.iter (accumulate_from csr ~alive scratch ~edge_bc) sources
 
 (* Argmax comparison: a challenger must beat the incumbent by a relative
    1e-9 margin.  The margin absorbs the last-ulp summation-order

@@ -104,14 +104,16 @@ type gn_step = {
    component containing u and v: BFS trees rooted in other components
    never reach the removed edge, so their betweenness contributions are
    untouched.  The engine therefore keeps one global arc-score array
-   (valid per component) and, after each removal, re-runs Brandes only
-   over the component of u — from exactly the fixed sources that lie in
-   it — while every other component keeps its cached scores.  Late-stage
-   G-N (many small components) drops from O(n·m) to O(n_c·m_c) per
-   removal, plus an O(m) cached-score argmax scan.
+   (valid per component) and, after each removal, rescores only the
+   component of u (and, after a split, the component of v) — from
+   exactly the fixed sources that lie in it — while every other
+   component keeps its cached scores.  Late-stage G-N (many small
+   components) drops from O(n·m) to O(n_c·m_c) per removal, plus an O(m)
+   cached-score argmax scan.
 
-   Determinism: per-component sequential recomputation adds exactly the
-   same contributions in exactly the same order as a full sequential
+   Determinism: every score goes through one call,
+   [Betweenness.accumulate].  A sequential rescore adds exactly the same
+   contributions in exactly the same order as a full sequential
    recomputation does for that component's arcs (sources ascend, CSR
    rows preserve adjacency order, other components contribute exactly
    nothing), so cached scores are bitwise identical to the reference's.
@@ -132,14 +134,12 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
   let sources = gn_sources ?approx n in
   let is_source = Array.make n false in
   Array.iter (fun s -> is_source.(s) <- true) sources;
-  (* Component labels and member lists (members kept sorted ascending so
-     recomputation sources ascend like the reference's). *)
+  (* Component labels; [ncomps] is also the next fresh label. *)
   let comp = Array.make n (-1) in
-  let members : (int, int array) Hashtbl.t = Hashtbl.create 16 in
   let ncomps = ref 0 in
-  let next_comp = ref 0 in
   (* Generation-stamped BFS over alive arcs (the working graph is
-     symmetric, so forward arcs suffice). *)
+     symmetric, so forward arcs suffice); returns the component sorted
+     ascending, so rescoring sources ascend like the reference's. *)
   let mark = Array.make n (-1) in
   let generation = ref 0 in
   let bfs start =
@@ -166,105 +166,37 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
     Array.sort compare nodes;
     (nodes, gen)
   in
+  let new_component nodes =
+    Array.iter (fun x -> comp.(x) <- !ncomps) nodes;
+    incr ncomps
+  in
   for v = 0 to n - 1 do
-    if comp.(v) = -1 then begin
-      let nodes, _ = bfs v in
-      let c = !next_comp in
-      incr next_comp;
-      incr ncomps;
-      Array.iter (fun x -> comp.(x) <- c) nodes;
-      Hashtbl.replace members c nodes
-    end
+    if comp.(v) = -1 then new_component (fst (bfs v))
   done;
-  (* Sequential per-component scratch, reused across removals; the
+  (* One scratch, reused by every sequential batch; the
      reset-in-O(visited) contract keeps small components cheap. *)
-  let scratch = Betweenness.make_csr_scratch csr in
-  let scratch_node_bc = Array.make n 0.0 in
-  let zero_component nodes =
+  let scratch = Betweenness.make_scratch csr in
+  let accumulate srcs = Betweenness.accumulate ?pool ~alive csr scratch srcs ~edge_bc in
+  (* Initial scores: one accumulation over the fixed source set — the
+     exact computation (and, under a pool, the exact chunk structure)
+     the reference performs before its first removal. *)
+  Rca_obs.Obs.span "gn.initial_scores" (fun () -> accumulate sources);
+  (* Zero a component's arcs, then accumulate its sources. *)
+  let rescore nodes =
+    Rca_obs.Obs.span
+      ~args:[ ("component_nodes", Rca_obs.Obs.Int (Array.length nodes)) ]
+      "gn.recompute"
+    @@ fun () ->
     Array.iter
       (fun u ->
         for i = row.(u) to row.(u + 1) - 1 do
           edge_bc.(i) <- 0.0
         done)
-      nodes
-  in
-  (* Exact accumulation for one component, ascending source order — the
-     reference's float-summation sequence for that component's arcs. *)
-  let accumulate_exact ~scratch ~node_bc srcs =
-    Array.iter
-      (fun s -> Betweenness.csr_accumulate_from csr ~alive scratch ~node_bc ~edge_bc s)
-      srcs
-  in
-  (* Initial scores: one global computation over the fixed source set —
-     the exact computation (and, under a pool, the exact chunk structure)
-     the reference performs before its first removal. *)
-  let initial_scores =
-    Rca_obs.Obs.span "gn.initial_scores" (fun () ->
-        Betweenness.csr_compute_sources ?pool ~alive csr sources)
-  in
-  Array.blit initial_scores.Betweenness.csr_edge_bc 0 edge_bc 0 m;
-  let component_sources nodes =
-    Array.to_list nodes |> List.filter (fun v -> is_source.(v)) |> Array.of_list
-  in
-  let recompute nodes =
-    Rca_obs.Obs.span
-      ~args:[ ("component_nodes", Rca_obs.Obs.Int (Array.length nodes)) ]
-      "gn.recompute"
-    @@ fun () ->
-    zero_component nodes;
-    let srcs = component_sources nodes in
+      nodes;
+    let srcs = Array.of_seq (Seq.filter (fun v -> is_source.(v)) (Array.to_seq nodes)) in
     Rca_obs.Obs.incr "gn.components_rescored";
     Rca_obs.Obs.incr ~by:(Array.length srcs) "gn.sources_rescored";
-    (* The pool pays a broadcast + barrier per batch, so hand it only
-       components spanning at least two source chunks; a single-chunk
-       batch accumulates its sources in order, which is the same float
-       summation the sequential path performs, so this gate never
-       changes a score — only who computes it. *)
-    match pool with
-    | Some p when Pool.size p > 1 && Array.length srcs > Betweenness.chunk_sources ->
-        let acc = Betweenness.csr_compute_sources ~pool:p ~alive csr srcs in
-        Array.iter
-          (fun u ->
-            for i = row.(u) to row.(u + 1) - 1 do
-              edge_bc.(i) <- acc.Betweenness.csr_edge_bc.(i)
-            done)
-          nodes
-    | _ -> accumulate_exact ~scratch ~node_bc:scratch_node_bc srcs
-  in
-  (* After a split both sides need rescoring.  Under a pool this
-     parallelizes *across the two dirty components* (each side sequential
-     with private scratch — their arc ranges are disjoint, and a
-     per-component sequential accumulation is bitwise the sequential
-     engine's, a stronger guarantee than source chunking gives) when both
-     sides carry enough sources to amortize the batch barrier; otherwise
-     the sides run back to back, each free to source-chunk on its own. *)
-  let rescore_split side_a side_b =
-    match pool with
-    | Some p
-      when Pool.size p > 1
-           && Array.length (component_sources side_a) > Betweenness.chunk_sources
-           && Array.length (component_sources side_b) > Betweenness.chunk_sources ->
-        Rca_obs.Obs.span
-          ~args:
-            [
-              ("side_a", Rca_obs.Obs.Int (Array.length side_a));
-              ("side_b", Rca_obs.Obs.Int (Array.length side_b));
-            ]
-          "gn.recompute_split"
-        @@ fun () ->
-        ignore
-          (Pool.run_chunks p ~chunks:2 (fun cidx ->
-               let nodes = if cidx = 0 then side_a else side_b in
-               let scratch = Betweenness.make_csr_scratch csr in
-               let node_bc = Array.make n 0.0 in
-               zero_component nodes;
-               let srcs = component_sources nodes in
-               Rca_obs.Obs.incr "gn.components_rescored";
-               Rca_obs.Obs.incr ~by:(Array.length srcs) "gn.sources_rescored";
-               accumulate_exact ~scratch ~node_bc srcs))
-    | _ ->
-        recompute side_a;
-        recompute side_b
+    accumulate srcs
   in
   let best_edge () =
     Rca_obs.Obs.incr ~by:m "gn.argmax_arcs_scanned";
@@ -289,34 +221,19 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
         Bytes.set alive j '\000';
         decr arcs_alive
       end;
-      let c = comp.(u) in
       let reached_u, gen_u = bfs u in
       if u <> v && mark.(v) <> gen_u then begin
-        (* the component split: [u]'s side keeps label [c], [v]'s side
+        (* the component split: [u]'s side keeps its label, [v]'s side
            gets a fresh one; both need new scores *)
         let reached_v, _ = bfs v in
-        let c' = !next_comp in
-        incr next_comp;
-        incr ncomps;
-        Array.iter (fun x -> comp.(x) <- c') reached_v;
-        Hashtbl.replace members c reached_u;
-        Hashtbl.replace members c' reached_v;
-        rescore_split reached_u reached_v
+        new_component reached_v;
+        rescore reached_u;
+        rescore reached_v
       end
       else
         (* still one component (or a self-loop): refresh its scores;
-           every other component's cache is untouched.  A bare find here
-           turned a bookkeeping bug into a process-killing Not_found;
-           fail with the invariant spelled out instead. *)
-        recompute
-          (match Hashtbl.find_opt members c with
-          | Some ms -> ms
-          | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Community.incremental remove: no member list for component %d \
-                    (members table out of sync with comp labels)"
-                   c))
+           every other component's cache is untouched *)
+        rescore reached_u
     end
   in
   let current () =

@@ -40,10 +40,11 @@ val girvan_newman_step_csr :
     partition.
 
     Runs on the component-incremental CSR engine: after removing edge
-    [(u, v)] only the component containing [u] has its edge-betweenness
-    recomputed (from exactly the fixed BFS sources inside it); untouched
-    components keep their cached scores, and removals flip an arc-alive
-    bit instead of rebuilding adjacency lists.  Removal sequences and
+    [(u, v)] only the component containing [u] (and, after a split, the
+    one containing [v]) is rescored, by one {!Betweenness.accumulate}
+    over exactly the fixed BFS sources inside it; untouched components
+    keep their cached scores, and removals flip an arc-alive bit instead
+    of rebuilding adjacency lists.  Removal sequences and
     partitions are identical to exact G-N with a full recomputation per
     removal (the test/oracle reference) — bitwise sequentially, within
     the {!Betweenness.beats} tie margin under a pool. *)

@@ -38,7 +38,9 @@
 
    Per-request failures (garbage bytes, unknown ops, bad targets, an
    exception out of the pipeline) become {"status":"error"} replies and
-   an [errors] tick; the daemon itself never dies on request input. *)
+   an [errors] tick; a connection whose unterminated line passes
+   [max_line_bytes] (1 MiB) is closed with an [errors] tick.  The daemon
+   itself never dies on request input. *)
 
 module G = Rca_graph
 module MG = Rca_metagraph.Metagraph
@@ -49,18 +51,19 @@ type addr = [ `Unix of string | `Tcp of int ]
 
 type stats = {
   mutable served : int;  (* successful replies, all ops *)
-  mutable errors : int;  (* error replies *)
+  mutable errors : int;  (* error replies and over-long lines *)
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable coalesced : int;  (* requests attached to an in-flight job *)
-  mutable inline_runs : int;  (* computed on the reactor: queue full or no workers *)
+  mutable inline_runs : int;  (* computed on the reactor: the work queue was full *)
   mutable warm_entries : int;  (* entries reloaded from the persisted sidecar *)
   mutable cache_saves : int;  (* sidecar writes *)
 }
 
 type conn = {
   fd : Unix.file_descr;
-  mutable pending : string;  (* bytes read but not yet terminated by \n *)
+  pending : Buffer.t;  (* bytes read but not yet split into lines *)
+  mutable scan : int;  (* [pending] holds no \n before this offset *)
   out : Buffer.t;  (* reply bytes; those before [out_pos] are written *)
   mutable out_pos : int;
   mutable alive : bool;
@@ -77,7 +80,7 @@ type state = {
   keep_module : string -> bool;
   pool : G.Pool.t option;
   pool_gate : Mutex.t;  (* the batch pool serves one query at a time *)
-  wq : G.Pool.Workqueue.wq option;  (* None: compute inline on the reactor *)
+  wq : G.Pool.Workqueue.wq;
   mutable cache : (string, Cache.answer) Lru.t;
   in_flight : (string, job) Hashtbl.t;
   completions : (string * (Cache.answer, string) result) Queue.t;
@@ -344,7 +347,7 @@ let process_completions st =
 
 (* A query either answers from the LRU, attaches to the in-flight job
    for its key, or becomes a new job on the work queue (computed inline
-   when the queue is full or the daemon runs without workers). *)
+   when the queue is full). *)
 let handle_query st conn id v =
   let t0 = Rca_obs.Obs.monotonic_ns () in
   match decode_query st v with
@@ -373,12 +376,7 @@ let handle_query st conn id v =
               st.stats.cache_misses <- st.stats.cache_misses + 1;
               Rca_obs.Obs.incr "serve.cache_miss";
               Hashtbl.replace st.in_flight key { j_key = key; j_waiters = [ w ] };
-              let submitted =
-                match st.wq with
-                | Some wq -> G.Pool.Workqueue.submit wq (run_task st key q)
-                | None -> false
-              in
-              if not submitted then begin
+              if not (G.Pool.Workqueue.submit st.wq (run_task st key q)) then begin
                 st.stats.inline_runs <- st.stats.inline_runs + 1;
                 complete st key (eval st q)
               end))
@@ -418,9 +416,7 @@ let respond st conn v =
              ("warm_entries", J.num st.stats.warm_entries);
              ("cache_saves", J.num st.stats.cache_saves);
              ("in_flight", J.num (Hashtbl.length st.in_flight));
-             ( "queued",
-               J.num
-                 (match st.wq with Some wq -> G.Pool.Workqueue.pending wq | None -> 0) );
+             ("queued", J.num (G.Pool.Workqueue.pending st.wq));
              ("cache_entries", J.num (Lru.length st.cache));
              ("cache_capacity", J.num (Lru.capacity st.cache));
              ("uptime_ms", J.Num (ms_since st.start_ns));
@@ -506,18 +502,28 @@ let flush_out scratch conn =
     conn.out_pos <- 0
   end
 
-(* Split every complete line out of a connection's buffer. *)
+(* Split every complete line out of a connection's read buffer.  Only
+   bytes that arrived since the last call are scanned, and the
+   unterminated rest is copied once per call that finds a line, so each
+   request byte is copied a bounded number of times however slowly its
+   line arrives. *)
 let drain_lines conn =
-  let rec go acc =
-    match String.index_opt conn.pending '\n' with
-    | None -> List.rev acc
-    | Some i ->
-        let line = String.sub conn.pending 0 i in
-        conn.pending <-
-          String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-        go (line :: acc)
-  in
-  go []
+  let buf = conn.pending in
+  let len = Buffer.length buf in
+  let lines = ref [] and start = ref 0 in
+  for i = conn.scan to len - 1 do
+    if Buffer.nth buf i = '\n' then begin
+      lines := Buffer.sub buf !start (i - !start) :: !lines;
+      start := i + 1
+    end
+  done;
+  if !start > 0 then begin
+    let rest = Buffer.sub buf !start (len - !start) in
+    Buffer.reset buf;
+    Buffer.add_string buf rest
+  end;
+  conn.scan <- Buffer.length buf;
+  List.rev !lines
 
 let drain_notify st =
   let b = Bytes.create 64 in
@@ -531,6 +537,10 @@ let drain_notify st =
   go ()
 
 let read_chunk_size = 65536
+
+(* A connection whose unterminated line grows past this is closed (and
+   counted as an error) instead of buffering without limit. *)
+let max_line_bytes = 1 lsl 20
 
 let serve_loop ?cache_save_every st listener =
   let conns = ref [] in
@@ -561,7 +571,9 @@ let serve_loop ?cache_save_every st listener =
             | fd, _ ->
                 Unix.set_nonblock fd;
                 let out = Buffer.create 4096 in
-                conns := !conns @ [ { fd; pending = ""; out; out_pos = 0; alive = true } ];
+                conns :=
+                  !conns
+                  @ [ { fd; pending = Buffer.create 256; scan = 0; out; out_pos = 0; alive = true } ];
                 accept_all ()
             | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all ()
@@ -578,8 +590,12 @@ let serve_loop ?cache_save_every st listener =
               match Unix.read conn.fd buf 0 read_chunk_size with
               | 0 -> conn.alive <- false
               | k ->
-                  conn.pending <- conn.pending ^ Bytes.sub_string buf 0 k;
-                  List.iter (fun line -> batch := (conn, line) :: !batch) (drain_lines conn)
+                  Buffer.add_subbytes conn.pending buf 0 k;
+                  List.iter (fun line -> batch := (conn, line) :: !batch) (drain_lines conn);
+                  if Buffer.length conn.pending > max_line_bytes then begin
+                    st.stats.errors <- st.stats.errors + 1;
+                    conn.alive <- false
+                  end
               | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
                 -> ()
               | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -635,6 +651,7 @@ let serve_loop ?cache_save_every st listener =
 
 let serve ?(cache_capacity = 64) ?(domains = 1) ?(workers = 1) ?(queue_capacity = 64)
     ?cache_path ?cache_save_every ?on_ready addr snap =
+  if workers < 1 then invalid_arg "Server.serve: workers must be at least 1";
   (* a client that disconnects mid-reply must cost an [alive <- false],
      not a fatal SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -665,10 +682,7 @@ let serve ?(cache_capacity = 64) ?(domains = 1) ?(workers = 1) ?(queue_capacity 
     let notify_r, notify_w = Unix.pipe ~cloexec:true () in
     Unix.set_nonblock notify_r;
     Unix.set_nonblock notify_w;
-    let wq =
-      if workers <= 0 then None
-      else Some (G.Pool.Workqueue.create ~workers ~capacity:(max 1 queue_capacity) ())
-    in
+    let wq = G.Pool.Workqueue.create ~workers ~capacity:(max 1 queue_capacity) () in
     let st =
       {
         snap;
@@ -706,7 +720,7 @@ let serve ?(cache_capacity = 64) ?(domains = 1) ?(workers = 1) ?(queue_capacity 
     let listener = listener_of addr in
     Fun.protect
       ~finally:(fun () ->
-        (match st.wq with Some wq -> G.Pool.Workqueue.shutdown wq | None -> ());
+        G.Pool.Workqueue.shutdown st.wq;
         (try Unix.close notify_r with Unix.Unix_error _ -> ());
         (try Unix.close notify_w with Unix.Unix_error _ -> ());
         (try Unix.close listener with Unix.Unix_error _ -> ());

@@ -19,8 +19,9 @@
     job (its reply is flagged ["coalesced"]).  With [~cache_path] the
     LRU persists to a checksummed sidecar ({!Cache}) and reloads at
     startup, so a restarted daemon answers warm.  Malformed lines and
-    failing queries produce error replies — the daemon never dies on
-    request input. *)
+    failing queries produce error replies, and a connection that sends
+    more than 1 MiB without a newline is closed and counted as an error
+    — the daemon never dies on request input. *)
 
 type addr = [ `Unix of string | `Tcp of int ]
 (** Where to listen: a Unix-domain socket path (unlinked and rebound if
@@ -28,15 +29,15 @@ type addr = [ `Unix of string | `Tcp of int ]
 
 type stats = {
   mutable served : int;  (** successful replies, all ops *)
-  mutable errors : int;  (** error replies *)
+  mutable errors : int;  (** error replies and connections closed for an over-long line *)
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable coalesced : int;
       (** requests that attached to an in-flight computation of the
           same key — suppressed stampede members *)
   mutable inline_runs : int;
-      (** jobs computed on the reactor itself: the work queue was full
-          (backpressure) or the daemon runs with [workers = 0] *)
+      (** jobs computed on the reactor itself because the work queue was
+          full (backpressure) *)
   mutable warm_entries : int;
       (** cache entries reloaded from the persisted sidecar at startup *)
   mutable cache_saves : int;  (** sidecar writes (periodic + shutdown) *)
@@ -59,9 +60,9 @@ val serve :
     [cache_capacity] (default 64) bounds the LRU; [domains] (default 1)
     sizes one shared domain pool for the refinement hot paths —
     per-request ["domains"] and ["engine"] fields are accepted and
-    ignored, so results never depend on client configuration.  [workers] (default 1) sizes
-    the compute work queue; [0] restores the fully synchronous reactor
-    (every query computes inline, blocking the loop).  [queue_capacity]
+    ignored, so results never depend on client configuration.  [workers]
+    (default 1) sizes the compute work queue; [Invalid_argument] when
+    below 1.  [queue_capacity]
     (default 64) bounds queued jobs; when full, new jobs compute inline
     as backpressure rather than being refused.  [cache_path] names the
     persisted-cache sidecar: loaded at startup (entries stamped for a

@@ -34,11 +34,20 @@ let table_assoc tbl =
   Hashtbl.fold (fun k v acc -> if v <> 0.0 then (k, v) :: acc else acc) tbl []
   |> List.sort compare
 
-let csr_edge_assoc csr (acc : Betweenness.csr_acc) =
+(* The CSR kernel's edge scores from [sources] (default: every node)
+   over [alive] (default: every arc), indexed by arc id. *)
+let kernel_edge_bc ?pool ?alive ?sources (csr : Csr.t) =
+  let alive = Option.value alive ~default:(Bytes.make csr.Csr.m '\001') in
+  let sources = Option.value sources ~default:(Array.init csr.Csr.n Fun.id) in
+  let edge_bc = Array.make csr.Csr.m 0.0 in
+  Betweenness.accumulate ?pool ~alive csr (Betweenness.make_scratch csr) sources ~edge_bc;
+  edge_bc
+
+let csr_edge_assoc csr edge_bc =
   let out = ref [] in
   Csr.iter_arcs
     (fun i u v ->
-      let s = acc.Betweenness.csr_edge_bc.(i) in
+      let s = edge_bc.(i) in
       if s <> 0.0 then out := ((u, v), s) :: !out)
     csr;
   List.sort compare !out
@@ -234,12 +243,34 @@ let alive_mask_equals_removal () =
       Digraph.remove_edge g' u v;
       Digraph.remove_edge g' v u)
     !picked;
-  let masked = Betweenness.csr_compute ~alive csr in
+  let masked = kernel_edge_bc ~alive csr in
   let ref_acc = Brandes.compute g' in
-  check_bool "node scores bitwise" true
-    (masked.Betweenness.csr_node_bc = ref_acc.Brandes.node_bc);
   check_bool "edge scores bitwise" true
     (csr_edge_assoc csr masked = table_assoc ref_acc.Brandes.edge_bc)
+
+(* [accumulate] adds into the caller's array: arcs its sources never
+   reach keep their scores, pooled (more than one chunk of sources) as
+   sequentially.  The incremental G-N engine relies on this to rescore
+   one component while every other keeps its cached scores. *)
+let accumulate_adds_into_scores () =
+  (* a 40-node cycle on nodes 0..39 and a triangle on 40..42 *)
+  let cycle = List.init 40 (fun i -> (i, (i + 1) mod 40)) in
+  let csr = Csr.of_digraph (Digraph.of_edges ~n:43 (cycle @ [ (40, 41); (41, 42); (42, 40) ])) in
+  let sources = Array.init 40 Fun.id in
+  let alone = kernel_edge_bc ~sources csr in
+  List.iter
+    (fun (name, pool) ->
+      let edge_bc = Array.make csr.Csr.m 1.0 in
+      Betweenness.accumulate ?pool ~alive:(Bytes.make csr.Csr.m '\001') csr
+        (Betweenness.make_scratch csr) sources ~edge_bc;
+      Csr.iter_arcs
+        (fun i u _ ->
+          if u >= 40 then check_bool (name ^ ": unreached arc keeps its score") true (edge_bc.(i) = 1.0)
+          else
+            check_bool (name ^ ": reached arc adds its score") true
+              (abs_float (edge_bc.(i) -. (1.0 +. alone.(i))) <= 1e-9 *. (1.0 +. alone.(i))))
+        csr)
+    [ ("sequential", None); ("2 domains", Some pool2); ("4 domains", Some pool4) ]
 
 (* --- argmax tie-breaking -------------------------------------------------------- *)
 
@@ -266,7 +297,7 @@ let max_edge_on_path () =
   (* directed chain 0->1->2->3: arc (1,2) carries the most shortest
      paths (0->2, 0->3, 1->2, 1->3) *)
   let csr = Csr.of_digraph (Digraph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ]) in
-  let bc = (Betweenness.csr_compute csr).Betweenness.csr_edge_bc in
+  let bc = kernel_edge_bc csr in
   match Betweenness.argmax_edge (fun f -> Csr.iter_arcs (fun i u v -> f u v bc.(i)) csr) with
   | Some (1, 2, s) -> Alcotest.(check (float 1e-9)) "score" 4.0 s
   | other ->
@@ -376,10 +407,9 @@ let prop_csr_brandes_bitwise_seq =
   QCheck2.Test.make ~name:"CSR Brandes = hashtable Brandes (bitwise, seq)" ~count:50
     graph_gen (fun g ->
       let csr = Csr.of_digraph g in
-      let a = Betweenness.csr_compute csr in
+      let a = kernel_edge_bc csr in
       let b = Brandes.compute g in
-      a.Betweenness.csr_node_bc = b.Brandes.node_bc
-      && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
+      csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
 
 let prop_csr_brandes_bitwise_pool =
   QCheck2.Test.make ~name:"CSR Brandes = hashtable Brandes (bitwise, pools)" ~count:35
@@ -387,14 +417,12 @@ let prop_csr_brandes_bitwise_pool =
       let csr = Csr.of_digraph g in
       List.for_all
         (fun (_, pool) ->
-          let a = Betweenness.csr_compute ~pool csr in
+          let a = kernel_edge_bc ~pool csr in
           let b = Brandes.compute ~pool g in
-          a.Betweenness.csr_node_bc = b.Brandes.node_bc
-          && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
+          csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
         pools
       (* and the CSR path itself is pool-size independent *)
-      && (Betweenness.csr_compute ~pool:pool2 csr).Betweenness.csr_node_bc
-         = (Betweenness.csr_compute ~pool:pool4 csr).Betweenness.csr_node_bc)
+      && kernel_edge_bc ~pool:pool2 csr = kernel_edge_bc ~pool:pool4 csr)
 
 let prop_csr_sources_restriction =
   QCheck2.Test.make ~name:"CSR source-restricted Brandes = hashtable (bitwise)" ~count:40
@@ -405,10 +433,9 @@ let prop_csr_sources_restriction =
       let sources =
         Array.of_list (List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id))
       in
-      let a = Betweenness.csr_compute_sources csr sources in
+      let a = kernel_edge_bc ~sources csr in
       let b = Brandes.compute_sources g sources in
-      a.Betweenness.csr_node_bc = b.Brandes.node_bc
-      && csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
+      csr_edge_assoc csr a = table_assoc b.Brandes.edge_bc)
 
 (* --- eigenvector gather = historical scatter ------------------------------------ *)
 
@@ -590,6 +617,7 @@ let () =
           Alcotest.test_case "transpose" `Quick csr_transpose_reverses_arcs;
           Alcotest.test_case "induced rejects bad nodes" `Quick csr_induced_rejects_bad_nodes;
           Alcotest.test_case "alive mask = edge removal" `Quick alive_mask_equals_removal;
+          Alcotest.test_case "accumulate adds into scores" `Quick accumulate_adds_into_scores;
         ] );
       ( "argmax",
         [

@@ -130,32 +130,28 @@ let wcc_direction_ignored () =
 
 (* --- Betweenness ------------------------------------------------------------ *)
 
-(* Exact Brandes scores of a small digraph, straight from the CSR kernel. *)
-let brandes edges ~n =
+(* Exact Brandes edge scores of a small digraph, straight from the CSR
+   kernel, looked up by arc. *)
+let edge_scores edges ~n =
   let csr = Csr.of_digraph (Digraph.of_edges ~n edges) in
-  (csr, Betweenness.csr_compute csr)
-
-let node_betweenness_path () =
-  (* directed path 0->1->2: only node 1 lies strictly inside a shortest path *)
-  let _, acc = brandes ~n:3 [ (0, 1); (1, 2) ] in
-  let bc = acc.Betweenness.csr_node_bc in
-  Alcotest.(check (float 1e-9)) "bc 0" 0.0 bc.(0);
-  Alcotest.(check (float 1e-9)) "bc 1" 1.0 bc.(1);
-  Alcotest.(check (float 1e-9)) "bc 2" 0.0 bc.(2)
+  let edge_bc = Array.make csr.Csr.m 0.0 in
+  Betweenness.accumulate ~alive:(Bytes.make csr.Csr.m '\001') csr
+    (Betweenness.make_scratch csr) (Array.init n Fun.id) ~edge_bc;
+  fun u v -> edge_bc.(Csr.arc_id csr u v)
 
 let edge_betweenness_path () =
-  let csr, acc = brandes ~n:3 [ (0, 1); (1, 2) ] in
-  let eb u v = acc.Betweenness.csr_edge_bc.(Csr.arc_id csr u v) in
+  let eb = edge_scores ~n:3 [ (0, 1); (1, 2) ] in
   (* edge (0,1) carries paths 0->1, 0->2; edge (1,2) carries 1->2, 0->2 *)
   Alcotest.(check (float 1e-9)) "eb 01" 2.0 (eb 0 1);
   Alcotest.(check (float 1e-9)) "eb 12" 2.0 (eb 1 2)
 
 let betweenness_split_paths () =
-  (* two equal shortest paths 0->1->3 / 0->2->3 share flow equally *)
-  let _, acc = brandes ~n:4 [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
-  let bc = acc.Betweenness.csr_node_bc in
-  Alcotest.(check (float 1e-9)) "bc 1" 0.5 bc.(1);
-  Alcotest.(check (float 1e-9)) "bc 2" 0.5 bc.(2)
+  (* two equal shortest paths 0->1->3 / 0->2->3 share the 0->3 flow
+     equally: each arc carries its own pair (1.0) plus half of 0->3 *)
+  let eb = edge_scores ~n:4 [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
+  List.iter
+    (fun (u, v) -> Alcotest.(check (float 1e-9)) (Printf.sprintf "eb %d%d" u v) 1.5 (eb u v))
+    [ (0, 1); (1, 3); (0, 2); (2, 3) ]
 
 let max_edge_is_bridge () =
   let g = Gen.two_clusters ~seed:5 ~size:8 ~p_intra:0.5 ~bridges:1 in
@@ -532,7 +528,6 @@ let () =
         ] );
       ( "betweenness",
         [
-          Alcotest.test_case "node path" `Quick node_betweenness_path;
           Alcotest.test_case "edge path" `Quick edge_betweenness_path;
           Alcotest.test_case "split paths" `Quick betweenness_split_paths;
           Alcotest.test_case "max edge is bridge" `Quick max_edge_is_bridge;

@@ -402,8 +402,11 @@ let prop_refine_final_subset_of_initial =
 
 let prop_betweenness_nonnegative =
   QCheck2.Test.make ~name:"betweenness nonnegative" ~count:60 graph_gen (fun g ->
-      let acc = G.Betweenness.csr_compute (G.Csr.of_digraph g) in
-      Array.for_all (fun x -> x >= 0.0) acc.G.Betweenness.csr_node_bc)
+      let csr = G.Csr.of_digraph g in
+      let edge_bc = Array.make csr.G.Csr.m 0.0 in
+      G.Betweenness.accumulate ~alive:(Bytes.make csr.G.Csr.m '\001') csr
+        (G.Betweenness.make_scratch csr) (Array.init csr.G.Csr.n Fun.id) ~edge_bc;
+      Array.for_all (fun x -> x >= 0.0) edge_bc)
 
 let prop_gn_partition_covers =
   QCheck2.Test.make ~name:"G-N partition covers all nodes" ~count:20 graph_gen (fun g ->

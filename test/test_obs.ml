@@ -279,6 +279,30 @@ let pool_counters_recorded () =
   check_int "per-domain chunks sum to total" (Obs.counter_value "pool.chunks") per_domain;
   Obs.reset ()
 
+(* The [sweeps] argument of the centrality.eigenvector span pins where
+   the shifted power iteration x <- x + M x stops.  On a DAG, I + M has
+   the single eigenvalue 1, so the iteration only drifts toward
+   M^d x0 and runs to the 200-sweep cap; on a directed cycle the
+   uniform start vector is already the fixed point. *)
+let eigenvector_sweeps () =
+  let sweeps edges ~n =
+    Obs.enable ();
+    ignore (G.Centrality.eigenvector ~direction:G.Centrality.In (G.Digraph.of_edges ~n edges));
+    Obs.disable ();
+    match Obs.spans () with
+    | [ s ] when s.Obs.span_name = "centrality.eigenvector" -> (
+        match List.assoc_opt "sweeps" s.Obs.span_args with
+        | Some (Obs.Int k) -> k
+        | _ -> Alcotest.fail "no sweeps argument")
+    | _ -> Alcotest.fail "expected one centrality.eigenvector span"
+  in
+  check_int "path 0->1->2->3 runs to the cap" 200
+    (sweeps ~n:4 [ (0, 1); (1, 2); (2, 3) ]);
+  check_int "diamond runs to the cap" 200
+    (sweeps ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]);
+  check_int "3-cycle stops after 2 sweeps" 2 (sweeps ~n:3 [ (0, 1); (1, 2); (2, 0) ]);
+  Obs.reset ()
+
 let () =
   Alcotest.run "rca_obs"
     [
@@ -304,4 +328,5 @@ let () =
           Alcotest.test_case "located_bugs oracle" `Quick located_bugs_matches_list_oracle;
           Alcotest.test_case "pool counters" `Quick pool_counters_recorded;
         ] );
+      ("centrality", [ Alcotest.test_case "eigenvector sweeps" `Quick eigenvector_sweeps ]);
     ]

@@ -1,6 +1,6 @@
 (* Differential + property-test lockdown of the domain-pool parallel
    centrality paths (Pool, Betweenness ?pool, Community ?pool,
-   Centrality.eigenvector ?pool, Refine ?domains).
+   Centrality.eigenvector ?pool, Refine ?pool).
 
    Parallel reductions are a classic source of silent nondeterminism, so
    every parallel code path is tested three ways:
@@ -10,8 +10,8 @@
    - for determinism: the same parallel computation run twice, and run at
      different domain counts (2 vs 4), must agree bitwise — the fixed
      chunk structure plus chunk-ordered tree reduction guarantees it;
-   - end to end: Refine.refine ~domains:4 must reproduce the sequential
-     final node set on the tiny model fixture.
+   - end to end: Refine.refine on a 4-way pool must reproduce the
+     sequential final node set on the tiny model fixture.
 
    The masked slice/refine/pipeline engine is also checked here against
    the list-based oracle (Rca_oracle.List_engine). *)
@@ -38,10 +38,14 @@ let float_arrays_close ?eps a b =
       Array.iteri (fun i x -> if not (close ?eps x b.(i)) then ok := false) a;
       !ok)
 
-(* Exact Brandes scores over the graph's CSR, sequential or pooled:
-   per node, and per arc in arc-id order. *)
-let node_bc ?pool g = (Betweenness.csr_compute ?pool (Csr.of_digraph g)).Betweenness.csr_node_bc
-let edge_bc ?pool g = (Betweenness.csr_compute ?pool (Csr.of_digraph g)).Betweenness.csr_edge_bc
+(* Exact Brandes edge scores over the graph's CSR, sequential or pooled,
+   per arc in arc-id order. *)
+let edge_bc ?pool g =
+  let csr = Csr.of_digraph g in
+  let edge_bc = Array.make csr.Csr.m 0.0 in
+  Betweenness.accumulate ?pool ~alive:(Bytes.make csr.Csr.m '\001') csr
+    (Betweenness.make_scratch csr) (Array.init csr.Csr.n Fun.id) ~edge_bc;
+  edge_bc
 
 (* --- Pool unit tests ----------------------------------------------------------- *)
 
@@ -95,7 +99,6 @@ let with_pool_shuts_down () =
 
 let empty_graph_all_paths () =
   let g = Digraph.create () in
-  Alcotest.(check (array (float 1e-12))) "node bc" [||] (node_bc ~pool:pool4 g);
   check_int "edge bc" 0 (Array.length (edge_bc ~pool:pool4 g));
   Alcotest.(check (array (float 1e-12))) "eigenvector" [||]
     (Centrality.eigenvector ~pool:pool4 g);
@@ -111,9 +114,6 @@ let edgeless_graph_betweenness () =
   let acc = Rca_oracle.Brandes.create_acc g in
   check_int "acc nodes" 5 (Array.length acc.Rca_oracle.Brandes.node_bc);
   check_int "acc edges empty" 0 (Hashtbl.length acc.Rca_oracle.Brandes.edge_bc);
-  Alcotest.(check (array (float 1e-12))) "all zero seq" (Array.make 5 0.0) (node_bc g);
-  Alcotest.(check (array (float 1e-12))) "all zero par" (Array.make 5 0.0)
-    (node_bc ~pool:pool4 g);
   check_int "no edges scored" 0 (Array.length (edge_bc ~pool:pool2 g))
 
 let disconnected_graph_partition () =
@@ -129,7 +129,6 @@ let disconnected_graph_partition () =
 
 let self_loop_graph_differential () =
   let g = Digraph.of_edges ~n:4 [ (0, 0); (0, 1); (1, 2); (2, 2); (2, 3); (3, 3) ] in
-  check_bool "node bc agrees" true (float_arrays_close (node_bc g) (node_bc ~pool:pool2 g));
   check_bool "edge bc agrees" true (float_arrays_close (edge_bc g) (edge_bc ~pool:pool2 g))
 
 (* --- QCheck differential properties -------------------------------------------- *)
@@ -147,12 +146,6 @@ let graph_gen =
        g))
 
 let pools = [ ("2 domains", pool2); ("4 domains", pool4) ]
-
-let prop_node_betweenness_differential =
-  QCheck2.Test.make ~name:"parallel node betweenness = sequential (1e-9)" ~count:60
-    graph_gen (fun g ->
-      let seq = node_bc g in
-      List.for_all (fun (_, pool) -> float_arrays_close seq (node_bc ~pool g)) pools)
 
 let prop_edge_betweenness_differential =
   QCheck2.Test.make ~name:"parallel edge betweenness = sequential (1e-9)" ~count:60
@@ -202,13 +195,11 @@ let prop_parallel_bitwise_deterministic =
   QCheck2.Test.make ~name:"parallel runs bitwise-identical (repeat + 2 vs 4 domains)"
     ~count:40 graph_gen (fun g ->
       let eb pool = edge_bc ~pool g in
-      let bc pool = node_bc ~pool g in
       let labels pool =
         (Community.girvan_newman ~target:2 ~pool g).Community.partition.Community.labels
       in
       eb pool4 = eb pool4
       && eb pool2 = eb pool4
-      && bc pool2 = bc pool4
       && labels pool4 = labels pool4
       && labels pool2 = labels pool4)
 
@@ -227,16 +218,16 @@ module Fixture = Rca_experiments.Fixture
 
 let tiny_fixture = lazy (Fixture.make Rca_synth.Config.tiny)
 
-let refine_result ?gn_approx ?domains detect =
+let refine_result ?gn_approx ?pool detect =
   let fixture = Lazy.force tiny_fixture in
   let mg = fixture.Fixture.mg in
   let slice = Rca_core.Slice.of_outputs mg [ "aqsnow"; "cloud" ] in
-  Rca_core.Refine.refine ?gn_approx ?domains mg ~initial:slice.Rca_core.Slice.nodes
+  Rca_core.Refine.refine ?gn_approx ?pool mg ~initial:slice.Rca_core.Slice.nodes
     ~detect ~stop_size:2 ~max_iterations:3
 
 let refine_domains_matches_sequential () =
   let seq = refine_result Rca_core.Detector.never in
-  let par = refine_result ~domains:4 Rca_core.Detector.never in
+  let par = refine_result ~pool:pool4 Rca_core.Detector.never in
   Alcotest.(check (list int)) "final nodes" seq.Rca_core.Refine.final_nodes
     par.Rca_core.Refine.final_nodes;
   check_bool "same outcome" true
@@ -248,13 +239,13 @@ let refine_domains_matches_sequential () =
 let refine_domains_matches_sequential_approx () =
   (* the sampled-betweenness configuration the paper-scale harness uses *)
   let seq = refine_result ~gn_approx:16 Rca_core.Detector.never in
-  let par = refine_result ~gn_approx:16 ~domains:2 Rca_core.Detector.never in
+  let par = refine_result ~gn_approx:16 ~pool:pool2 Rca_core.Detector.never in
   Alcotest.(check (list int)) "final nodes" seq.Rca_core.Refine.final_nodes
     par.Rca_core.Refine.final_nodes
 
 let refine_domains_deterministic () =
-  let a = refine_result ~domains:4 Rca_core.Detector.never in
-  let b = refine_result ~domains:4 Rca_core.Detector.never in
+  let a = refine_result ~pool:pool4 Rca_core.Detector.never in
+  let b = refine_result ~pool:pool4 Rca_core.Detector.never in
   Alcotest.(check (list int)) "two parallel runs identical"
     a.Rca_core.Refine.final_nodes b.Rca_core.Refine.final_nodes
 
@@ -364,11 +355,11 @@ let prop_refine_engines_identical =
       List.for_all
         (fun detect ->
           List.for_all
-            (fun domains ->
+            (fun (domains, pool) ->
               List_engine.refine ?domains mg ~initial ~detect ~stop_size:2 ~max_iterations:4
-              = Rca_core.Refine.refine ?domains mg ~initial ~detect ~stop_size:2
+              = Rca_core.Refine.refine ?pool mg ~initial ~detect ~stop_size:2
                   ~max_iterations:4)
-            [ None; Some 2 ])
+            [ (None, None); (Some 2, Some pool2) ])
         detectors)
 
 let prop_refine_engines_identical_approx =
@@ -379,7 +370,7 @@ let prop_refine_engines_identical_approx =
       let detect = Rca_core.Detector.never in
       List_engine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
         ~max_iterations:3
-      = Rca_core.Refine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
+      = Rca_core.Refine.refine ~gn_approx:8 ~pool:pool2 mg ~initial ~detect ~stop_size:2
           ~max_iterations:3)
 
 (* Slicing on canonical names over the synthetic metagraph: masked
@@ -407,7 +398,6 @@ let prop_slice_engines_identical =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_node_betweenness_differential;
       prop_edge_betweenness_differential;
       prop_girvan_newman_differential;
       prop_girvan_newman_approx_differential;

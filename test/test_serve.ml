@@ -426,7 +426,7 @@ let cache_roundtrip_and_invalidation () =
 
 (* --- forked daemon end to end ------------------------------------------------------- *)
 
-let with_daemon ?cache_path ?(workers = 1) f =
+let with_daemon_at ?cache_path f =
   let snap = Lazy.force compiled in
   let dir = Filename.temp_file "rca_serve_test" "" in
   Sys.remove dir;
@@ -437,7 +437,7 @@ let with_daemon ?cache_path ?(workers = 1) f =
   let child =
     match Unix.fork () with
     | 0 ->
-        (try ignore (Server.serve ~cache_capacity:8 ~workers ?cache_path (`Unix sock) snap)
+        (try ignore (Server.serve ~cache_capacity:8 ?cache_path (`Unix sock) snap)
          with _ -> ());
         Unix._exit 0
     | pid -> pid
@@ -459,7 +459,9 @@ let with_daemon ?cache_path ?(workers = 1) f =
          if Sys.file_exists sock then Sys.remove sock;
          Unix.rmdir dir
        with Sys_error _ | Unix.Unix_error _ -> ()))
-    (fun () -> f conn)
+    (fun () -> f sock conn)
+
+let with_daemon ?cache_path f = with_daemon_at ?cache_path (fun _ conn -> f conn)
 
 let reply conn fields =
   match Client.request conn (J.Obj fields) with
@@ -538,6 +540,45 @@ let daemon_survives_garbage () =
         (match Option.bind (J.member "errors" stats) J.int_opt with
         | Some e -> e = 10
         | None -> false))
+
+(* A client that never sends a newline is cut off at the 1 MiB line
+   cap: its connection closes and counts one error, while another
+   connection keeps being answered. *)
+let daemon_caps_unterminated_line () =
+  with_daemon_at (fun sock conn ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          (* a daemon that kept the connection open would fail the read
+             below after 10 s instead of hanging the suite *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let flood = Bytes.make (2 lsl 20) 'x' in
+          let rec send pos =
+            if pos < Bytes.length flood then
+              match Unix.write fd flood pos (Bytes.length flood - pos) with
+              | k -> send (pos + k)
+              | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+          in
+          let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+          Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe) (fun () -> send 0);
+          (* the daemon closes its end: end of file, no reply *)
+          let b = Bytes.create 64 in
+          let rec closed () =
+            match Unix.read fd b 0 64 with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> closed ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+          in
+          check_bool "flooding connection closed without a reply" true (closed ()));
+      let ping = reply conn [ ("op", J.Str "ping") ] in
+      check_bool "other connection still answered" true (status ping = Some "ok");
+      let stats = reply conn [ ("op", J.Str "stats") ] in
+      check_bool "over-long line counted as an error" true
+        (Option.bind (J.member "errors" stats) J.int_opt = Some 1))
 
 let strip_reply r =
   match r with
@@ -832,6 +873,7 @@ let () =
         [
           Alcotest.test_case "query and cache" `Quick daemon_query_and_cache;
           Alcotest.test_case "survives garbage" `Quick daemon_survives_garbage;
+          Alcotest.test_case "caps unterminated line" `Quick daemon_caps_unterminated_line;
           Alcotest.test_case "engine field ignored" `Quick daemon_ignores_engine_field;
           Alcotest.test_case "gn_approx normalized" `Quick daemon_gn_approx_normalized;
           Alcotest.test_case "concurrent out-of-order" `Quick daemon_concurrent_out_of_order;
