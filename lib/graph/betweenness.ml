@@ -28,79 +28,109 @@ let chunk_sources = 16
 
 (* BFS scratch, reused across sources and reset in O(visited) after each
    one: a BFS confined to a small component touches only that
-   component's entries. *)
+   component's entries.  Flat arrays only, so a source allocates
+   nothing.  [order] is the visit order and doubles as the FIFO.
+   Predecessor arc ids go into [pred], grouped by target: node [v]'s
+   group is slots [first.(v) .. first.(v + 1) - 1], one per arc into [v]
+   (counted from [csr.col] once, here), filled up to [top.(v)].  A
+   source records each arc at most once, so no group overflows. *)
 type scratch = {
+  csr : Csr.t;  (* the CSR the groups were counted from *)
   dist : int array;
   sigma : float array;
   delta : float array;
-  preds : int list array;  (* predecessor *arc* ids *)
-  queue : int Queue.t;
+  order : int array;
+  first : int array;
+  top : int array;
+  pred : int array;
 }
 
 let make_scratch (csr : Csr.t) =
+  let n = csr.Csr.n in
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun v -> first.(v + 1) <- first.(v + 1) + 1) csr.Csr.col;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
   {
-    dist = Array.make csr.Csr.n (-1);
-    sigma = Array.make csr.Csr.n 0.0;
-    delta = Array.make csr.Csr.n 0.0;
-    preds = Array.make csr.Csr.n [];
-    queue = Queue.create ();
+    csr;
+    dist = Array.make n (-1);
+    sigma = Array.make n 0.0;
+    delta = Array.make n 0.0;
+    order = Array.make n 0;
+    first;
+    top = Array.sub first 0 n;
+    pred = Array.make csr.Csr.m 0;
   }
 
 (* One source over CSR.  Neighbour order equals adjacency-list order, so
    the float accumulation sequence — and hence every score — is bitwise
    identical to a hashtable Brandes on the corresponding digraph.  [alive]
-   masks arcs out (Girvan–Newman removals). *)
+   masks arcs out (Girvan–Newman removals).  The dependency pass walks
+   [order] and each predecessor group backwards, the order of the
+   hashtable Brandes' cons lists, so every float operation runs in the
+   same order.  A predecessor arc is never a self-loop, so [u]'s (and
+   [w]'s) entries stay fixed while its row (group) is scanned and are
+   read once; nodes walked after [w] are no farther from the source and
+   read only nearer nodes, so [w] is reset right after its group. *)
 let accumulate_from (csr : Csr.t) ~alive scratch ~edge_bc s =
-  let { dist; sigma; delta; preds; queue = q } = scratch in
+  let { dist; sigma; delta; order; first; top; pred; _ } = scratch in
   let row = csr.Csr.row and col = csr.Csr.col and src = csr.Csr.src in
-  let order = ref [] in
   dist.(s) <- 0;
   sigma.(s) <- 1.0;
-  Queue.add s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
+  order.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    let du = dist.(u) + 1 and su = sigma.(u) in
     for i = row.(u) to row.(u + 1) - 1 do
       if Bytes.unsafe_get alive i <> '\000' then begin
         let v = col.(i) in
-        if dist.(v) = -1 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
+        let dv = dist.(v) in
+        if dv = -1 then begin
+          dist.(v) <- du;
+          order.(!tail) <- v;
+          incr tail
         end;
-        if dist.(v) = dist.(u) + 1 then begin
-          sigma.(v) <- sigma.(v) +. sigma.(u);
-          preds.(v) <- i :: preds.(v)
+        if dv = -1 || dv = du then begin
+          sigma.(v) <- sigma.(v) +. su;
+          pred.(top.(v)) <- i;
+          top.(v) <- top.(v) + 1
         end
       end
     done
   done;
-  List.iter
-    (fun w ->
-      List.iter
-        (fun i ->
-          let u = src.(i) in
-          let c = sigma.(u) /. sigma.(w) *. (1.0 +. delta.(w)) in
-          edge_bc.(i) <- edge_bc.(i) +. c;
-          delta.(u) <- delta.(u) +. c)
-        preds.(w))
-    !order;
-  (* reset only what this source touched *)
-  List.iter
-    (fun w ->
-      dist.(w) <- -1;
-      sigma.(w) <- 0.0;
-      delta.(w) <- 0.0;
-      preds.(w) <- [])
-    !order
+  for k = !tail - 1 downto 0 do
+    let w = order.(k) in
+    let sw = sigma.(w) and dw = 1.0 +. delta.(w) in
+    for j = top.(w) - 1 downto first.(w) do
+      let i = pred.(j) in
+      let u = src.(i) in
+      let c = sigma.(u) /. sw *. dw in
+      edge_bc.(i) <- edge_bc.(i) +. c;
+      delta.(u) <- delta.(u) +. c
+    done;
+    dist.(w) <- -1;
+    sigma.(w) <- 0.0;
+    delta.(w) <- 0.0;
+    top.(w) <- first.(w)
+  done
 
 let add_into into src =
   Array.iteri (fun i v -> into.(i) <- into.(i) +. v) src;
   into
 
 let accumulate ?pool ~alive (csr : Csr.t) scratch sources ~edge_bc =
+  let n = csr.Csr.n and m = csr.Csr.m in
+  let fail what = invalid_arg ("Betweenness.accumulate: " ^ what) in
+  if scratch.csr != csr then fail "scratch made for another CSR";
+  if Bytes.length alive <> m then fail "alive length <> arc count";
+  if Array.length edge_bc <> m then fail "edge_bc length <> arc count";
+  if Array.exists (fun s -> s < 0 || s >= n) sources then fail "source out of range";
   let nsources = Array.length sources in
   Rca_obs.Obs.span
-    ~args:[ ("sources", Rca_obs.Obs.Int nsources); ("nodes", Rca_obs.Obs.Int csr.Csr.n) ]
+    ~args:[ ("sources", Rca_obs.Obs.Int nsources); ("nodes", Rca_obs.Obs.Int n) ]
     "brandes.accumulate"
   @@ fun () ->
   match pool with
@@ -111,7 +141,7 @@ let accumulate ?pool ~alive (csr : Csr.t) scratch sources ~edge_bc =
       let chunks = (nsources + chunk_sources - 1) / chunk_sources in
       let partials =
         Pool.run_chunks p ~chunks (fun c ->
-            let acc = Array.make csr.Csr.m 0.0 in
+            let acc = Array.make m 0.0 in
             let scratch = make_scratch csr in
             for i = c * chunk_sources to min nsources ((c + 1) * chunk_sources) - 1 do
               accumulate_from csr ~alive scratch ~edge_bc:acc sources.(i)

@@ -27,9 +27,11 @@ val chunk_sources : int
 type scratch
 (** BFS scratch for the sequential path, reused across sources and
     batches and reset in O(visited) — a source confined to a small
-    component costs O(n_c + m_c), not O(n). *)
+    component costs O(n_c + m_c), not O(n).  Flat arrays only: a source
+    allocates nothing. *)
 
 val make_scratch : Csr.t -> scratch
+(** Scratch for this very CSR: {!accumulate} rejects it for any other. *)
 
 val accumulate :
   ?pool:Pool.t ->
@@ -45,7 +47,10 @@ val accumulate :
     ['\000'] byte at an arc id means removed; pass [m] ['\001'] bytes
     for the whole graph).  Sequentially every source adds into
     [edge_bc] in the given order; under a pool each chunk accumulates
-    privately and the tree-reduced sum is added in at the end. *)
+    privately and the tree-reduced sum is added in at the end.  Raises
+    [Invalid_argument] unless [alive] and [edge_bc] have length
+    [csr.m], every source [s] has [0 <= s < csr.n], and [scratch] was made
+    by {!make_scratch} for [csr] itself. *)
 
 (** {1 Edge selection} *)
 

@@ -76,26 +76,29 @@ let eigenvector_csr ?pool (m : Csr.t) =
                    gather_range x x' lo hi))
       | _ -> fun x x' -> gather_range x x' 0 n
     in
+    (* Each sweep normalizes x' into x in place: the operations of
+       [l2_normalize] and of the L1 change, in the same order, without a
+       fresh array per sweep. *)
     let x = Array.make n (1.0 /. float_of_int n) in
     let x' = Array.make n 0.0 in
-    let rec iterate k x x' =
-      if k = 0 then x
-      else begin
-        incr sweeps;
-        sweep x x';
-        let x'' = l2_normalize x' in
-        let delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          delta := !delta +. abs_float (x''.(i) -. x.(i))
-        done;
-        if !delta < tol *. float_of_int n then x''
-        else begin
-          Array.blit x'' 0 x 0 n;
-          iterate (k - 1) x x'
-        end
-      end
-    in
-    iterate max_iter x x'
+    let converged = ref false in
+    while (not !converged) && !sweeps < max_iter do
+      incr sweeps;
+      sweep x x';
+      let sq = ref 0.0 in
+      for i = 0 to n - 1 do
+        sq := !sq +. (x'.(i) *. x'.(i))
+      done;
+      let s = sqrt !sq in
+      let delta = ref 0.0 in
+      for i = 0 to n - 1 do
+        let y = if s > 0.0 then x'.(i) /. s else x'.(i) in
+        delta := !delta +. abs_float (y -. x.(i));
+        x.(i) <- y
+      done;
+      converged := !delta < tol *. float_of_int n
+    done;
+    x
   end
 
 let eigenvector ?(direction = In) ?pool g =

@@ -132,46 +132,46 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
   let arcs_alive = ref m in
   let edge_bc = Array.make m 0.0 in
   let sources = gn_sources ?approx n in
-  let is_source = Array.make n false in
-  Array.iter (fun s -> is_source.(s) <- true) sources;
   (* Component labels; [ncomps] is also the next fresh label. *)
   let comp = Array.make n (-1) in
   let ncomps = ref 0 in
   (* Generation-stamped BFS over alive arcs (the working graph is
-     symmetric, so forward arcs suffice); returns the component sorted
-     ascending, so rescoring sources ascend like the reference's. *)
+     symmetric, so forward arcs suffice); returns how many nodes it
+     reached, listed in [visit] and stamped with the current
+     [generation] in [mark]. *)
   let mark = Array.make n (-1) in
   let generation = ref 0 in
+  let visit = Array.make n 0 in
   let bfs start =
     incr generation;
     let gen = !generation in
-    let q = Queue.create () in
-    let seen = ref [] in
     mark.(start) <- gen;
-    Queue.add start q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      seen := u :: !seen;
+    visit.(0) <- start;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = visit.(!head) in
+      incr head;
       for i = row.(u) to row.(u + 1) - 1 do
         if Bytes.unsafe_get alive i <> '\000' then begin
           let v = col.(i) in
           if mark.(v) <> gen then begin
             mark.(v) <- gen;
-            Queue.add v q
+            visit.(!tail) <- v;
+            incr tail
           end
         end
       done
     done;
-    let nodes = Array.of_list !seen in
-    Array.sort compare nodes;
-    (nodes, gen)
+    !tail
   in
-  let new_component nodes =
-    Array.iter (fun x -> comp.(x) <- !ncomps) nodes;
+  let new_component reached =
+    for k = 0 to reached - 1 do
+      comp.(visit.(k)) <- !ncomps
+    done;
     incr ncomps
   in
   for v = 0 to n - 1 do
-    if comp.(v) = -1 then new_component (fst (bfs v))
+    if comp.(v) = -1 then new_component (bfs v)
   done;
   (* One scratch, reused by every sequential batch; the
      reset-in-O(visited) contract keeps small components cheap. *)
@@ -181,22 +181,32 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
      exact computation (and, under a pool, the exact chunk structure)
      the reference performs before its first removal. *)
   Rca_obs.Obs.span "gn.initial_scores" (fun () -> accumulate sources);
-  (* Zero a component's arcs, then accumulate its sources. *)
-  let rescore nodes =
+  (* Zero the arcs of the component the last BFS reached, then
+     accumulate its sources: the ascending [sources] filtered by the
+     BFS's stamp, so they ascend like the reference's. *)
+  let srcbuf = Array.make (Array.length sources) 0 in
+  let rescore reached =
     Rca_obs.Obs.span
-      ~args:[ ("component_nodes", Rca_obs.Obs.Int (Array.length nodes)) ]
+      ~args:[ ("component_nodes", Rca_obs.Obs.Int reached) ]
       "gn.recompute"
     @@ fun () ->
+    for k = 0 to reached - 1 do
+      let u = visit.(k) in
+      for i = row.(u) to row.(u + 1) - 1 do
+        edge_bc.(i) <- 0.0
+      done
+    done;
+    let count = ref 0 in
     Array.iter
-      (fun u ->
-        for i = row.(u) to row.(u + 1) - 1 do
-          edge_bc.(i) <- 0.0
-        done)
-      nodes;
-    let srcs = Array.of_seq (Seq.filter (fun v -> is_source.(v)) (Array.to_seq nodes)) in
+      (fun s ->
+        if mark.(s) = !generation then begin
+          srcbuf.(!count) <- s;
+          incr count
+        end)
+      sources;
     Rca_obs.Obs.incr "gn.components_rescored";
-    Rca_obs.Obs.incr ~by:(Array.length srcs) "gn.sources_rescored";
-    accumulate srcs
+    Rca_obs.Obs.incr ~by:!count "gn.sources_rescored";
+    accumulate (Array.sub srcbuf 0 !count)
   in
   let best_edge () =
     Rca_obs.Obs.incr ~by:m "gn.argmax_arcs_scanned";
@@ -221,19 +231,17 @@ let remove_until ?approx ?pool ?(max_removals = 2000) ~stop (csr : Csr.t) =
         Bytes.set alive j '\000';
         decr arcs_alive
       end;
-      let reached_u, gen_u = bfs u in
-      if u <> v && mark.(v) <> gen_u then begin
-        (* the component split: [u]'s side keeps its label, [v]'s side
-           gets a fresh one; both need new scores *)
-        let reached_v, _ = bfs v in
-        new_component reached_v;
-        rescore reached_u;
-        rescore reached_v
+      (* refresh the scores of [u]'s component, which after a split is
+         [u]'s side; every other component's cache is untouched *)
+      let reached = bfs u in
+      let split = u <> v && mark.(v) <> !generation in
+      rescore reached;
+      if split then begin
+        (* [v]'s side gets a fresh label and its own scores *)
+        let reached = bfs v in
+        new_component reached;
+        rescore reached
       end
-      else
-        (* still one component (or a self-loop): refresh its scores;
-           every other component's cache is untouched *)
-        rescore reached_u
     end
   in
   let current () =

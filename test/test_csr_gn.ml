@@ -272,6 +272,51 @@ let accumulate_adds_into_scores () =
         csr)
     [ ("sequential", None); ("2 domains", Some pool2); ("4 domains", Some pool4) ]
 
+(* [accumulate] checks its inputs once per batch, before any source
+   runs: the kernel reads [alive] unchecked, and a scratch counted from
+   another CSR's columns would mix up the predecessor groups. *)
+let rejects_misuse misuse () =
+  let csr = Csr.of_digraph (fixture_graph ()) in
+  let m = csr.Csr.m in
+  let other = Csr.of_digraph (fixture_graph ()) in
+  let alive, edge_bc, scratch, sources =
+    match misuse with
+    | `Short_alive -> (Bytes.make (m - 1) '\001', Array.make m 0.0, Betweenness.make_scratch csr, [| 0 |])
+    | `Short_edge_bc -> (Bytes.make m '\001', Array.make (m - 1) 0.0, Betweenness.make_scratch csr, [| 0 |])
+    | `Source_range s -> (Bytes.make m '\001', Array.make m 0.0, Betweenness.make_scratch csr, [| 0; s |])
+    | `Foreign_scratch -> (Bytes.make m '\001', Array.make m 0.0, Betweenness.make_scratch other, [| 0 |])
+  in
+  check_bool "Invalid_argument" true
+    (match Betweenness.accumulate ~alive csr scratch sources ~edge_bc with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "no score written" true (Array.for_all (fun c -> c = 0.0) edge_bc)
+
+(* Minor words [f] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The kernels allocate a constant per call, not per source or per
+   sweep: a list cell per predecessor over all 300 sources of this
+   1,782-arc graph, or a fresh vector in each of the path's 200 sweeps,
+   would put the count in the hundreds of thousands of words. *)
+let accumulate_allocates_nothing_per_source () =
+  let csr = Csr.of_digraph (Digraph.to_undirected (Gen.barabasi_albert ~seed:5 ~n:300 ~k:3)) in
+  let alive = Bytes.make csr.Csr.m '\001' and edge_bc = Array.make csr.Csr.m 0.0 in
+  let scratch = Betweenness.make_scratch csr and sources = Array.init csr.Csr.n Fun.id in
+  let words =
+    minor_words (fun () -> Betweenness.accumulate ~alive csr scratch sources ~edge_bc)
+  in
+  check_bool (Printf.sprintf "%.0f minor words < 1000" words) true (words < 1000.0)
+
+let eigenvector_allocates_nothing_per_sweep () =
+  let path = Digraph.of_edges ~n:400 (List.init 399 (fun i -> (i, i + 1))) in
+  let rev = Csr.transpose (Csr.of_digraph path) in
+  let words = minor_words (fun () -> ignore (Centrality.eigenvector_csr rev)) in
+  check_bool (Printf.sprintf "%.0f minor words < 1000" words) true (words < 1000.0)
+
 (* --- argmax tie-breaking -------------------------------------------------------- *)
 
 let argmax_tie_breaking () =
@@ -618,6 +663,21 @@ let () =
           Alcotest.test_case "induced rejects bad nodes" `Quick csr_induced_rejects_bad_nodes;
           Alcotest.test_case "alive mask = edge removal" `Quick alive_mask_equals_removal;
           Alcotest.test_case "accumulate adds into scores" `Quick accumulate_adds_into_scores;
+          Alcotest.test_case "accumulate rejects short alive" `Quick (rejects_misuse `Short_alive);
+          Alcotest.test_case "accumulate rejects short edge_bc" `Quick
+            (rejects_misuse `Short_edge_bc);
+          Alcotest.test_case "accumulate rejects negative source" `Quick
+            (rejects_misuse (`Source_range (-1)));
+          Alcotest.test_case "accumulate rejects source n" `Quick (rejects_misuse (`Source_range 6));
+          Alcotest.test_case "accumulate rejects foreign scratch" `Quick
+            (rejects_misuse `Foreign_scratch);
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "accumulate: none per source" `Quick
+            accumulate_allocates_nothing_per_source;
+          Alcotest.test_case "eigenvector: none per sweep" `Quick
+            eigenvector_allocates_nothing_per_sweep;
         ] );
       ( "argmax",
         [
