@@ -561,7 +561,7 @@ let compile_cmd =
     Term.(const run $ scale_arg $ experiment_arg $ members_arg $ output_arg)
 
 let serve_cmd =
-  let run snapshot socket port cache domains workers queue cache_path cache_save =
+  let run snapshot socket port cache workers queue cache_path cache_save =
     match Rca_serve.Snapshot.load snapshot with
     | Error msg ->
         Printf.eprintf "cannot load %s: %s\n" snapshot msg;
@@ -573,8 +573,8 @@ let serve_cmd =
           | `Unix path -> Printf.sprintf "unix:%s" path
           | `Tcp p -> Printf.sprintf "tcp:127.0.0.1:%d" p
         in
-        Printf.printf "serving %s on %s (cache %d, domains %d, workers %d, queue %d%s)\n%!"
-          snap.Rca_serve.Snapshot.fingerprint where cache domains workers queue
+        Printf.printf "serving %s on %s (cache %d, workers %d, queue %d%s)\n%!"
+          snap.Rca_serve.Snapshot.fingerprint where cache workers queue
           (match cache_path with
           | None -> ""
           | Some p ->
@@ -583,7 +583,7 @@ let serve_cmd =
                 | None -> ""
                 | Some s -> Printf.sprintf " every %gs" s));
         let stats =
-          Rca_serve.Server.serve ~cache_capacity:cache ~domains ~workers
+          Rca_serve.Server.serve ~cache_capacity:cache ~workers
             ~queue_capacity:queue ?cache_path ?cache_save_every:cache_save addr snap
         in
         Printf.printf
@@ -660,8 +660,8 @@ let serve_cmd =
           with $(b,--cache-path)) and identical concurrent requests coalesce onto one \
           computation.  Runs until a shutdown request.")
     Term.(
-      const run $ snapshot_arg $ socket_arg $ port_arg $ cache_arg $ domains_arg
-      $ workers_arg $ queue_arg $ cache_path_arg $ cache_save_arg)
+      const run $ snapshot_arg $ socket_arg $ port_arg $ cache_arg $ workers_arg
+      $ queue_arg $ cache_path_arg $ cache_save_arg)
 
 let query_cmd =
   let run socket port op targets detector gn_approx =

@@ -32,14 +32,14 @@ open Rca_fortran
 (* Special-cased in the metagraph builder: not real contract sites. *)
 let builtin_call = function "outfld" | "random_number" -> true | _ -> false
 
-let intent_of (c : Scope.callable) formal =
-  List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.Scope.c_sub.Ast.s_decls
+let intent_of (c : Visibility.callable) formal =
+  List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.Visibility.c_sub.Ast.s_decls
   |> Option.map (fun d -> d.Ast.d_intent)
   |> Option.join
 
 (* Does this candidate's contract let it write [formal]?  Declared intent
    is authoritative; a no-intent formal falls back to the body summary. *)
-let writes_formal (ss : Scope.sub_scope) (c : Scope.callable) formal =
+let writes_formal (ss : Scope.sub_scope) (c : Visibility.callable) formal =
   match intent_of c formal with
   | Some Ast.Out | Some Ast.Inout -> true
   | Some Ast.In -> false
@@ -48,9 +48,9 @@ let writes_formal (ss : Scope.sub_scope) (c : Scope.callable) formal =
       | Some { Scope.fs_writes; _ } -> fs_writes
       | None -> true)
 
-let formal_ty res (c : Scope.callable) formal =
+let formal_ty res (c : Visibility.callable) formal =
   match
-    Resolve.lookup_local res ~module_:c.Scope.c_module ~sub:c.Scope.c_sub.Ast.s_name
+    Resolve.lookup_local res ~module_:c.Visibility.c_module ~sub:c.Visibility.c_sub.Ast.s_name
       formal
   with
   | Some s -> s.Resolve.sym_ty
@@ -69,7 +69,7 @@ let assignable ss (d : Ast.designator) =
   match d with
   | Ast.Dname n | Ast.Dindex (Ast.Dname n, _) ->
       Scope.is_metagraph_variable ss n
-      || ((not (Scope.callables ss n <> [])) && not (Scope.is_intrinsic n))
+      || ((not (Scope.callables ss n <> [])) && not (Visibility.is_intrinsic n))
   | Ast.Dmember _ | Ast.Dindex _ -> true
 
 type site_ctx = {
@@ -83,8 +83,10 @@ let mk ctx kind line ?callee var message =
   let sym, def_file, def_line =
     match (var, callee) with
     | Some v, _ -> Diagnostics.var_provenance ctx.res v
-    | None, Some (c : Scope.callable) -> (
-        match Resolve.sub_symbol ctx.res ~module_:c.Scope.c_module c.Scope.c_sub.Ast.s_name with
+    | None, Some (c : Visibility.callable) -> (
+        match
+          Resolve.sub_symbol ctx.res ~module_:c.Visibility.c_module c.Visibility.c_sub.Ast.s_name
+        with
         | Some s -> (s.Resolve.sym_id, s.Resolve.sym_file, s.Resolve.sym_line)
         | None -> Diagnostics.sub_provenance ctx.res ~module_:dmodule ~sub:dsub)
     | None, None -> Diagnostics.sub_provenance ctx.res ~module_:dmodule ~sub:dsub
@@ -110,12 +112,16 @@ let check_site ctx ~line name (args : Ast.expr list) =
   else begin
     let nargs = List.length args in
     let matching =
-      List.filter (fun (c : Scope.callable) -> List.length c.Scope.c_sub.Ast.s_args = nargs) cands
+      List.filter
+        (fun (c : Visibility.callable) -> List.length c.Visibility.c_sub.Ast.s_args = nargs)
+        cands
     in
     if matching = [] then begin
       let arities =
         List.sort_uniq compare
-          (List.map (fun (c : Scope.callable) -> List.length c.Scope.c_sub.Ast.s_args) cands)
+          (List.map
+             (fun (c : Visibility.callable) -> List.length c.Visibility.c_sub.Ast.s_args)
+             cands)
       in
       ctx.add
         (mk ctx Diagnostics.Arity_mismatch line ~callee:(List.hd cands) None
@@ -129,7 +135,7 @@ let check_site ctx ~line name (args : Ast.expr list) =
           (* [matching] was filtered on arity = nargs, so position [i]
              exists in every candidate — but a candidate that still
              lacks it (mangled AST) is skipped, not a crash *)
-          let formal_of (c : Scope.callable) = List.nth_opt c.Scope.c_sub.Ast.s_args i in
+          let formal_of (c : Visibility.callable) = List.nth_opt c.Visibility.c_sub.Ast.s_args i in
           (* type/rank: every matching candidate must reject before we flag *)
           let aty = Typecheck.expr_ty ss ~line actual in
           (match aty with
@@ -137,14 +143,14 @@ let check_site ctx ~line name (args : Ast.expr list) =
           | Some at ->
               let verdicts =
                 List.map
-                  (fun (c : Scope.callable) ->
+                  (fun (c : Visibility.callable) ->
                     match Option.bind (formal_of c) (formal_ty ctx.res c) with
                     | None -> `Unknown
                     | Some ft ->
                         if not (Typecheck.compatible ft at) then `Bad ft
                         else if
                           at.Resolve.rank <> ft.Resolve.rank
-                          && not (c.Scope.c_sub.Ast.s_elemental && ft.Resolve.rank = 0)
+                          && not (c.Visibility.c_sub.Ast.s_elemental && ft.Resolve.rank = 0)
                           && at.Resolve.rank <> 0
                           && ft.Resolve.rank <> 0
                         then `Bad ft
@@ -231,7 +237,7 @@ and walk_desig ctx ~line (d : Ast.designator) =
   | Ast.Dindex (Ast.Dname n, args) ->
       if
         (not (Scope.is_metagraph_variable ctx.ss n))
-        && (not (Scope.is_intrinsic n))
+        && (not (Visibility.is_intrinsic n))
         && Scope.callables ctx.ss n <> []
       then check_site ctx ~line n args;
       List.iter (walk_expr ctx ~line) args

@@ -68,7 +68,7 @@ and desig_uses ss acc ~line ~reportable (d : Ast.designator) =
       end
       else if Scope.callables ss n <> [] then
         function_call_uses ss acc ~line ~reportable n args
-      else if Scope.is_intrinsic n then
+      else if Visibility.is_intrinsic n then
         List.iter (expr_uses ss acc ~line ~reportable) args
       else begin
         (* undeclared indexed name: implicit local, indices still read *)
@@ -96,7 +96,7 @@ and function_call_uses ss acc ~line ~reportable name args =
   List.iter (expr_uses ss acc ~line ~reportable) args;
   let cands = Scope.callables ss name in
   List.iter
-    (fun (c : Scope.callable) ->
+    (fun (c : Visibility.callable) ->
       List.iteri
         (fun i formal ->
           match
@@ -105,7 +105,7 @@ and function_call_uses ss acc ~line ~reportable name args =
           | Some { Scope.fs_writes = true; _ }, Some (Ast.Edesig d) ->
               add_def acc ~origin:From_call (lhs_var ss d line) line false
           | _ -> ())
-        c.Scope.c_sub.Ast.s_args)
+        c.Visibility.c_sub.Ast.s_args)
     cands
 
 (* The variable an assignment-like write targets, mirroring the
@@ -139,14 +139,14 @@ let lhs_is_strong = function Ast.Dname _ -> true | _ -> false
 
 (* ---- call statements --------------------------------------------------------- *)
 
-let intent_of (c : Scope.callable) formal =
-  List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.Scope.c_sub.Ast.s_decls
+let intent_of (c : Visibility.callable) formal =
+  List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.Visibility.c_sub.Ast.s_decls
   |> Option.map (fun d -> d.Ast.d_intent)
   |> Option.join
 
 (* Effective per-formal behaviour at a call site: the syntactic summary
    refines the declared intent when available. *)
-let formal_effect ss (c : Scope.callable) formal =
+let formal_effect ss (c : Visibility.callable) formal =
   match Scope.formal_summary ss.Scope.ss_sums c formal with
   | Some { Scope.fs_reads; fs_writes } -> (fs_reads, fs_writes)
   | None -> (
@@ -187,8 +187,8 @@ let call_stmt_facts ss acc ~line name args =
             let reads = ref false and writes = ref false and all_certain = ref true in
             let any_formal = ref false in
             List.iter
-              (fun (c : Scope.callable) ->
-                match List.nth_opt c.Scope.c_sub.Ast.s_args i with
+              (fun (c : Visibility.callable) ->
+                match List.nth_opt c.Visibility.c_sub.Ast.s_args i with
                 | None -> ()  (* arity mismatch: this candidate has no formal here *)
                 | Some formal ->
                     any_formal := true;

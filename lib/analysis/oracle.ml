@@ -43,7 +43,6 @@ let ok report = report.rp_mismatches = [] && report.rp_orphans = []
 
 type octx = {
   ps : Scope.program_scope;
-  ms : Scope.module_scope;
   res : Resolve.t;
   o_module : string;
   o_file : string;
@@ -62,8 +61,7 @@ let lookup ctx name =
 
 let is_variable ctx name = lookup ctx name <> None
 
-let callables ctx name =
-  Option.value ~default:[] (Hashtbl.find_opt ctx.ms.Scope.ms_subs name)
+let callables ctx name = Scope.module_callables ctx.ps ~module_:ctx.o_module name
 
 let resolve_var ctx name : vref =
   match lookup ctx name with
@@ -110,14 +108,14 @@ and desig_sources ctx (d : Ast.designator) : vref list =
   | Ast.Dindex (Ast.Dname n, args) ->
       if is_variable ctx n then [ resolve_var ctx n ]
       else if callables ctx n <> [] then function_call_sources ctx n args
-      else if Scope.is_intrinsic n then intrinsic_sources ctx n args
+      else if Visibility.is_intrinsic n then intrinsic_sources ctx n args
       else [ resolve_var ctx n ]
   | Ast.Dindex (base, _args) -> desig_sources ctx base
 
 and function_call_sources ctx name args : vref list =
   let cands = callables ctx name in
   List.concat_map
-    (fun (c : Scope.callable) ->
+    (fun (c : Visibility.callable) ->
       List.iteri
         (fun i formal ->
           match List.nth_opt args i with
@@ -125,14 +123,24 @@ and function_call_sources ctx name args : vref list =
           | Some actual ->
               let srcs = expr_sources ctx actual in
               let fref =
-                { r_module = c.Scope.c_module; r_sub = c.Scope.c_sub.Ast.s_name; r_name = formal }
+                {
+                  r_module = c.Visibility.c_module;
+                  r_sub = c.Visibility.c_sub.Ast.s_name;
+                  r_name = formal;
+                }
               in
               List.iter (fun s -> add_pair ctx s fref) srcs)
-        c.Scope.c_sub.Ast.s_args;
-      match c.Scope.c_sub.Ast.s_kind with
+        c.Visibility.c_sub.Ast.s_args;
+      match c.Visibility.c_sub.Ast.s_kind with
       | Ast.Function ->
-          let rname = Ast.function_result_name c.Scope.c_sub in
-          [ { r_module = c.Scope.c_module; r_sub = c.Scope.c_sub.Ast.s_name; r_name = rname } ]
+          let rname = Ast.function_result_name c.Visibility.c_sub in
+          [
+            {
+              r_module = c.Visibility.c_module;
+              r_sub = c.Visibility.c_sub.Ast.s_name;
+              r_name = rname;
+            };
+          ]
       | Ast.Subroutine -> [])
     cands
 
@@ -164,8 +172,8 @@ let lhs_assignable ctx (d : Ast.designator) =
   | Ast.Dname n | Ast.Dindex (Ast.Dname n, _) -> is_variable ctx n
   | Ast.Dmember _ | Ast.Dindex _ -> true
 
-let intent_of (c : Scope.callable) formal =
-  List.find_opt (fun (dd : Ast.decl) -> dd.Ast.d_name = formal) c.Scope.c_sub.Ast.s_decls
+let intent_of (c : Visibility.callable) formal =
+  List.find_opt (fun (dd : Ast.decl) -> dd.Ast.d_name = formal) c.Visibility.c_sub.Ast.s_decls
   |> Option.map (fun dd -> dd.Ast.d_intent)
   |> Option.join
 
@@ -189,7 +197,7 @@ let process_call ctx name args line =
       | _ -> ())
   | _ ->
       List.iter
-        (fun (c : Scope.callable) ->
+        (fun (c : Visibility.callable) ->
           List.iteri
             (fun i formal ->
               match List.nth_opt args i with
@@ -197,8 +205,8 @@ let process_call ctx name args line =
               | Some actual -> (
                   let fref =
                     {
-                      r_module = c.Scope.c_module;
-                      r_sub = c.Scope.c_sub.Ast.s_name;
+                      r_module = c.Visibility.c_module;
+                      r_sub = c.Visibility.c_sub.Ast.s_name;
                       r_name = formal;
                     }
                   in
@@ -212,7 +220,7 @@ let process_call ctx name args line =
                           add_pair ctx aref fref;
                           add_pair ctx fref aref)
                   | e -> List.iter (fun s -> add_pair ctx s fref) (expr_sources ctx e)))
-            c.Scope.c_sub.Ast.s_args)
+            c.Visibility.c_sub.Ast.s_args)
         (callables ctx name)
 
 let process_unparsed ctx raw =
@@ -257,26 +265,22 @@ let rec process_stmt ctx (st : Ast.stmt) =
 let static_pairs (ps : Scope.program_scope) : pair list =
   List.concat_map
     (fun (mu : Ast.module_unit) ->
-      match Scope.module_scope ps mu.Ast.m_name with
-      | None -> []
-      | Some ms ->
-          List.concat_map
-            (fun (s : Ast.subprogram) ->
-              let ctx =
-                {
-                  ps;
-                  ms;
-                  res = Scope.resolution ps;
-                  o_module = mu.Ast.m_name;
-                  o_file = mu.Ast.m_file;
-                  o_sub = s.Ast.s_name;
-                  line = s.Ast.s_line;
-                  pairs_rev = [];
-                }
-              in
-              List.iter (process_stmt ctx) s.Ast.s_body;
-              List.rev ctx.pairs_rev)
-            mu.Ast.m_subprograms)
+      List.concat_map
+        (fun (s : Ast.subprogram) ->
+          let ctx =
+            {
+              ps;
+              res = Scope.resolution ps;
+              o_module = mu.Ast.m_name;
+              o_file = mu.Ast.m_file;
+              o_sub = s.Ast.s_name;
+              line = s.Ast.s_line;
+              pairs_rev = [];
+            }
+          in
+          List.iter (process_stmt ctx) s.Ast.s_body;
+          List.rev ctx.pairs_rev)
+        mu.Ast.m_subprograms)
     ps.Scope.prog
 
 (* ---- checking ------------------------------------------------------------------ *)

@@ -243,8 +243,6 @@ let implicits_of_sub t ~module_ ~sub =
 
 (* ---- construction --------------------------------------------------------------- *)
 
-let is_intrinsic = Rca_metagraph.Metagraph.is_intrinsic
-
 let program (prog : Ast.program) : t =
   let t =
     {
@@ -325,8 +323,12 @@ let program (prog : Ast.program) : t =
         mu.Ast.m_interfaces;
       Hashtbl.replace t.r_modules mu.Ast.m_name ms)
     prog;
-  (* pass 2: use-association — only names the source module itself owns
-     (no chained imports), honouring only-lists and renames *)
+  (* pass 2: use-association — only names the source module declares
+     itself (no chained imports), honouring only-lists and renames; an
+     import replaces a same-named own name.  Imports read the own tables
+     of pass 1 and are applied after all are collected, so the module
+     order cannot matter *)
+  let imports = ref [] in
   List.iter
     (fun (mu : Ast.module_unit) ->
       match Hashtbl.find_opt t.r_modules mu.Ast.m_name with
@@ -337,46 +339,34 @@ let program (prog : Ast.program) : t =
               match Hashtbl.find_opt t.r_modules u.Ast.u_module with
               | None -> ()
               | Some src ->
-                  let import_var local remote =
-                    match Hashtbl.find_opt src.rm_vars remote with
-                    | Some id
-                      when (match (symbol t id).sym_kind with
-                           | Smodule_var { owner; _ } -> owner = u.Ast.u_module
-                           | _ -> false) ->
-                        Hashtbl.replace ms.rm_vars local id
-                    | _ -> ()
+                  let import tbl src_tbl local remote =
+                    Option.iter
+                      (fun v -> imports := (fun () -> Hashtbl.replace tbl local v) :: !imports)
+                      (Hashtbl.find_opt src_tbl remote)
                   in
-                  let import_sub local remote =
-                    match Hashtbl.find_opt src.rm_subs remote with
-                    | Some cands ->
-                        let owned = List.filter (fun (m, _) -> m = u.Ast.u_module) cands in
-                        if owned <> [] then Hashtbl.replace ms.rm_subs local owned
-                    | None -> ()
+                  let import_both local remote =
+                    import ms.rm_vars src.rm_vars local remote;
+                    import ms.rm_subs src.rm_subs local remote
                   in
                   (match u.Ast.u_only with
-                  | Some pairs ->
-                      List.iter
-                        (fun (local, remote) ->
-                          import_var local remote;
-                          import_sub local remote)
-                        pairs
+                  | Some pairs -> List.iter (fun (local, remote) -> import_both local remote) pairs
                   | None -> (
                       match Ast.find_module prog u.Ast.u_module with
                       | None -> ()
                       | Some smu ->
                           List.iter
-                            (fun (d : Ast.decl) -> import_var d.Ast.d_name d.Ast.d_name)
+                            (fun (d : Ast.decl) -> import_both d.Ast.d_name d.Ast.d_name)
                             smu.Ast.m_decls;
                           List.iter
-                            (fun (s : Ast.subprogram) ->
-                              import_sub s.Ast.s_name s.Ast.s_name)
+                            (fun (s : Ast.subprogram) -> import_both s.Ast.s_name s.Ast.s_name)
                             smu.Ast.m_subprograms;
                           List.iter
                             (fun (i : Ast.interface_def) ->
-                              if i.Ast.i_name <> "" then import_sub i.Ast.i_name i.Ast.i_name)
+                              if i.Ast.i_name <> "" then import_both i.Ast.i_name i.Ast.i_name)
                             smu.Ast.m_interfaces)))
             mu.Ast.m_uses)
     prog;
+  List.iter (fun apply -> apply ()) (List.rev !imports);
   (* pass 3: subprogram scopes — formals (with intent), declared locals,
      and the result name (for a subroutine, the subprogram's own name:
      the metagraph builder seeds its locals that way and the oracle must
@@ -471,7 +461,7 @@ let program (prog : Ast.program) : t =
             | Ast.Dindex (Ast.Dname n, args) ->
                 (if lookup_var t ~module_ ~sub n <> None then resolve_name line n
                  else if callables t ~module_ n <> [] then ()
-                 else if is_intrinsic n then ()
+                 else if Visibility.is_intrinsic n then ()
                  else resolve_name line n);
                 List.iter (walk_expr line) args
             | Ast.Dindex (base, args) ->

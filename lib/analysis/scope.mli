@@ -3,35 +3,32 @@
    Every dataflow variable carries the symbol id of the declaration it
    refers to, so shadowing, renames and implicit typing are decided once,
    in the resolver, and the bitvector dataflow / diagnostics / oracle
-   layers all agree on what a name means.  On top of the symbol table
-   this module keeps per-module callable candidates, syntactic read/write
-   summaries per formal, and the per-subprogram dense variable ids the
-   bitvectors run on. *)
+   layers all agree on what a name means; callable candidates are
+   {!Resolve.callables} too.  On top of the symbol table this module
+   keeps syntactic read/write summaries per formal and the per-subprogram
+   dense variable ids the bitvectors run on. *)
 
 open Rca_fortran
 
 (* ---- program-level scopes ---- *)
 
-type callable = { c_module : string; c_sub : Ast.subprogram }
-
-type module_scope = {
-  ms_unit : Ast.module_unit;
-  (* local name -> candidate procedures (own, imported, named interfaces) *)
-  ms_subs : (string, callable list) Hashtbl.t;
-}
-
 type program_scope = {
-  by_module : (string, module_scope) Hashtbl.t;
   prog : Ast.program;
   ps_res : Resolve.t;
+  ps_subs : (string * string, Ast.subprogram) Hashtbl.t;
+      (* (module, name) -> the module's first subprogram of that name *)
 }
 
 (* [resolution] defaults to [Resolve.program prog]; pass it to share one
    symbol table across the pipeline. *)
 val of_program : ?resolution:Resolve.t -> Ast.program -> program_scope
 
-val module_scope : program_scope -> string -> module_scope option
 val resolution : program_scope -> Resolve.t
+
+(* Candidate procedures a name denotes in a module: {!Resolve.callables}
+   with their definitions. *)
+val module_callables :
+  program_scope -> module_:string -> string -> Visibility.callable list
 
 (* ---- interprocedural summaries ---- *)
 
@@ -42,7 +39,7 @@ type formal_summary = { fs_reads : bool; fs_writes : bool }
 type summaries = (string * string, (string, formal_summary) Hashtbl.t) Hashtbl.t
 
 val compute_summaries : program_scope -> summaries
-val formal_summary : summaries -> callable -> string -> formal_summary option
+val formal_summary : summaries -> Visibility.callable -> string -> formal_summary option
 
 (* ---- per-subprogram variable tables ---- *)
 
@@ -66,7 +63,6 @@ type var = {
 type sub_scope = {
   ss_module : string;
   ss_sub : Ast.subprogram;
-  ss_ms : module_scope;
   ss_ps : program_scope;
   ss_sums : summaries;
   by_name : (string, var) Hashtbl.t;
@@ -96,8 +92,7 @@ val is_declared_var : sub_scope -> string -> bool
    or visible as a module variable.  Interned implicits do NOT count. *)
 val is_metagraph_variable : sub_scope -> string -> bool
 
-val callables : sub_scope -> string -> callable list
-val is_intrinsic : string -> bool
+val callables : sub_scope -> string -> Visibility.callable list
 
 (* Does the variable's value survive the subprogram? *)
 val escapes : var -> bool

@@ -177,7 +177,7 @@ and desig_ty ss emit ~line (d : Ast.designator) : Resolve.ty option =
                    (fun s -> s.Resolve.sym_ty)
                    (Resolve.lookup_var res ~module_:ss.Scope.ss_module
                       ~sub:ss.Scope.ss_sub.Ast.s_name n)))
-      else if Scope.callables ss n <> [] || Scope.is_intrinsic n then None
+      else if Scope.callables ss n <> [] || Visibility.is_intrinsic n then None
       else Some (Resolve.implicit_ty n)
   | Ast.Dmember (base, field) -> (
       let bname = Ast.designator_base base in
@@ -221,7 +221,7 @@ and desig_ty ss emit ~line (d : Ast.designator) : Resolve.ty option =
         List.iter (fun a -> ignore (infer ss emit ~line a)) args;
         function_result_ty ss n
       end
-      else if Scope.is_intrinsic n then begin
+      else if Visibility.is_intrinsic n then begin
         List.iter (fun a -> ignore (infer ss emit ~line a)) args;
         None
       end
@@ -246,18 +246,18 @@ and function_result_ty ss name : Resolve.ty option =
   let res = Scope.resolution ss.Scope.ss_ps in
   let tys =
     List.map
-      (fun (c : Scope.callable) ->
-        if c.Scope.c_sub.Ast.s_elemental then None
+      (fun (c : Visibility.callable) ->
+        if c.Visibility.c_sub.Ast.s_elemental then None
         else
-          match c.Scope.c_sub.Ast.s_kind with
+          match c.Visibility.c_sub.Ast.s_kind with
           | Ast.Subroutine -> None
           | Ast.Function ->
               Option.join
                 (Option.map
                    (fun s -> s.Resolve.sym_ty)
-                   (Resolve.lookup_local res ~module_:c.Scope.c_module
-                      ~sub:c.Scope.c_sub.Ast.s_name
-                      (Ast.function_result_name c.Scope.c_sub))))
+                   (Resolve.lookup_local res ~module_:c.Visibility.c_module
+                      ~sub:c.Visibility.c_sub.Ast.s_name
+                      (Ast.function_result_name c.Visibility.c_sub))))
       (Scope.callables ss name)
   in
   match tys with

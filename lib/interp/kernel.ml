@@ -21,23 +21,20 @@ type capture = {
 
 exception Captured
 
-(* Deep-copy the machine's module-level state (own variables only —
-   imported cells are aliases of some module's own cell). *)
+(* Deep copies of a module's own variables (imported cells are aliases
+   of some module's own cell). *)
+let own_values (mrt : Machine.module_rt) =
+  Hashtbl.fold
+    (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
+    mrt.Machine.own_vars []
+
+(* The machine's module-level state, own variables only. *)
 let snapshot_globals (machine : Machine.t) program =
   List.filter_map
     (fun (mu : Ast.module_unit) ->
-      match Hashtbl.find_opt machine.modules mu.Ast.m_name with
-      | None -> None
-      | Some mrt ->
-          let vars =
-            Hashtbl.fold
-              (fun name () acc ->
-                match Hashtbl.find_opt mrt.Machine.vars name with
-                | Some cell -> (name, Machine.copy_value !cell) :: acc
-                | None -> acc)
-              mrt.Machine.own_vars []
-          in
-          Some (mu.Ast.m_name, List.sort compare vars))
+      Option.map
+        (fun mrt -> (mu.Ast.m_name, List.sort compare (own_values mrt)))
+        (Hashtbl.find_opt machine.modules mu.Ast.m_name))
     program
 
 (* Run [drive machine] until the [nth] (1-based) call of [module_.sub],
@@ -87,7 +84,16 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
     (fun (module_, vars) ->
       List.iter
         (fun (name, v) ->
-          Machine.set_module_var machine ~module_ ~name (Machine.copy_value v))
+          match
+            Option.bind (Hashtbl.find_opt machine.Machine.modules module_) (fun mrt ->
+                Hashtbl.find_opt mrt.Machine.own_vars name)
+          with
+          | Some cell -> cell := Machine.copy_value v
+          | None ->
+              raise
+                (Machine.Runtime_error
+                   (Printf.sprintf "captured variable %s.%s is not in the replayed program"
+                      module_ name)))
         vars)
     c.globals;
   let exit_locals = ref [] in
@@ -132,15 +138,7 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
      plus the kernel module's own variables (the MG tendencies live at
      module scope). *)
   let module_vars =
-    match Hashtbl.find_opt machine.Machine.modules c.k_module with
-    | None -> []
-    | Some mrt ->
-        Hashtbl.fold
-          (fun name () acc ->
-            match Hashtbl.find_opt mrt.Machine.vars name with
-            | Some cell -> (name, Machine.copy_value !cell) :: acc
-            | None -> acc)
-          mrt.Machine.own_vars []
+    Option.fold ~none:[] ~some:own_values (Hashtbl.find_opt machine.Machine.modules c.k_module)
   in
   List.sort compare (!exit_locals @ module_vars)
 

@@ -3,7 +3,9 @@
    This is the stand-in for "running CESM on the supercomputer": the same
    source the metagraph is compiled from is executed here, so runtime
    sampling, coverage and ECT statistics are all derived from genuine
-   execution of the analyzed code.
+   execution of the analyzed code.  Module-level names resolve through
+   {!Rca_fortran.Visibility}, the rules the metagraph builder compiles
+   with, so a sampled value lands on the variable its node stands for.
 
    Machine-level switches reproduce the paper's experimental axes:
    - [prng]: the generator behind the `random_number` intrinsic; swapping
@@ -68,13 +70,11 @@ let arr_norm a =
 
 (* --- runtime structures ------------------------------------------------------ *)
 
-type callable = { c_module : string; c_sub : Ast.subprogram }
-
 type module_rt = {
   unit_ : Ast.module_unit;
   vars : (string, value ref) Hashtbl.t;  (* visible cells: own + imported *)
-  own_vars : (string, unit) Hashtbl.t;  (* names declared in this module *)
-  visible_subs : (string, callable list) Hashtbl.t;  (* incl. interface candidates *)
+  own_vars : (string, value ref) Hashtbl.t;  (* cells of the module's own declarations *)
+  visible_subs : (string, Visibility.callable list) Hashtbl.t;  (* incl. interface candidates *)
   visible_types : (string, Ast.derived_type_def) Hashtbl.t;
 }
 
@@ -122,15 +122,6 @@ let lookup_cell ctx name =
   match Hashtbl.find_opt ctx.locals name with
   | Some c -> Some c
   | None -> Hashtbl.find_opt ctx.mrt.vars name
-
-let intrinsic_functions =
-  [
-    "abs"; "sqrt"; "exp"; "log"; "log10"; "min"; "max"; "mod"; "sign"; "sin";
-    "cos"; "tan"; "tanh"; "sum"; "maxval"; "minval"; "size"; "real"; "int";
-    "floor"; "nint"; "epsilon"; "tiny"; "huge"; "merge"; "dble";
-  ]
-
-let is_intrinsic name = List.mem name intrinsic_functions
 
 (* --- array indexing ------------------------------------------------------------- *)
 
@@ -312,14 +303,15 @@ and eval_designator ctx (d : Ast.designator) : value =
                   data = Array.of_list (List.map (fun i -> a.data.(i)) idx) }))
 
 and eval_function_call ctx name args =
-  if is_intrinsic name then eval_intrinsic ctx name args
+  if Visibility.is_intrinsic name then eval_intrinsic ctx name args
   else
     match Hashtbl.find_opt ctx.mrt.visible_subs name with
     | Some candidates -> (
         let arity = List.length args in
         match
           List.find_opt
-            (fun c -> List.length c.c_sub.Ast.s_args = arity && c.c_sub.Ast.s_kind = Ast.Function)
+            (fun (c : Visibility.callable) ->
+              List.length c.c_sub.Ast.s_args = arity && c.c_sub.Ast.s_kind = Ast.Function)
             candidates
         with
         | Some c -> call_subprogram ctx.machine c (bind_actuals ctx c args)
@@ -432,7 +424,7 @@ and resolve_lvalue ctx (d : Ast.designator) : lvalue =
    alias the caller's cell (Fortran by-reference); element/section actuals
    get copy-in/copy-out temporaries; expression actuals are passed by
    value.  Returns the prepared locals table and the copy-back thunk. *)
-and bind_actuals ctx callee args =
+and bind_actuals ctx (callee : Visibility.callable) args =
   let formals = callee.c_sub.Ast.s_args in
   if List.length formals <> List.length args then
     err "%s called with %d arguments, expected %d" callee.c_sub.Ast.s_name
@@ -658,7 +650,9 @@ and exec_call ctx name args =
       | Some candidates -> (
           let arity = List.length args in
           match
-            List.find_opt (fun c -> List.length c.c_sub.Ast.s_args = arity) candidates
+            List.find_opt
+              (fun (c : Visibility.callable) -> List.length c.c_sub.Ast.s_args = arity)
+              candidates
           with
           | Some callee -> ignore (call_subprogram ctx.machine callee (bind_actuals ctx callee args))
           | None -> err "no matching subprogram %s/%d" name arity)
@@ -666,7 +660,7 @@ and exec_call ctx name args =
 
 (* Run one subprogram with pre-bound locals; returns the function result
    value (unit-like Vlog false for subroutines). *)
-and call_subprogram machine callee (locals, copy_back) : value =
+and call_subprogram machine (callee : Visibility.callable) (locals, copy_back) : value =
   let mrt =
     match Hashtbl.find_opt machine.modules callee.c_module with
     | Some m -> m
@@ -812,111 +806,37 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
       max_steps;
     }
   in
-  let ordered = module_order prog in
-  (* pass 1: create runtime shells with own subprograms *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      let mrt =
-        {
-          unit_ = mu;
-          vars = Hashtbl.create 16;
-          own_vars = Hashtbl.create 16;
-          visible_subs = Hashtbl.create 16;
-          visible_types = Hashtbl.create 4;
-        }
-      in
-      List.iter
-        (fun (s : Ast.subprogram) ->
-          let c = { c_module = mu.Ast.m_name; c_sub = s } in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt mrt.visible_subs s.Ast.s_name) in
-          Hashtbl.replace mrt.visible_subs s.Ast.s_name (cur @ [ c ]))
-        mu.Ast.m_subprograms;
-      List.iter
-        (fun (td : Ast.derived_type_def) -> Hashtbl.replace mrt.visible_types td.Ast.t_name td)
-        mu.Ast.m_types;
-      Hashtbl.replace machine.modules mu.Ast.m_name mrt)
-    ordered;
-  (* pass 1 just registered every ordered module; a miss here means the
-     name was registered under a different key *)
-  let module_runtime mu =
-    match Hashtbl.find_opt machine.modules mu.Ast.m_name with
-    | Some mrt -> mrt
-    | None ->
-        invalid_arg
-          (Printf.sprintf "machine: module %S was not elaborated in pass 1" mu.Ast.m_name)
+  let vis = Visibility.of_program prog in
+  (* runtime shells first, so that an initializer may call into any module *)
+  let shells =
+    List.map
+      (fun (mu : Ast.module_unit) ->
+        let sc = Visibility.scope vis mu.Ast.m_name in
+        let mrt =
+          {
+            unit_ = mu;
+            vars = Hashtbl.create 16;
+            own_vars = Hashtbl.create 16;
+            visible_subs = sc.Visibility.subs;
+            visible_types = sc.Visibility.types;
+          }
+        in
+        Hashtbl.replace machine.modules mu.Ast.m_name mrt;
+        (mu, sc, mrt))
+      (module_order prog)
   in
-  (* interfaces: generic name -> own procedure candidates *)
+  (* in dependency order: alias the imported cells of modules elaborated
+     before, then elaborate the module's own variables and parameters in
+     declaration order *)
   List.iter
-    (fun (mu : Ast.module_unit) ->
-      let mrt = module_runtime mu in
-      List.iter
-        (fun (i : Ast.interface_def) ->
-          let cands =
-            List.filter_map
-              (fun pname ->
-                Option.map (fun s -> { c_module = mu.Ast.m_name; c_sub = s })
-                  (Ast.find_subprogram mu pname))
-              i.Ast.i_procedures
-          in
-          if cands <> [] && i.Ast.i_name <> "" then
-            Hashtbl.replace mrt.visible_subs i.Ast.i_name cands)
-        mu.Ast.m_interfaces)
-    ordered;
-  (* pass 2: imports + module variable elaboration, in dependency order *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      let mrt = module_runtime mu in
-      List.iter
-        (fun (u : Ast.use_stmt) ->
-          match Hashtbl.find_opt machine.modules u.Ast.u_module with
-          | None -> ()  (* unbuilt module: the build filter removed it *)
-          | Some src -> (
-              match u.Ast.u_only with
-              | Some pairs ->
-                  List.iter
-                    (fun (local, remote) ->
-                      (match Hashtbl.find_opt src.vars remote with
-                      | Some cell when Hashtbl.mem src.own_vars remote ->
-                          Hashtbl.replace mrt.vars local cell
-                      | _ -> ());
-                      (match Hashtbl.find_opt src.visible_subs remote with
-                      | Some cands ->
-                          let owned =
-                            List.filter (fun c -> c.c_module = u.Ast.u_module) cands
-                          in
-                          if owned <> [] then Hashtbl.replace mrt.visible_subs local owned
-                      | None -> ());
-                      match Hashtbl.find_opt src.visible_types remote with
-                      | Some td -> Hashtbl.replace mrt.visible_types local td
-                      | None -> ())
-                    pairs
-              | None ->
-                  (* import every name the source module declares itself *)
-                  Hashtbl.iter
-                    (fun name () ->
-                      match Hashtbl.find_opt src.vars name with
-                      | Some cell -> Hashtbl.replace mrt.vars name cell
-                      | None -> ())
-                    src.own_vars;
-                  List.iter
-                    (fun (s : Ast.subprogram) ->
-                      match Hashtbl.find_opt src.visible_subs s.Ast.s_name with
-                      | Some cands ->
-                          let owned = List.filter (fun c -> c.c_module = u.Ast.u_module) cands in
-                          if owned <> [] then Hashtbl.replace mrt.visible_subs s.Ast.s_name owned
-                      | None -> ())
-                    src.unit_.Ast.m_subprograms;
-                  List.iter
-                    (fun (i : Ast.interface_def) ->
-                      match Hashtbl.find_opt src.visible_subs i.Ast.i_name with
-                      | Some cands -> Hashtbl.replace mrt.visible_subs i.Ast.i_name cands
-                      | None -> ())
-                    src.unit_.Ast.m_interfaces;
-                  Hashtbl.iter
-                    (fun name td -> Hashtbl.replace mrt.visible_types name td)
-                    src.visible_types))
-        mu.Ast.m_uses;
-      (* module variables and parameters, in declaration order *)
+    (fun ((mu : Ast.module_unit), sc, mrt) ->
+      Hashtbl.iter
+        (fun local (owner, name) ->
+          Option.iter
+            (fun src ->
+              Option.iter (Hashtbl.replace mrt.vars local) (Hashtbl.find_opt src.own_vars name))
+            (Hashtbl.find_opt machine.modules owner))
+        sc.Visibility.vars;
       let decl_ctx = { machine; mrt; sub_name = "<module>"; locals = Hashtbl.create 1; fma = false } in
       List.iter
         (fun (d : Ast.decl) ->
@@ -925,10 +845,13 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
             | Some e when d.Ast.d_dims = [] -> eval_expr decl_ctx e
             | _ -> default_value (Some decl_ctx) machine mrt decl_ctx.locals d
           in
-          Hashtbl.replace mrt.vars d.Ast.d_name (ref v);
-          Hashtbl.replace mrt.own_vars d.Ast.d_name ())
+          let cell = ref v in
+          Hashtbl.replace mrt.own_vars d.Ast.d_name cell;
+          (* an import of the same name hides the declaration *)
+          if Visibility.var sc d.Ast.d_name = Some (mu.Ast.m_name, d.Ast.d_name) then
+            Hashtbl.replace mrt.vars d.Ast.d_name cell)
         mu.Ast.m_decls)
-    ordered;
+    shells;
   machine
 
 (* --- public entry points ------------------------------------------------------------------ *)

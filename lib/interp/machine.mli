@@ -1,5 +1,6 @@
 (** AST interpreter for the Fortran subset — the stand-in for "running
-    CESM on the supercomputer".
+    CESM on the supercomputer".  Module-level names resolve through
+    {!Rca_fortran.Visibility}, as in the metagraph builder.
 
     Machine-level switches reproduce the paper's experimental axes:
     [prng] (the generator behind [random_number]; swapping KISS for
@@ -33,13 +34,12 @@ val as_arr : value -> arr
 val arr_norm : arr -> float
 (** L2 norm — the scalar whole-array events report to the sampling hook. *)
 
-type callable = { c_module : string; c_sub : Rca_fortran.Ast.subprogram }
-
 type module_rt = {
   unit_ : Rca_fortran.Ast.module_unit;
   vars : (string, value ref) Hashtbl.t;  (** visible cells: own + imported *)
-  own_vars : (string, unit) Hashtbl.t;  (** names declared in this module *)
-  visible_subs : (string, callable list) Hashtbl.t;
+  own_vars : (string, value ref) Hashtbl.t;
+      (** cells of the module's own declarations, hidden ones included *)
+  visible_subs : (string, Rca_fortran.Visibility.callable list) Hashtbl.t;
   visible_types : (string, Rca_fortran.Ast.derived_type_def) Hashtbl.t;
 }
 
@@ -76,11 +76,13 @@ val module_order : Rca_fortran.Ast.program -> Rca_fortran.Ast.module_unit list
 (** Topological order of modules by use-dependency. *)
 
 val create : ?prng:Rca_rng.Prng.t -> ?max_steps:int -> Rca_fortran.Ast.program -> t
-(** Elaborate the program: resolve imports, build interface tables,
+(** Elaborate the program in {!module_order}: resolve names through
+    {!Rca_fortran.Visibility} (an import hides a same-named declaration),
     initialize module variables (parameters evaluated, arrays zeroed,
-    derived types instantiated). *)
+    derived types instantiated; a derived type the module cannot see is
+    a {!Runtime_error}). *)
 
-val find_callable : t -> module_:string -> sub:string -> callable
+val find_callable : t -> module_:string -> sub:string -> Rca_fortran.Visibility.callable
 
 val invoke : t -> module_:string -> sub:string -> args:value list -> value
 (** Call a subprogram with interpreter-level values (scalars by value; use

@@ -64,6 +64,3 @@ val find_node : t -> module_:string -> sub:string -> name:string -> int option
     is [""] for module-level variables; [name] is the name as written in
     the owning scope (members as ["base%field"], localized intrinsics as
     ["min_<line>"]). *)
-
-val is_intrinsic : string -> bool
-(** Whether the builder localizes this name as an intrinsic pseudo-node. *)

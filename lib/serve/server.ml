@@ -16,14 +16,12 @@
    cold query never stalls the other clients.  Responses therefore
    complete out of order; clients match them to requests by the echoed
    [id].  Workers hand finished answers back through a mutex-guarded
-   completion queue and wake the reactor with a self-pipe byte.
-   Intra-query parallelism still comes from the shared domain pool
-   ([~domains]); the pool runs one batch at a time, so workers take it
-   under a try-lock and fall back to sequential compute when it is busy
-   — the pool's determinism contract makes both paths bitwise
-   identical.  Per-request ["domains"] and ["engine"] fields are
-   accepted and ignored so clients can reuse experiment configs (and
-   requests written for older daemons) verbatim.
+   completion queue and wake the reactor with a self-pipe byte.  Each
+   query computes sequentially on its worker; [~workers] is the
+   daemon's one parallelism knob.  Per-request ["domains"] and
+   ["engine"] fields are accepted and ignored so clients can reuse
+   experiment configs (and requests written for older daemons)
+   verbatim.
 
    Caching and coalescing: answers land in an LRU keyed by the
    canonical request (sorted-deduped targets + detector + every
@@ -78,8 +76,6 @@ type state = {
   snap : Snapshot.t;
   detect : Core.Detector.t;  (* reachability, precomputed once *)
   keep_module : string -> bool;
-  pool : G.Pool.t option;
-  pool_gate : Mutex.t;  (* the batch pool serves one query at a time *)
   wq : G.Pool.Workqueue.wq;
   mutable cache : (string, Cache.answer) Lru.t;
   in_flight : (string, job) Hashtbl.t;
@@ -96,6 +92,10 @@ type state = {
 }
 
 let ms_since t0 = Int64.to_float (Int64.sub (Rca_obs.Obs.monotonic_ns ()) t0) /. 1e6
+
+(* Seconds on the monotonic clock: the save timer and the shutdown
+   deadlines must not move when the wall clock is stepped. *)
+let now_s () = Int64.to_float (Rca_obs.Obs.monotonic_ns ()) /. 1e9
 
 (* --- request decoding ------------------------------------------------------ *)
 
@@ -214,14 +214,14 @@ let cache_key q =
 
 (* --- query evaluation ------------------------------------------------------ *)
 
-let compute ?pool st q =
+let compute st q =
   let snap = st.snap in
   let mg = snap.Snapshot.mg in
   let pipeline =
     Core.Pipeline.run ~keep_module:st.keep_module ~min_cluster:q.q_min_cluster
       ~m_sample:q.q_m_sample ~min_community:q.q_min_community
       ~max_iterations:q.q_max_iterations ~stop_size:q.q_stop_size
-      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ?pool ~frozen:snap.Snapshot.frozen mg
+      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ~frozen:snap.Snapshot.frozen mg
       ~outputs:q.q_targets ~detect:st.detect
   in
   let result = pipeline.Core.Pipeline.result in
@@ -242,22 +242,9 @@ let compute ?pool st q =
   }
 
 (* Evaluate one decoded query to a result.  Runs on a worker domain or
-   (fallback) the reactor; never raises.  The shared batch pool is
-   taken under a try-lock — when another query holds it we compute
-   sequentially, which the pool's determinism contract makes bitwise
-   identical. *)
+   (fallback) the reactor; never raises. *)
 let eval st q =
-  match
-    Rca_obs.Obs.span "serve.compute" (fun () ->
-        match st.pool with
-        | None -> compute st q
-        | Some p ->
-            if Mutex.try_lock st.pool_gate then
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock st.pool_gate)
-                (fun () -> compute ~pool:p st q)
-            else compute st q)
-  with
+  match Rca_obs.Obs.span "serve.compute" (fun () -> compute st q) with
   | a -> Ok a
   | exception (Invalid_argument msg | Failure msg) ->
       Error (Printf.sprintf "query failed: %s" msg)
@@ -546,7 +533,7 @@ let serve_loop ?cache_save_every st listener =
   let conns = ref [] in
   let buf = Bytes.create read_chunk_size in
   let next_save =
-    ref (match cache_save_every with None -> None | Some s -> Some (Unix.gettimeofday () +. s))
+    ref (match cache_save_every with None -> None | Some s -> Some (now_s () +. s))
   in
   while st.running do
     let rfds = st.notify_r :: listener :: List.map (fun c -> c.fd) !conns in
@@ -554,7 +541,7 @@ let serve_loop ?cache_save_every st listener =
     let timeout =
       match !next_save with
       | None -> -1.0
-      | Some t -> max 0.0 (t -. Unix.gettimeofday ())
+      | Some t -> max 0.0 (t -. now_s ())
     in
     (match Unix.select rfds wfds [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -621,25 +608,25 @@ let serve_loop ?cache_save_every st listener =
               end)
             !conns);
     match !next_save with
-    | Some t when Unix.gettimeofday () >= t ->
+    | Some t when now_s () >= t ->
         save_cache st;
-        next_save := Some (Unix.gettimeofday () +. Option.value ~default:1.0 cache_save_every)
+        next_save := Some (now_s () +. Option.value ~default:1.0 cache_save_every)
     | _ -> ()
   done;
   (* graceful drain: the shutdown ack and every accepted query still
      get their reply before the sockets close *)
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while Hashtbl.length st.in_flight > 0 && Unix.gettimeofday () < deadline do
+  let deadline = now_s () +. 30.0 in
+  while Hashtbl.length st.in_flight > 0 && now_s () < deadline do
     (match Unix.select [ st.notify_r ] [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ -> if readable <> [] then drain_notify st);
     process_completions st
   done;
   process_completions st;
-  let flush_deadline = Unix.gettimeofday () +. 5.0 in
+  let flush_deadline = now_s () +. 5.0 in
   while
     List.exists (fun c -> c.alive && has_out c) !conns
-    && Unix.gettimeofday () < flush_deadline
+    && now_s () < flush_deadline
   do
     let wfds = List.filter_map (fun c -> if c.alive && has_out c then Some c.fd else None) !conns in
     (match Unix.select [] wfds [] 0.25 with
@@ -649,7 +636,7 @@ let serve_loop ?cache_save_every st listener =
   done;
   List.iter (fun conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) !conns
 
-let serve ?(cache_capacity = 64) ?(domains = 1) ?(workers = 1) ?(queue_capacity = 64)
+let serve ?(cache_capacity = 64) ?(workers = 1) ?(queue_capacity = 64)
     ?cache_path ?cache_save_every ?on_ready addr snap =
   if workers < 1 then invalid_arg "Server.serve: workers must be at least 1";
   (* a client that disconnects mid-reply must cost an [alive <- false],
@@ -678,61 +665,54 @@ let serve ?(cache_capacity = 64) ?(domains = 1) ?(workers = 1) ?(queue_capacity 
       cache_saves = 0;
     }
   in
-  let run pool =
-    let notify_r, notify_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock notify_r;
-    Unix.set_nonblock notify_w;
-    let wq = G.Pool.Workqueue.create ~workers ~capacity:(max 1 queue_capacity) () in
-    let st =
-      {
-        snap;
-        detect;
-        keep_module;
-        pool;
-        pool_gate = Mutex.create ();
-        wq;
-        cache = Lru.create cache_capacity;
-        in_flight = Hashtbl.create 16;
-        completions = Queue.create ();
-        comp_m = Mutex.create ();
-        notify_r;
-        notify_w;
-        stats;
-        start_ns = Rca_obs.Obs.monotonic_ns ();
-        cache_path;
-        snap_checksum = lazy (Snapshot.checksum snap);
-        dirty = false;
-        running = true;
-      }
-    in
-    (* warm start: a stale or damaged sidecar just means starting cold *)
-    (match cache_path with
-    | Some path when Sys.file_exists path -> (
-        match
-          Cache.load path ~snapshot_checksum:(Lazy.force st.snap_checksum)
-            ~capacity:cache_capacity
-        with
-        | Ok (lru, n) ->
-            st.cache <- lru;
-            stats.warm_entries <- n
-        | Error _ -> ())
-    | _ -> ());
-    let listener = listener_of addr in
-    Fun.protect
-      ~finally:(fun () ->
-        G.Pool.Workqueue.shutdown st.wq;
-        (try Unix.close notify_r with Unix.Unix_error _ -> ());
-        (try Unix.close notify_w with Unix.Unix_error _ -> ());
-        (try Unix.close listener with Unix.Unix_error _ -> ());
-        match addr with
-        | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-        | `Tcp _ -> ())
-      (fun () ->
-        Option.iter (fun f -> f ()) on_ready;
-        serve_loop ?cache_save_every st listener;
-        save_cache st)
+  let notify_r, notify_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock notify_r;
+  Unix.set_nonblock notify_w;
+  let wq = G.Pool.Workqueue.create ~workers ~capacity:(max 1 queue_capacity) () in
+  let st =
+    {
+      snap;
+      detect;
+      keep_module;
+      wq;
+      cache = Lru.create cache_capacity;
+      in_flight = Hashtbl.create 16;
+      completions = Queue.create ();
+      comp_m = Mutex.create ();
+      notify_r;
+      notify_w;
+      stats;
+      start_ns = Rca_obs.Obs.monotonic_ns ();
+      cache_path;
+      snap_checksum = lazy (Snapshot.checksum snap);
+      dirty = false;
+      running = true;
+    }
   in
-  let effective = G.Pool.recommended_size ~requested:domains in
-  if effective > 1 then G.Pool.with_pool effective (fun pool -> run (Some pool))
-  else run None;
+  (* warm start: a stale or damaged sidecar just means starting cold *)
+  (match cache_path with
+  | Some path when Sys.file_exists path -> (
+      match
+        Cache.load path ~snapshot_checksum:(Lazy.force st.snap_checksum)
+          ~capacity:cache_capacity
+      with
+      | Ok (lru, n) ->
+          st.cache <- lru;
+          stats.warm_entries <- n
+      | Error _ -> ())
+  | _ -> ());
+  let listener = listener_of addr in
+  Fun.protect
+    ~finally:(fun () ->
+      G.Pool.Workqueue.shutdown st.wq;
+      (try Unix.close notify_r with Unix.Unix_error _ -> ());
+      (try Unix.close notify_w with Unix.Unix_error _ -> ());
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      match addr with
+      | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+      | `Tcp _ -> ())
+    (fun () ->
+      Option.iter (fun f -> f ()) on_ready;
+      serve_loop ?cache_save_every st listener;
+      save_cache st);
   stats

@@ -10,9 +10,9 @@
     locations and located bugs.
 
     The socket loop is a [Unix.select] reactor that only parses,
-    dispatches and writes; query compute runs on a bounded work queue
-    of dedicated worker domains ({!Rca_graph.Pool.Workqueue}), so a
-    slow cold query never stalls other clients.  Responses complete
+    dispatches and writes; query compute runs sequentially on a bounded
+    work queue of dedicated worker domains ({!Rca_graph.Pool.Workqueue}),
+    so a slow cold query never stalls other clients.  Responses complete
     out of order — clients match them to requests by the echoed [id].
     Results are cached in an LRU keyed by the canonical request; a
     request whose key is already computing attaches to the in-flight
@@ -45,7 +45,6 @@ type stats = {
 
 val serve :
   ?cache_capacity:int ->
-  ?domains:int ->
   ?workers:int ->
   ?queue_capacity:int ->
   ?cache_path:string ->
@@ -57,16 +56,16 @@ val serve :
 (** Run the daemon until a ["shutdown"] request (in-flight queries are
     drained and their replies flushed before the sockets close).
 
-    [cache_capacity] (default 64) bounds the LRU; [domains] (default 1)
-    sizes one shared domain pool for the refinement hot paths —
-    per-request ["domains"] and ["engine"] fields are accepted and
-    ignored, so results never depend on client configuration.  [workers]
-    (default 1) sizes the compute work queue; [Invalid_argument] when
-    below 1.  [queue_capacity]
-    (default 64) bounds queued jobs; when full, new jobs compute inline
-    as backpressure rather than being refused.  [cache_path] names the
-    persisted-cache sidecar: loaded at startup (entries stamped for a
-    different snapshot are ignored), saved on graceful shutdown and
-    every [cache_save_every] seconds (never saved when omitted).
+    [cache_capacity] (default 64) bounds the LRU.  [workers] (default
+    1) sizes the compute work queue and is the daemon's one parallelism
+    knob; [Invalid_argument] when below 1.  Per-request ["domains"] and
+    ["engine"] fields are accepted and ignored, so results never depend
+    on client configuration.  [queue_capacity] (default 64) bounds
+    queued jobs; when full, new jobs compute inline as backpressure
+    rather than being refused.  [cache_path] names the persisted-cache
+    sidecar: loaded at startup (entries stamped for a different snapshot
+    are ignored), saved on graceful shutdown and every
+    [cache_save_every] seconds of the monotonic clock (never saved when
+    omitted).
     [on_ready] fires after the socket is listening (e.g. to signal a
     forked parent).  Returns the final counters. *)

@@ -1,7 +1,9 @@
 (* Tests for rca_analysis: CFG construction, reaching-definitions and
    liveness fixed points, the diagnostics engine (each kind seeded and
    clean), conservative havoc for Unparsed statements, the differential
-   metagraph oracle, and observational safety of static pruning. *)
+   metagraph oracle, observational safety of static pruning, name-level
+   agreement between Rca_fortran.Visibility and the resolver, and a
+   mutation fuzz of the Fortran front end. *)
 
 open Rca_fortran
 module A = Rca_analysis.Analysis
@@ -525,6 +527,153 @@ let callcheck_writable_actual_is_clean () =
   in
   check_int "no intent findings" 0 (List.length (strict_kind D.Intent_at_call_site src))
 
+(* ---- visibility: builder side against oracle side ---------------------------- *)
+
+module Model = Rca_synth.Model
+
+(* Every name either side's module tables can hold: declarations,
+   subprograms, named interfaces and only-list local names. *)
+let candidate_names (prog : Ast.program) =
+  let names = Hashtbl.create 1024 in
+  let add n = Hashtbl.replace names n () in
+  List.iter
+    (fun (mu : Ast.module_unit) ->
+      List.iter (fun (d : Ast.decl) -> add d.Ast.d_name) mu.Ast.m_decls;
+      List.iter (fun (s : Ast.subprogram) -> add s.Ast.s_name) mu.Ast.m_subprograms;
+      List.iter (fun (i : Ast.interface_def) -> add i.Ast.i_name) mu.Ast.m_interfaces;
+      List.iter
+        (fun (u : Ast.use_stmt) ->
+          Option.iter (List.iter (fun (local, _) -> add local)) u.Ast.u_only)
+        mu.Ast.m_uses)
+    prog;
+  Hashtbl.fold (fun n () acc -> n :: acc) names [] |> List.sort compare
+
+let visibility_matches_resolver () =
+  List.iter
+    (fun (scale, config) ->
+      let whole = Model.parse_program (Model.generate config) in
+      List.iter
+        (fun (label, prog) ->
+          let vis = Visibility.of_program prog and res = R.program prog in
+          let names = candidate_names prog in
+          let vars = ref 0 and subs = ref 0 in
+          List.iter
+            (fun (mu : Ast.module_unit) ->
+              let module_ = mu.Ast.m_name in
+              let sc = Visibility.scope vis module_ in
+              List.iter
+                (fun name ->
+                  let oracle_var =
+                    Option.map
+                      (fun (s : R.symbol) ->
+                        match s.R.sym_kind with
+                        | R.Smodule_var { owner; _ } -> (owner, s.R.sym_name)
+                        | _ ->
+                            Alcotest.failf "%s: %s.%s is not a module variable" scale module_ name)
+                      (R.module_var res ~module_ name)
+                  in
+                  if Visibility.var sc name <> oracle_var then
+                    Alcotest.failf "%s %s: %s.%s: Visibility.var differs from Resolve.module_var"
+                      scale label module_ name;
+                  let keys =
+                    List.map
+                      (fun (c : Visibility.callable) ->
+                        (c.Visibility.c_module, c.Visibility.c_sub.Ast.s_name))
+                      (Visibility.callables sc name)
+                  in
+                  if keys <> R.callables res ~module_ name then
+                    Alcotest.failf
+                      "%s %s: %s.%s: Visibility.callables differs from Resolve.callables" scale
+                      label module_ name;
+                  if oracle_var <> None then incr vars;
+                  if keys <> [] then incr subs)
+                names)
+            prog;
+          check_bool "some variables compared" true (!vars > 0);
+          check_bool "some callables compared" true (!subs > 0))
+        [ ("whole", whole); ("built", Model.build_filter whole ~driver:"cam_driver") ])
+    Rca_synth.Config.[ ("tiny", tiny); ("small", small); ("paper", paper) ]
+
+(* ---- Fortran-source fuzz --------------------------------------------------------- *)
+
+module Machine = Rca_interp.Machine
+module Prng = Rca_rng.Prng
+
+let fuzz_tokens =
+  [ "::"; "=>"; "="; "("; ")"; ","; "%"; "\n"; "&"; "!"; "'"; "use "; ", only: ";
+    "module "; "end "; "subroutine "; "function "; "contains"; "interface ";
+    "type("; "call "; "if ("; ") then"; "do i = 1, 2"; "real(r8) :: "; "integer :: ";
+    "parameter"; "intent(in)"; "x"; "1"; "0.5"; "+"; "*"; ".and."; "(:)" ]
+
+(* One to four edits: a byte deleted or replaced, a token inserted, or a
+   span of up to 64 bytes deleted. *)
+let mutate rng src =
+  let edit s =
+    let n = String.length s in
+    if n = 0 then s
+    else
+      let i = Prng.int rng n in
+      match Prng.int rng 4 with
+      | 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | 1 ->
+          let c = Char.chr (9 + Prng.int rng 118) in
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+      | 2 -> String.sub s 0 i ^ Prng.choose rng fuzz_tokens ^ String.sub s i (n - i)
+      | _ ->
+          let len = min (n - i) (1 + Prng.int rng 64) in
+          String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + Prng.int rng 4) src
+
+let tiny_files () = (Model.generate Rca_synth.Config.tiny).Model.files
+
+let fuzz_parser_single_files () =
+  let rng = Rca_rng.Splitmix.create 20_260_519 in
+  let files = Array.of_list (tiny_files ()) in
+  let parsed = ref 0 in
+  for case = 0 to 9_999 do
+    let file, src = files.(case mod Array.length files) in
+    let mutant = mutate rng src in
+    match Parser.parse_file ~strict:false ~file mutant with
+    | _ -> incr parsed
+    | exception Parser.Parse_error _ -> ()
+    | exception e ->
+        Alcotest.failf "case %d (%s): parse raised %s on\n%s" case file
+          (Printexc.to_string e) mutant
+  done;
+  check_bool "most mutants still parse" true (!parsed > 5_000)
+
+let fuzz_whole_program () =
+  let rng = Rca_rng.Splitmix.create 20_260_520 in
+  let files = Array.of_list (tiny_files ()) in
+  let parsed = Array.map (fun (file, src) -> Parser.parse_file ~strict:false ~file src) files in
+  let cases = ref 0 and attempts = ref 0 in
+  while !cases < 1_000 do
+    let k = !attempts mod Array.length files in
+    incr attempts;
+    let file, src = files.(k) in
+    let mutant = mutate rng src in
+    match Parser.parse_file ~strict:false ~file mutant with
+    | exception Parser.Parse_error _ -> ()
+    | modules ->
+        incr cases;
+        let prog =
+          List.concat (Array.to_list (Array.mapi (fun i p -> if i = k then modules else p) parsed))
+        in
+        let fail stage e =
+          Alcotest.failf "case %d (%s): %s raised %s on\n%s" !cases file stage
+            (Printexc.to_string e) mutant
+        in
+        (try ignore (Visibility.of_program prog) with e -> fail "Visibility.of_program" e);
+        (try ignore (MG.build prog) with e -> fail "Metagraph.build" e);
+        (try ignore (R.program prog) with e -> fail "Resolve.program" e);
+        (* an initializer may call a function: bound the work a mutant buys *)
+        match Machine.create ~max_steps:100_000 prog with
+        | _ | (exception Machine.Runtime_error _) -> ()
+        | exception e -> fail "Machine.create" e
+  done
+
 let () =
   Alcotest.run "rca_analysis"
     [
@@ -590,6 +739,16 @@ let () =
           Alcotest.test_case "assignment mismatch" `Quick typecheck_assignment_mismatch;
           Alcotest.test_case "rank mismatch" `Quick typecheck_rank_mismatch;
           Alcotest.test_case "broadcast clean" `Quick typecheck_broadcast_is_clean;
+        ] );
+      ( "visibility",
+        [
+          Alcotest.test_case "builder side matches resolver" `Quick
+            visibility_matches_resolver;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "parser on single files" `Quick fuzz_parser_single_files;
+          Alcotest.test_case "whole program" `Quick fuzz_whole_program;
         ] );
       ( "callcheck",
         [

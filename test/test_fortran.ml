@@ -451,6 +451,109 @@ let relaxed_deep_derived_type () =
       check_str "base" "elem" r.Relaxed.lhs_base
   | None -> Alcotest.fail "expected split"
 
+(* --- Visibility ------------------------------------------------------------------ *)
+
+(* Module [a] owns two variables, a derived type, two subroutines and a
+   named interface over them; the other modules import from it. *)
+let visibility_src =
+  {|
+module a
+  real(r8) :: x, y
+  type pt
+    real(r8) :: v
+  end type pt
+  interface gen
+    module procedure f1, f2
+  end interface
+contains
+  subroutine f1(p)
+    real(r8) :: p
+  end subroutine f1
+  subroutine f2(p, q)
+    real(r8) :: p, q
+  end subroutine f2
+end module a
+module b
+  use a, only: lx => x, f1, pt
+end module b
+module c
+  use b
+end module c
+module d
+  use b, only: lx, f1
+  use a, only: nothere
+end module d
+module e
+  use ghost
+  use ghost2, only: z
+  real(r8) :: w
+end module e
+module g
+  use f
+end module g
+module f
+  use a, only: y
+  real(r8) :: y
+end module f
+|}
+
+let visibility () =
+  Visibility.of_program (Parser.parse_file ~strict:true ~file:"v.F90" visibility_src)
+
+let var_of vis m name = Visibility.var (Visibility.scope vis m) name
+
+let callable_keys vis m name =
+  List.map
+    (fun (c : Visibility.callable) -> c.Visibility.c_module ^ "." ^ c.Visibility.c_sub.s_name)
+    (Visibility.callables (Visibility.scope vis m) name)
+
+let check_var = Alcotest.(check (option (pair string string)))
+
+let visibility_own_names () =
+  let vis = visibility () in
+  check_var "own variable" (Some ("a", "x")) (var_of vis "a" "x");
+  check_slist "own subroutine" [ "a.f1" ] (callable_keys vis "a" "f1");
+  check_slist "named interface" [ "a.f1"; "a.f2" ] (callable_keys vis "a" "gen");
+  check_bool "own derived type" true
+    (Visibility.derived_type (Visibility.scope vis "a") "pt" <> None);
+  check_var "a procedure is not a variable" None (var_of vis "a" "gen");
+  check_slist "a variable is not a procedure" [] (callable_keys vis "a" "x")
+
+let visibility_only_rename () =
+  let vis = visibility () in
+  check_var "renamed import" (Some ("a", "x")) (var_of vis "b" "lx");
+  check_var "remote name hidden" None (var_of vis "b" "x");
+  check_var "unlisted name hidden" None (var_of vis "b" "y");
+  check_slist "listed subroutine" [ "a.f1" ] (callable_keys vis "b" "f1");
+  check_slist "unlisted interface" [] (callable_keys vis "b" "gen");
+  check_bool "listed derived type" true
+    (Visibility.derived_type (Visibility.scope vis "b") "pt" <> None)
+
+let visibility_no_chained_use () =
+  let vis = visibility () in
+  check_var "b's import of x" None (var_of vis "c" "lx");
+  check_slist "b's import of f1" [] (callable_keys vis "c" "f1");
+  check_bool "b's import of pt" true
+    (Visibility.derived_type (Visibility.scope vis "c") "pt" = None)
+
+let visibility_only_unowned () =
+  let vis = visibility () in
+  check_var "import of an import" None (var_of vis "d" "lx");
+  check_slist "import of an imported subroutine" [] (callable_keys vis "d" "f1");
+  check_var "name nobody declares" None (var_of vis "d" "nothere")
+
+let visibility_missing_module () =
+  let vis = visibility () in
+  check_var "own name kept" (Some ("e", "w")) (var_of vis "e" "w");
+  check_var "nothing from a missing module" None (var_of vis "e" "z");
+  check_var "module not in the program" None (var_of vis "ghost" "w")
+
+let visibility_import_replaces_own () =
+  let vis = visibility () in
+  check_var "import wins" (Some ("a", "y")) (var_of vis "f" "y");
+  (* a user of f takes what f declares, wherever f comes in the program *)
+  check_var "f's own declaration is f's" (Some ("f", "y")) (var_of vis "g" "y")
+
 (* --- qcheck properties -------------------------------------------------------------- *)
 
 (* random expression generator *)
@@ -664,6 +767,15 @@ let () =
           Alcotest.test_case "tolerant keeps unparsed" `Quick tolerant_mode_keeps_unparsed;
           Alcotest.test_case "line numbers" `Quick line_numbers_recorded;
           Alcotest.test_case "lexer errors are parse errors" `Quick lex_errors_are_parse_errors;
+        ] );
+      ( "visibility",
+        [
+          Alcotest.test_case "own names and interface" `Quick visibility_own_names;
+          Alcotest.test_case "only-list rename" `Quick visibility_only_rename;
+          Alcotest.test_case "no chained use" `Quick visibility_no_chained_use;
+          Alcotest.test_case "only-list unowned name" `Quick visibility_only_unowned;
+          Alcotest.test_case "missing module" `Quick visibility_missing_module;
+          Alcotest.test_case "import replaces own" `Quick visibility_import_replaces_own;
         ] );
       ( "pretty",
         [

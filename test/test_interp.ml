@@ -421,6 +421,28 @@ let stop_is_error () =
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected stop error"
 
+(* The interpreter resolves module names through Rca_fortran.Visibility,
+   like the metagraph builder: an import hides a same-named declaration,
+   and a derived type is never reached through chained use. *)
+let visibility_rules () =
+  let src =
+    "module src\nreal(r8), parameter :: v = 2.0\nend module src\n\
+     module user\nuse src\nreal(r8), parameter :: v = 5.0\nreal(r8) :: got\ncontains\n\
+     subroutine go()\ngot = v\nend subroutine go\nend module user"
+  in
+  let m = machine_of src in
+  ignore (Machine.invoke m ~module_:"user" ~sub:"go" ~args:[]);
+  check_float "the import wins" 2.0 (getf m ~module_:"user" ~name:"got");
+  let chained =
+    "module types_a\ntype blob\nreal(r8) :: q\nend type blob\nend module types_a\n\
+     module types_b\nuse types_a\nend module types_b\n\
+     module holder\nuse types_b\ntype(blob) :: b\nend module holder"
+  in
+  match machine_of chained with
+  | exception Machine.Runtime_error msg ->
+      check_bool "unknown derived type" true (contains_sub ~sub:"unknown derived type" msg)
+  | _ -> Alcotest.fail "a type reachable only through chained use must be unknown"
+
 (* --- kernel capture / replay -------------------------------------------------------------- *)
 
 let kernel_src =
@@ -597,6 +619,7 @@ let () =
           Alcotest.test_case "out of bounds" `Quick out_of_bounds_error;
           Alcotest.test_case "runaway guard" `Quick runaway_loop_guard;
           Alcotest.test_case "stop" `Quick stop_is_error;
+          Alcotest.test_case "visibility rules" `Quick visibility_rules;
         ] );
       ( "kernel",
         [
