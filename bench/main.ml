@@ -892,10 +892,12 @@ let run_campaign_bench ~json ~trace ~domains ~partitioner () =
    daemon reloads it and answers warm).  Gates: load speedup >= 50,
    warm p50 < cold p50, zero protocol errors, identity (including
    after restart), stampede coalesced, concurrent fast p50 < cold p50
-   with the p99 tail bounded by half the slow job's runtime, and
-   warm-restart p50 within 2x of warm p50.  Telemetry goes to
-   BENCH_serve.json (or the --json path); the sidecar stays in the CWD
-   as BENCH_serve.cache for CI artifact upload. *)
+   with the p99 tail bounded by half the slow job's runtime,
+   warm-restart p50 within 2x of warm p50, and every served query reply
+   byte for byte what the test/oracle per-character printer prints for
+   it (the print times of both printers go to the telemetry).  Telemetry
+   goes to BENCH_serve.json (or the --json path); the sidecar stays in
+   the CWD as BENCH_serve.cache for CI artifact upload. *)
 let run_serve_bench ~json () =
   hr ();
   let module Snap = Rca_serve.Snapshot in
@@ -994,7 +996,20 @@ let run_serve_bench ~json () =
       (match Client.request conn (J.Obj [ ("op", J.Str "ping") ]) with
       | Ok _ -> ()
       | Error msg -> failwith ("ping failed: " ^ msg));
-      let query fields = Client.request conn (J.Obj (("op", J.Str "query") :: fields)) in
+      (* every query reply is read raw and kept for the reply-bytes gate *)
+      let served_lines = ref [] in
+      let recv_query c =
+        match Client.recv_line c with
+        | None -> Error "connection closed by server"
+        | Some line ->
+            served_lines := line :: !served_lines;
+            J.of_string line
+      in
+      let request_query c fields =
+        Client.send c (J.Obj (("op", J.Str "query") :: fields));
+        recv_query c
+      in
+      let query fields = request_query conn fields in
       let get_reply = function
         | Ok r ->
             if J.member "status" r <> Some (J.Str "ok") then
@@ -1126,13 +1141,13 @@ let run_serve_bench ~json () =
                  ("detector", J.Str "greedy");
                ]))
         burst_conns;
-      (match Client.recv blocker with
+      (match recv_query blocker with
       | Ok _ -> ()
       | Error msg -> failwith ("blocker query failed: " ^ msg));
       let coalesced_replies =
         List.map
           (fun c ->
-            match Client.recv c with
+            match recv_query c with
             | Ok r ->
                 if J.member "status" r <> Some (J.Str "ok") then
                   failwith ("burst error reply: " ^ J.to_string r);
@@ -1171,7 +1186,7 @@ let run_serve_bench ~json () =
             t)
       in
       let slow_ms =
-        match Client.recv slow_conn with
+        match recv_query slow_conn with
         | Ok r ->
             if J.member "status" r <> Some (J.Str "ok") then
               failwith ("slow query error reply: " ^ J.to_string r);
@@ -1212,9 +1227,7 @@ let run_serve_bench ~json () =
       (match Client.request conn2 (J.Obj [ ("op", J.Str "ping") ]) with
       | Ok _ -> ()
       | Error msg -> failwith ("restart ping failed: " ^ msg));
-      let query2 fields =
-        Client.request conn2 (J.Obj (("op", J.Str "query") :: fields))
-      in
+      let query2 fields = request_query conn2 fields in
       let restart =
         List.map
           (fun l ->
@@ -1254,6 +1267,57 @@ let run_serve_bench ~json () =
       Printf.printf
         "restart: %d entries warm-loaded   p50 %8.2f ms (in-process warm p50 %.2f ms)   identity %b\n%!"
         warm_entries warm_restart_p50 warm_p50 restart_identity;
+      (* 10. reply bytes: every query reply served above must be what
+         the old per-character printer (test/oracle) prints for its
+         parse, byte for byte.  Then time printing each distinct answer
+         (the reply minus its per-request framing) the daemon's way,
+         into a buffer that keeps its capacity, and the old way (oracle
+         string, newline, copy into a reset buffer). *)
+      let served = List.map (fun line -> (line, J.of_string line)) !served_lines in
+      let replies_identical =
+        served <> []
+        && List.for_all
+             (fun (line, v) ->
+               match v with Ok v -> Rca_oracle.Json_print.to_string v = line | Error _ -> false)
+             served
+      in
+      let framing = [ "id"; "cached"; "coalesced"; "elapsed_ms" ] in
+      let distinct = Hashtbl.create 64 in
+      List.iter
+        (function
+          | _, Ok (J.Obj fields as v) ->
+              Hashtbl.replace distinct (List.filter (fun (k, _) -> not (List.mem k framing)) fields) v
+          | _ -> ())
+        served;
+      let time_us f =
+        let t0 = Rca_obs.Obs.monotonic_ns () in
+        f ();
+        Int64.to_float (Int64.sub (Rca_obs.Obs.monotonic_ns ()) t0) /. 1e3
+      in
+      let kept = Buffer.create 4096 and reset = Buffer.create 4096 in
+      let write_samples = ref [] and oracle_samples = ref [] in
+      Hashtbl.iter
+        (fun _ v ->
+          for _ = 1 to 20 do
+            write_samples :=
+              time_us (fun () ->
+                  Buffer.clear kept;
+                  J.add kept v;
+                  Buffer.add_char kept '\n')
+              :: !write_samples;
+            oracle_samples :=
+              time_us (fun () ->
+                  Buffer.reset reset;
+                  Buffer.add_string reset (Rca_oracle.Json_print.to_string v ^ "\n"))
+              :: !oracle_samples
+          done)
+        distinct;
+      let reply_write_us_p50 = percentile !write_samples 0.5 in
+      let oracle_reply_write_us_p50 = percentile !oracle_samples 0.5 in
+      Printf.printf
+        "reply bytes: %d replies identical to the oracle printer: %b   %d distinct answers print p50 %.1f us (oracle %.1f us)\n%!"
+        (List.length served) replies_identical (Hashtbl.length distinct) reply_write_us_p50
+        oracle_reply_write_us_p50;
       (* gates — the 2x restart bound gets a 1 ms absolute floor so a
          sub-0.1 ms warm p50 doesn't turn scheduler jitter into a
          failure *)
@@ -1275,6 +1339,7 @@ let run_serve_bench ~json () =
           ( "warm_restart_p50_le_2x_warm",
             warm_entries >= 1
             && warm_restart_p50 <= Float.max (2.0 *. warm_p50) 1.0 );
+          ("replies_identical_to_oracle", replies_identical);
         ]
       in
       (try
@@ -1311,6 +1376,9 @@ let run_serve_bench ~json () =
           ("cache_hits", J.num cache_hits);
           ("identity", J.Bool identity);
           ("restart_identity", J.Bool restart_identity);
+          ("distinct_answers", J.num (Hashtbl.length distinct));
+          ("reply_write_us_p50", J.Num reply_write_us_p50);
+          ("oracle_reply_write_us_p50", J.Num oracle_reply_write_us_p50);
         ])
 
 (* --- driver ---------------------------------------------------------------------------- *)

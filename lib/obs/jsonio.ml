@@ -1,5 +1,7 @@
 (* The one JSON codec, for the serve protocol and every JSON artifact:
-   one value type, a recursive-descent parser and a compact printer.
+   one value type, a recursive-descent parser and a compact printer
+   ([add]) that writes into the caller's buffer, so the daemon streams
+   each reply straight into its connection buffer.
    Hand-rolled because the serve layer must parse *untrusted* request
    lines without new dependencies: every malformed input returns
    [Error], never an exception, so the daemon can answer garbage with a
@@ -240,41 +242,68 @@ let of_string s =
 
 (* --- printing -------------------------------------------------------------- *)
 
-let escape_into buf s =
-  String.iter
-    (fun ch ->
-      match ch with
+(* Writers append straight into the caller's buffer: the daemon streams
+   a reply into its connection's out buffer, and [to_string]/[to_file]
+   wrap [add], so every JSON byte goes through one escaper
+   ([add_string]) and one number rule ([add_num]). *)
+
+let needs_escape ch = ch = '"' || ch = '\\' || Char.code ch < 0x20
+
+let hex_digit = "0123456789abcdef"
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  let len = String.length s in
+  (* copy each run of clean bytes with one blit; a string with nothing to
+     escape is one scan and one blit *)
+  let run = ref 0 in
+  for i = 0 to len - 1 do
+    let ch = String.unsafe_get s i in
+    if needs_escape ch then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      (match ch with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+      | ch ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digit.[Char.code ch lsr 4];
+          Buffer.add_char buf hex_digit.[Char.code ch land 0xf]);
+      run := i + 1
+    end
+  done;
+  if len > !run then Buffer.add_substring buf s !run (len - !run);
+  Buffer.add_char buf '"'
 
-let rec print_into buf v =
+(* Decimal digits of a non-negative integer, most significant first. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* Integers print as integers (ids, counts, line numbers), -0.0 as [-0];
+   JSON has no non-finite literals, so those clamp to null. *)
+let add_num buf f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_digits buf (Float.to_int (Float.abs f))
+  end
+  else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  else Buffer.add_string buf "null"
+
+let rec add buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f ->
-      (* integers print as integers (ids, counts, line numbers); JSON has
-         no non-finite literals, so those clamp to null *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
-      else Buffer.add_string buf "null"
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape_into buf s;
-      Buffer.add_char buf '"'
+  | Num f -> add_num buf f
+  | Str s -> add_string buf s
   | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
-          print_into buf item)
+          add buf item)
         items;
       Buffer.add_char buf ']'
   | Obj fields ->
@@ -282,21 +311,23 @@ let rec print_into buf v =
       List.iteri
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape_into buf k;
-          Buffer.add_string buf "\":";
-          print_into buf item)
+          add_string buf k;
+          Buffer.add_char buf ':';
+          add buf item)
         fields;
       Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  print_into buf v;
+  add buf v;
   Buffer.contents buf
 
 let to_file path v =
+  let buf = Buffer.create 4096 in
+  add buf v;
+  Buffer.add_char buf '\n';
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string v ^ "\n"))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf)
 
 (* --- accessors ------------------------------------------------------------- *)
 

@@ -3,7 +3,10 @@
     the server can turn garbage into a protocol-level error reply.
     Printing is compact and escapes control characters; numbers print
     exactly when integral and below 1e15, with 12 significant digits
-    otherwise, and as [null] when not finite. *)
+    otherwise, and as [null] when not finite.  {!add} prints a value
+    straight into the caller's buffer (the daemon writes each reply into
+    its connection's output buffer); {!to_string} and {!to_file} wrap
+    it. *)
 
 type t =
   | Null
@@ -16,6 +19,10 @@ type t =
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace bytes and
     arrays or objects nested more than 64 deep are errors. *)
+
+val add : Buffer.t -> t -> unit
+(** [add buf v] appends the compact rendering of [v] to [buf]; it never
+    writes a newline, so a value plus ['\n'] is a valid protocol frame. *)
 
 val to_string : t -> string
 (** Compact single-line rendering (never contains a newline, so a

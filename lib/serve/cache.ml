@@ -15,7 +15,10 @@
    LRU evicts in the same order the live one would have.  This module
    also owns the [answer] record itself — the cacheable part of a query
    response — because both the server (computes them) and this tier
-   (persists them) need it. *)
+   (persists them) need it.  The LRU keeps the structured answers, not
+   their encoded bytes: the daemon streams a hit's ~50 KB reply into its
+   connection buffer in a fraction of a millisecond, while keeping the
+   bytes would hold a second copy of every entry. *)
 
 (* Everything except the per-request framing (id, cached/coalesced
    flags, elapsed time), which is never cached. *)

@@ -1,6 +1,8 @@
 (** The persisted query-cache tier: serializes the daemon's in-memory
     LRU of computed answers to a checksummed sidecar file (same framing
     discipline as {!Snapshot}) so a restarted daemon answers warm.
+    The LRU holds structured answers, never their encoded bytes, so an
+    entry costs one copy of its answer.
 
     The file is stamped with {!Snapshot.checksum} of the model it was
     computed against; {!load} rejects a stamp mismatch, so recompiling

@@ -1,7 +1,8 @@
 (* Blocking line-protocol client for the query daemon — used by
    [rca_main query], the serve benchmark and the tests.  One [request]
    is one written line and one read line; [recv] keeps any bytes read
-   past the newline for the next call.
+   past the newline for the next call, and reads through one 64-KiB
+   chunk allocated with the connection.
 
    The concurrent daemon completes responses out of order, so a client
    that pipelines several requests on one connection must match replies
@@ -14,6 +15,7 @@ module J = Jsonio
 type t = {
   fd : Unix.file_descr;
   mutable residue : string;  (* bytes after the last returned line *)
+  chunk : Bytes.t;  (* every read lands here first *)
   mutable stash : J.t list;  (* replies read past while matching by id *)
 }
 
@@ -22,11 +24,11 @@ let connect (addr : Server.addr) =
   | `Unix path ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
-      { fd; residue = ""; stash = [] }
+      { fd; residue = ""; chunk = Bytes.create 65536; stash = [] }
   | `Tcp port ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      { fd; residue = ""; stash = [] }
+      { fd; residue = ""; chunk = Bytes.create 65536; stash = [] }
 
 let send_line t line =
   let payload = line ^ "\n" in
@@ -40,7 +42,6 @@ let send_line t line =
 let send t v = send_line t (J.to_string v)
 
 let recv_line t =
-  let buf = Bytes.create 65536 in
   let rec go () =
     match String.index_opt t.residue '\n' with
     | Some i ->
@@ -48,10 +49,10 @@ let recv_line t =
         t.residue <- String.sub t.residue (i + 1) (String.length t.residue - i - 1);
         Some line
     | None -> (
-        match Unix.read t.fd buf 0 (Bytes.length buf) with
+        match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
         | 0 -> None  (* server closed mid-line *)
         | k ->
-            t.residue <- t.residue ^ Bytes.sub_string buf 0 k;
+            t.residue <- t.residue ^ Bytes.sub_string t.chunk 0 k;
             go ())
   in
   go ()

@@ -13,6 +13,9 @@ val recv : t -> (Jsonio.t, string) result
     unparseable bytes. *)
 
 val recv_line : t -> string option
+(** Next raw response line, without its newline.  [None] when the
+    connection closes before a whole line arrived.  A line may arrive
+    in any number of pieces. *)
 
 val request : t -> Jsonio.t -> (Jsonio.t, string) result
 (** [send] then [recv].  Only safe when at most one request is

@@ -34,6 +34,12 @@
    shutdown and every [~cache_save_every] seconds, and stamped with
    {!Snapshot.checksum} so a recompiled model invalidates it.
 
+   Replies are written once, straight into the connection's out
+   buffer: [Jsonio.add] prints the reply value there and one newline
+   follows, so no reply string is built.  A drained out buffer keeps its
+   capacity, so a stream of ~50 KB replies does not regrow it for each
+   one.
+
    Per-request failures (garbage bytes, unknown ops, bad targets, an
    exception out of the pipeline) become {"status":"error"} replies and
    an [errors] tick; a connection whose unterminated line passes
@@ -294,7 +300,11 @@ let answer_json ~id ~cached ~coalesced ~elapsed_ms (a : Cache.answer) =
 
 let error_json ~id msg = J.Obj [ ("id", id); ("status", J.Str "error"); ("error", J.Str msg) ]
 
-let enqueue_reply conn v = if conn.alive then Buffer.add_string conn.out (J.to_string v ^ "\n")
+let enqueue_reply conn v =
+  if conn.alive then begin
+    J.add conn.out v;
+    Buffer.add_char conn.out '\n'
+  end
 
 let has_out conn = Buffer.length conn.out > conn.out_pos
 
@@ -462,11 +472,18 @@ let listener_of addr =
       Unix.set_nonblock fd;
       fd
 
+(* The most reply bytes whose buffer capacity a connection keeps: two
+   ~50 KB query replies. *)
+let max_kept_out = 1 lsl 17
+
 (* Write as much of a connection's unsent bytes as the socket accepts
    right now, one [scratch]-sized chunk at a time; the select loop
    retries the rest when it turns writable.  Dropping the written prefix
    once it passes half the buffer copies each byte a bounded number of
-   times, however far behind the client reads. *)
+   times, however far behind the client reads.  A buffer that held at
+   most [max_kept_out] bytes keeps its capacity ([Buffer.clear]), so the
+   next ~50 KB reply is written without regrowing it; a larger backlog
+   gives its memory back ([Buffer.reset]). *)
 let flush_out scratch conn =
   let rec write () =
     let n = min (Bytes.length scratch) (Buffer.length conn.out - conn.out_pos) in
@@ -484,7 +501,7 @@ let flush_out scratch conn =
   let len = Buffer.length conn.out in
   if conn.out_pos > len / 2 then begin
     let rest = Buffer.sub conn.out conn.out_pos (len - conn.out_pos) in
-    Buffer.reset conn.out;
+    if len > max_kept_out then Buffer.reset conn.out else Buffer.clear conn.out;
     Buffer.add_string conn.out rest;
     conn.out_pos <- 0
   end

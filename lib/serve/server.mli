@@ -14,6 +14,8 @@
     work queue of dedicated worker domains ({!Rca_graph.Pool.Workqueue}),
     so a slow cold query never stalls other clients.  Responses complete
     out of order — clients match them to requests by the echoed [id].
+    Each reply is printed once, straight into its connection's output
+    buffer, and that buffer keeps its capacity between replies.
     Results are cached in an LRU keyed by the canonical request; a
     request whose key is already computing attaches to the in-flight
     job (its reply is flagged ["coalesced"]).  With [~cache_path] the

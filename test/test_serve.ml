@@ -1,9 +1,12 @@
 (* Tests for rca_serve: the JSON codec, the LRU cache, snapshot
    save/load round trips (the byte-identity contract: a pipeline run on
    a loaded snapshot equals one on the freshly built model, both
-   engines), rejection of damaged snapshot files, and a forked
-   query-daemon end-to-end exercise including garbage requests (the
-   daemon must answer an error object and keep serving). *)
+   engines), rejection of damaged snapshot files, byte identity of the
+   printer against the per-character oracle printer
+   (test/oracle/json_print.ml), the client's reassembly of replies cut
+   into arbitrary pieces, and a forked query-daemon end-to-end exercise
+   including garbage requests (the daemon must answer an error object
+   and keep serving). *)
 
 open Rca_experiments
 module MG = Rca_metagraph.Metagraph
@@ -90,6 +93,181 @@ let json_accessors () =
   check_bool "string_opt" true (Option.bind (J.member "s" v) J.string_opt = Some "x");
   check_bool "list_opt" true (Option.bind (J.member "l" v) J.list_opt = Some [ J.Num 1.0 ]);
   check_string "escaped key printing" {|{"a\nb":1}|} (J.to_string (J.Obj [ ("a\nb", J.num 1) ]))
+
+(* --- printer = the per-character oracle printer ------------------------------------ *)
+
+module Oracle = Rca_oracle.Json_print
+
+(* The bytes the escaper treats differently — quote, backslash, the
+   short-escaped controls, other controls — and bytes it copies as they
+   are: DEL, multi-byte UTF-8 and plain ASCII. *)
+let string_pieces =
+  [| "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x08"; "\x0c"; "\x1f"; "\x7f";
+     "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "a"; "Z"; "0"; " "; "/"; "::"; "@"; "_" |]
+
+let gen_string st =
+  if Random.State.int st 8 = 0 then ""
+  else begin
+    let b = Buffer.create 16 in
+    for _ = 1 to 1 + Random.State.int st 12 do
+      Buffer.add_string b string_pieces.(Random.State.int st (Array.length string_pieces))
+    done;
+    Buffer.contents b
+  end
+
+(* Both sides of each edge of the number rule: the integer cut at 1e15,
+   -0.0, 2^53, short and long fractions, subnormals and non-finites. *)
+let special_nums =
+  [| 0.0; -0.0; 1.0; -1.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 2. ** 53.; 0.1; 1e-7;
+     -2.5; 123456.789; 1e300; 5e-324; Float.nan; Float.infinity; Float.neg_infinity |]
+
+let gen_num st =
+  match Random.State.int st 4 with
+  | 0 -> special_nums.(Random.State.int st (Array.length special_nums))
+  | 1 -> float_of_int (Random.State.int st 2_000_000 - 1_000_000)
+  | 2 -> (Random.State.float st 2.0 -. 1.0) *. (10. ** float_of_int (Random.State.int st 40 - 20))
+  | _ -> Int64.float_of_bits (Random.State.bits64 st)
+
+(* [kind] (0-5: null, bool, number, string, array, object) picks the
+   top-level kind; arrays and objects stop at [depth]. *)
+let rec gen_json ?kind st depth =
+  let kind =
+    match kind with Some k -> k | None -> Random.State.int st (if depth = 0 then 4 else 6)
+  in
+  match kind with
+  | 0 -> J.Null
+  | 1 -> J.Bool (Random.State.bool st)
+  | 2 -> J.Num (gen_num st)
+  | 3 -> J.Str (gen_string st)
+  | 4 -> J.Arr (List.init (Random.State.int st 4) (fun _ -> gen_json st (depth - 1)))
+  | _ -> J.Obj (List.init (Random.State.int st 4) (fun _ -> (gen_string st, gen_json st (depth - 1))))
+
+(* Jsonio prints what the per-character printer printed: the edges of
+   the number rule, then random values (every eighth one a 500-entry
+   array of objects, the shape of a reply's candidate list), then
+   [to_file]. *)
+let printer_matches_oracle () =
+  Array.iter
+    (fun f ->
+      check_string (Printf.sprintf "number %h" f) (Oracle.to_string (J.Num f)) (J.to_string (J.Num f)))
+    special_nums;
+  check_string "-0.0 keeps its sign" "-0" (J.to_string (J.Num (-0.0)));
+  let st = Random.State.make [| 20_261_020 |] in
+  for case = 0 to 1_199 do
+    let v =
+      if case mod 8 = 1 then J.Arr (List.init 500 (fun _ -> gen_json ~kind:5 st 1))
+      else gen_json st 4
+    in
+    let got = J.to_string v and want = Oracle.to_string v in
+    if got <> want then Alcotest.failf "case %d: Jsonio printed %S, the oracle %S" case got want
+  done;
+  let v = gen_json st 4 in
+  let path = Filename.temp_file "rca_jsonio_test" ".json" in
+  J.to_file path v;
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  check_string "to_file writes the value and a newline" (Oracle.to_string v ^ "\n") data
+
+(* --- client reassembly ------------------------------------------------------------ *)
+
+(* A listener in this process accepts the client; six reply lines are
+   then written to it in 1-byte, 7-byte and 70-KB pieces, with a pause
+   after each, so the client's reads end mid-line, mid-escape and
+   mid-number.  [recv], [recv_matching] and [recv_line] must return
+   every line whole and in order, then report the closed connection. *)
+let client_reassembles_pieces () =
+  let st = Random.State.make [| 20_261_021 |] in
+  let answer_line id n_candidates =
+    let candidate _ =
+      J.Obj
+        [
+          ("name", J.Str (gen_string st));
+          ("module", J.Str (gen_string st));
+          ("line", J.Num (gen_num st));
+        ]
+    in
+    J.to_string
+      (J.Obj
+         [
+           ("id", J.num id);
+           ("status", J.Str "ok");
+           ("candidates", J.Arr (List.init n_candidates candidate));
+           ("elapsed_ms", J.Num 0.25);
+         ])
+    ^ "\n"
+  in
+  let lines =
+    [
+      J.to_string (J.Obj [ ("id", J.num 1); ("status", J.Str "ok") ]) ^ "\n";
+      answer_line 2 500;
+      answer_line 3 0;
+      answer_line 4 2_000;
+      J.to_string (J.Obj [ ("id", J.num 5); ("s", J.Str (String.make 70_001 'x')) ]) ^ "\n";
+      answer_line 6 30;
+    ]
+  in
+  let chomp l = String.sub l 0 (String.length l - 1) in
+  let parsed = List.map (fun l -> Result.get_ok (J.of_string (chomp l))) lines in
+  let wire = String.concat "" lines in
+  let dir = Filename.temp_file "rca_client_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock = Filename.concat dir "pieces.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 1;
+  let conn = Client.connect (`Unix sock) in
+  let fd, _ = Unix.accept listener in
+  (* the writer is a child process: this suite forks daemons, and a
+     process that ever started a second domain may not fork *)
+  flush stdout;
+  flush stderr;
+  let writer =
+    match Unix.fork () with
+    | 0 ->
+        let sizes = [| 1; 7; 70_000 |] in
+        let len = String.length wire in
+        let rec go pos k =
+          if pos < len then begin
+            let n = min sizes.(k mod 3) (len - pos) in
+            let off = ref 0 in
+            while !off < n do
+              off := !off + Unix.write_substring fd wire (pos + !off) (n - !off)
+            done;
+            Unix.sleepf 0.002;
+            go (pos + n) (k + 1)
+          end
+        in
+        (try go 0 0 with Unix.Unix_error _ -> ());
+        Unix._exit 0
+    | pid ->
+        Unix.close fd;
+        pid
+  in
+  let nth i = List.nth parsed (i - 1) in
+  let expect name i r =
+    match r with
+    | Ok v -> check_bool name true (v = nth i)
+    | Error msg -> Alcotest.failf "%s: %s" name msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close conn;
+      ignore (Unix.waitpid [] writer);
+      Unix.close listener;
+      Sys.remove sock;
+      Unix.rmdir dir)
+    (fun () ->
+      expect "recv: first reply" 1 (Client.recv conn);
+      expect "recv_matching reads past 2 and 3" 4 (Client.recv_matching conn ~id:4);
+      expect "stashed 3" 3 (Client.recv_matching conn ~id:3);
+      expect "stashed 2" 2 (Client.recv_matching conn ~id:2);
+      expect "recv after the stash" 5 (Client.recv conn);
+      check_bool "recv_line: the last line, raw" true
+        (Client.recv_line conn = Some (chomp (List.nth lines 5)));
+      check_bool "then the closed connection" true (Client.recv_line conn = None))
 
 (* --- lru ------------------------------------------------------------------------- *)
 
@@ -426,6 +604,28 @@ let cache_roundtrip_and_invalidation () =
 
 (* --- forked daemon end to end ------------------------------------------------------- *)
 
+(* Every reply line the daemon writes is canonical JSON: printing its
+   parse, with Jsonio or with the oracle printer, gives back the same
+   bytes.  The daemon tests read through these instead of
+   [Client.recv]/[Client.request]. *)
+let check_canonical line =
+  let parsed = J.of_string line in
+  (match parsed with
+  | Ok v ->
+      check_string "reply line reprints byte for byte" line (J.to_string v);
+      check_string "reply line is what the oracle printer prints" line (Oracle.to_string v)
+  | Error msg -> Alcotest.failf "unparseable reply line (%s): %s" msg line);
+  parsed
+
+let recv_checked conn =
+  match Client.recv_line conn with
+  | None -> Error "connection closed by server"
+  | Some line -> check_canonical line
+
+let request_checked conn v =
+  Client.send conn v;
+  recv_checked conn
+
 let with_daemon_at ?cache_path f =
   let snap = Lazy.force compiled in
   let dir = Filename.temp_file "rca_serve_test" "" in
@@ -450,21 +650,29 @@ let with_daemon_at ?cache_path f =
         connect (attempts - 1)
   in
   let conn = connect 100 in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Client.request conn (J.Obj [ ("op", J.Str "shutdown") ]));
-      Client.close conn;
-      ignore (Unix.waitpid [] child);
-      (try
-         if Sys.file_exists sock then Sys.remove sock;
-         Unix.rmdir dir
-       with Sys_error _ | Unix.Unix_error _ -> ()))
-    (fun () -> f sock conn)
+  (* the cleanup only records the shutdown reply; it is checked once the
+     daemon is reaped, so a failed check cannot skip the cleanup *)
+  let shutdown_line = ref None in
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Client.send conn (J.Obj [ ("op", J.Str "shutdown") ]);
+        shutdown_line := Client.recv_line conn;
+        Client.close conn;
+        ignore (Unix.waitpid [] child);
+        (try
+           if Sys.file_exists sock then Sys.remove sock;
+           Unix.rmdir dir
+         with Sys_error _ | Unix.Unix_error _ -> ()))
+      (fun () -> f sock conn)
+  in
+  Option.iter (fun line -> ignore (check_canonical line)) !shutdown_line;
+  result
 
 let with_daemon ?cache_path f = with_daemon_at ?cache_path (fun _ conn -> f conn)
 
 let reply conn fields =
-  match Client.request conn (J.Obj fields) with
+  match request_checked conn (J.Obj fields) with
   | Ok r -> r
   | Error msg -> Alcotest.failf "request failed: %s" msg
 
@@ -499,7 +707,7 @@ let daemon_survives_garbage () =
   with_daemon (fun conn ->
       (* raw non-JSON bytes: an error object, not a dropped connection *)
       Client.send_line conn "this is {{{ not json";
-      (match Client.recv conn with
+      (match recv_checked conn with
       | Ok r ->
           check_bool "garbage -> error reply" true (status r = Some "error");
           check_bool "error names the parse failure" true
@@ -509,7 +717,7 @@ let daemon_survives_garbage () =
       | Error msg -> Alcotest.failf "no reply to garbage: %s" msg);
       (* a 1 MB line of '[' is refused at the nesting bound, not parsed *)
       Client.send_line conn (String.make 1_000_000 '[');
-      (match Client.recv conn with
+      (match recv_checked conn with
       | Ok r -> check_bool "deep nesting -> error reply" true (status r = Some "error")
       | Error msg -> Alcotest.failf "no reply to deep nesting: %s" msg);
       let bad_cases =
@@ -653,7 +861,7 @@ let daemon_concurrent_out_of_order () =
       done;
       let order = ref [] in
       for _ = 1 to 5 do
-        match Client.recv conn with
+        match recv_checked conn with
         | Ok r -> (
             match Option.bind (J.member "id" r) J.int_opt with
             | Some id -> order := (id, r) :: !order
@@ -726,7 +934,7 @@ let daemon_reply_backlog () =
       done;
       let seen = Array.make (n + 1) 0 in
       for _ = 1 to n do
-        match Client.recv conn with
+        match recv_checked conn with
         | Error msg -> Alcotest.failf "recv failed: %s" msg
         | Ok r ->
             (match Option.bind (J.member "id" r) J.int_opt with
@@ -742,16 +950,18 @@ let daemon_inflight_coalescing () =
   with_daemon (fun conn ->
       Client.send conn (J.Obj (slow_fields 1));
       Client.send conn (J.Obj (slow_fields 2));
-      let r1 =
-        match Client.recv_matching conn ~id:1 with
-        | Ok r -> r
-        | Error msg -> Alcotest.failf "recv 1 failed: %s" msg
+      let replies =
+        List.init 2 (fun _ ->
+            match recv_checked conn with
+            | Ok r -> (Option.bind (J.member "id" r) J.int_opt, r)
+            | Error msg -> Alcotest.failf "recv failed: %s" msg)
       in
-      let r2 =
-        match Client.recv_matching conn ~id:2 with
-        | Ok r -> r
-        | Error msg -> Alcotest.failf "recv 2 failed: %s" msg
+      let by_id id =
+        match List.assoc_opt (Some id) replies with
+        | Some r -> r
+        | None -> Alcotest.failf "no reply for id %d" id
       in
+      let r1 = by_id 1 and r2 = by_id 2 in
       check_bool "first computes" true (J.member "cached" r1 = Some (J.Bool false));
       check_bool "first not coalesced" true (J.member "coalesced" r1 = Some (J.Bool false));
       check_bool "second coalesced onto the in-flight job" true
@@ -844,6 +1054,11 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick json_unicode_escapes;
           Alcotest.test_case "parse errors" `Quick json_errors;
           Alcotest.test_case "accessors" `Quick json_accessors;
+        ] );
+      ( "reply bytes",
+        [
+          Alcotest.test_case "printer = oracle printer" `Quick printer_matches_oracle;
+          Alcotest.test_case "client reassembles pieces" `Quick client_reassembles_pieces;
         ] );
       ( "lru",
         [
