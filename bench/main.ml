@@ -9,6 +9,10 @@
             table1 table2 fig4 fig10 fig11 ablation micro-par gn
             pipeline refine scaling lint serve campaign
 
+   `serve` runs before the other named targets, whatever their order:
+   it forks its daemons with Unix.fork, which OCaml 5 refuses once the
+   process has started a domain, and the pooled targets start domains.
+
    Flags: --json PATH     write the target's telemetry and gates as one
                           compact JSON object {"bench", fields..., "gates"}
                           (`gn`, `pipeline`, `refine`, `scaling`, `lint`;
@@ -1462,4 +1466,7 @@ let () =
       run_gn_bench ~trace ~json ~domains ();
       run_pipeline_bench ~json:None ~trace:None ~domains ~partitioner ();
       run_refine_bench ~json:None ~trace:None ~domains ~partitioner ()
-  | targets -> List.iter (run_target ~json ~trace ~domains ~partitioner) targets
+  | targets ->
+      (* serve forks: it must run before any target starts a domain *)
+      let serve, others = List.partition (String.equal "serve") targets in
+      List.iter (run_target ~json ~trace ~domains ~partitioner) (serve @ others)

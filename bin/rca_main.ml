@@ -573,27 +573,33 @@ let serve_cmd =
           | `Unix path -> Printf.sprintf "unix:%s" path
           | `Tcp p -> Printf.sprintf "tcp:127.0.0.1:%d" p
         in
-        Printf.printf "serving %s on %s (cache %d, workers %d, queue %d%s)\n%!"
-          snap.Rca_serve.Snapshot.fingerprint where cache workers queue
-          (match cache_path with
-          | None -> ""
-          | Some p ->
-              Printf.sprintf ", cache sidecar %s%s" p
-                (match cache_save with
-                | None -> ""
-                | Some s -> Printf.sprintf " every %gs" s));
-        let stats =
-          Rca_serve.Server.serve ~cache_capacity:cache ~workers
-            ~queue_capacity:queue ?cache_path ?cache_save_every:cache_save addr snap
+        let on_ready () =
+          Printf.printf "serving %s on %s (cache %d, workers %d, queue %d%s)\n%!"
+            snap.Rca_serve.Snapshot.fingerprint where cache workers queue
+            (match cache_path with
+            | None -> ""
+            | Some p ->
+                Printf.sprintf ", cache sidecar %s%s" p
+                  (match cache_save with
+                  | None -> ""
+                  | Some s -> Printf.sprintf " every %gs" s))
         in
-        Printf.printf
-          "served %d (errors %d, cache hits %d, misses %d, coalesced %d, inline %d, \
-           warm-start entries %d, cache saves %d)\n"
-          stats.Rca_serve.Server.served stats.Rca_serve.Server.errors
-          stats.Rca_serve.Server.cache_hits stats.Rca_serve.Server.cache_misses
-          stats.Rca_serve.Server.coalesced stats.Rca_serve.Server.inline_runs
-          stats.Rca_serve.Server.warm_entries stats.Rca_serve.Server.cache_saves;
-        0
+        match
+          Rca_serve.Server.serve ~cache_capacity:cache ~workers
+            ~queue_capacity:queue ?cache_path ?cache_save_every:cache_save ~on_ready addr snap
+        with
+        | exception Sys_error msg ->
+            Printf.eprintf "cannot serve: %s\n" msg;
+            1
+        | stats ->
+            Printf.printf
+              "served %d (errors %d, cache hits %d, misses %d, coalesced %d, inline %d, \
+               warm-start entries %d, cache saves %d)\n"
+              stats.Rca_serve.Server.served stats.Rca_serve.Server.errors
+              stats.Rca_serve.Server.cache_hits stats.Rca_serve.Server.cache_misses
+              stats.Rca_serve.Server.coalesced stats.Rca_serve.Server.inline_runs
+              stats.Rca_serve.Server.warm_entries stats.Rca_serve.Server.cache_saves;
+            0
   in
   let snapshot_arg =
     Arg.(

@@ -212,7 +212,4 @@ let unreachable_lines t =
     t.blocks;
   List.sort_uniq compare !acc
 
-let iter_instrs f t =
-  Array.iteri (fun bid instrs -> Array.iteri (fun i ins -> f bid i ins) instrs) t.blocks
-
 let n_instrs t = Array.fold_left (fun a instrs -> a + Array.length instrs) 0 t.blocks

@@ -21,8 +21,6 @@ type instr =
     }
   | Select_header of { selector : Ast.expr; case_values : Ast.expr list; sline : int }
 
-val instr_line : instr -> int
-
 type t = {
   blocks : instr array array;  (* per block, execution order *)
   succ : int list array;
@@ -38,8 +36,5 @@ val build : Ast.subprogram -> t
 (* First line of every instruction sitting in a block unreachable from
    the entry. *)
 val unreachable_lines : t -> int list
-
-(* Visit every instruction as [f block index instr]. *)
-val iter_instrs : (int -> int -> instr -> unit) -> t -> unit
 
 val n_instrs : t -> int

@@ -313,17 +313,7 @@ let defined_vars t =
     t.facts;
   defined
 
-let var_used t (v : Scope.var) = bs_get (used_vars t) v.Scope.v_id
 let var_defined t (v : Scope.var) = bs_get (defined_vars t) v.Scope.v_id
-
-(* Exposed for tests: the RD set entering a block, as def ids (pseudo ids
-   are variable ids; real ids are n_vars + k). *)
-let rd_in_ids t b =
-  let acc = ref [] in
-  for i = t.n_defs - 1 downto 0 do
-    if bs_get t.rd_in.(b) i then acc := i :: !acc
-  done;
-  !acc
 
 let live_out_names t b =
   List.filter_map

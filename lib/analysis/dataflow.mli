@@ -16,9 +16,8 @@ type t = {
   live_out : Bytes.t array;  (* per block, var-indexed bitsets *)
 }
 
-(* ---- bitset primitives (shared with consumers of [used_vars] etc.) ---- *)
+(* ---- bitset membership (for consumers of [used_vars] etc.) ---- *)
 
-val bs_create : int -> Bytes.t
 val bs_get : Bytes.t -> int -> bool
 
 (* ---- solver ---- *)
@@ -43,10 +42,7 @@ val du_chains : t -> du_pair list
 
 val used_vars : t -> Bytes.t
 val defined_vars : t -> Bytes.t
-val var_used : t -> Scope.var -> bool
 val var_defined : t -> Scope.var -> bool
 
-(* Exposed for tests: RD set entering a block as def ids (pseudo ids are
-   variable ids; real ids are n_vars + k), and live-out variable names. *)
-val rd_in_ids : t -> int -> int list
+(* Exposed for tests: live-out variable names of a block. *)
 val live_out_names : t -> int -> string list

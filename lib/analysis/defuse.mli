@@ -20,7 +20,5 @@ type def_site = { d_var : Scope.var; d_line : int; d_strong : bool; d_origin : o
 
 type fact = { uses : use_site list; defs : def_site list }
 
-val of_instr : Scope.sub_scope -> Cfg.instr -> fact
-
 (* Facts for a whole CFG, indexed like [cfg.blocks]. *)
 val of_cfg : Scope.sub_scope -> Cfg.t -> fact array array

@@ -40,7 +40,6 @@ type diag = {
 }
 
 val kind_name : kind -> string
-val severity_name : severity -> string
 val all_kinds : kind list
 
 (* ---- provenance helpers (shared with Typecheck / Callcheck) ---- *)

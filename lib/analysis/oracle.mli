@@ -34,9 +34,6 @@ type report = {
 
 val ok : report -> bool
 
-(* Every static def-use pair of the program, in statement order. *)
-val static_pairs : Scope.program_scope -> pair list
-
 val check : Scope.program_scope -> Rca_metagraph.Metagraph.t -> report
 
 val report_lines : report -> string list

@@ -180,8 +180,6 @@ let callables t ~module_ name =
 let sub_symbol t ~module_ name =
   Option.map (symbol t) (Hashtbl.find_opt t.r_sub_syms (module_, name))
 
-let type_symbol t name = Option.map (symbol t) (Hashtbl.find_opt t.r_types name)
-
 let field_symbol t ~type_name field =
   Option.map (symbol t) (Hashtbl.find_opt t.r_fields (type_name, field))
 

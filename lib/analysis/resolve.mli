@@ -23,7 +23,6 @@ open Rca_fortran
 type ty = { elem : Ast.type_spec; rank : int }
 
 val ty_scalar : Ast.type_spec -> ty
-val ty_of_decl : Ast.decl -> ty
 
 (* FORTRAN implicit typing: I-N integer, everything else real; rank 0. *)
 val implicit_ty : string -> ty
@@ -52,8 +51,6 @@ type symbol = {
   sym_kind : symbol_kind;
   sym_ty : ty option;
 }
-
-val kind_str : symbol_kind -> string
 
 type t
 
@@ -85,7 +82,6 @@ val lookup_var : t -> module_:string -> sub:string -> string -> symbol option
 val callables : t -> module_:string -> string -> (string * string) list
 
 val sub_symbol : t -> module_:string -> string -> symbol option
-val type_symbol : t -> string -> symbol option
 val field_symbol : t -> type_name:string -> string -> symbol option
 
 (* Intern (or fetch) the implicitly-typed symbol for an undeclared name;

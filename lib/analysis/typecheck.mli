@@ -11,29 +11,12 @@
 
 open Rca_fortran
 
-type category = Cnum | Clogical | Cchar | Cderived of string
-
-val category_of : Resolve.ty -> category
-val category_str : category -> string
-
 (* Integer and real interconvert; logical, character and each named
    derived type are rigid. *)
 val compatible : Resolve.ty -> Resolve.ty -> bool
 
-(* Elementwise rank agreement: scalars broadcast. *)
-val ranks_combine : Resolve.ty -> Resolve.ty -> bool
-val combined_rank : Resolve.ty -> Resolve.ty -> int
-
-val ty_of_var : Resolve.t -> Scope.var -> Resolve.ty option
-
-(* [emit line var message] receives each mismatch found while inferring. *)
-type emitter = int -> Scope.var option -> string -> unit
-
 (* First variable mentioned by an expression, for diagnostic attribution. *)
 val first_var : Scope.sub_scope -> Ast.expr -> Scope.var option
-val desig_first_var : Scope.sub_scope -> Ast.designator -> Scope.var option
-
-val infer : Scope.sub_scope -> emitter -> line:int -> Ast.expr -> Resolve.ty option
 
 (* Inference without diagnostics, for {!Callcheck} and tests. *)
 val expr_ty : Scope.sub_scope -> line:int -> Ast.expr -> Resolve.ty option

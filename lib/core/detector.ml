@@ -32,9 +32,4 @@ let of_differing_set differing : t =
   List.iter (fun v -> Hashtbl.replace tbl v ()) differing;
   fun sampled -> List.filter (Hashtbl.mem tbl) sampled
 
-(* A detector that reports differences by unique node name (used by the
-   runtime instrumentation, which observes variables by name). *)
-let of_name_predicate (mg : MG.t) pred : t =
-  fun sampled -> List.filter (fun id -> pred (MG.node mg id)) sampled
-
 let never : t = fun _ -> []

@@ -16,7 +16,5 @@ val of_differing_set : int list -> t
 (** Detector from an explicit set of differing nodes (e.g. a runtime
     sampling comparison). *)
 
-val of_name_predicate : MG.t -> (MG.node -> bool) -> t
-
 val never : t
 (** Detects nothing — drives pure 8a elimination. *)

@@ -52,7 +52,6 @@ val run :
     disk once and shares it across every request — instead of freezing
     here; the caller must guarantee it matches [mg]. *)
 
-val name_of : MG.t -> int -> string
 val describe_nodes : MG.t -> int list -> string list
 
 val candidates : MG.t -> t -> (string * string * string * int) list
@@ -63,5 +62,4 @@ val located_bugs : MG.t -> t -> bug_nodes:int list -> int list
 (** Which of the given bug nodes were isolated in the final set or
     directly detected while sampling. *)
 
-val pp_iteration : MG.t -> Format.formatter -> int * Refine.iteration -> unit
 val pp : Format.formatter -> MG.t * t -> unit

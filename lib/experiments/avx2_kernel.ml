@@ -27,16 +27,16 @@ let capture_kernel (fixture : Fixture.t) =
       ignore
         (Rca_interp.Machine.invoke m ~module_:"cam_driver" ~sub:"cam_run"
            ~args:[ Rca_interp.Machine.Vint opts.Model.nsteps ]))
-    ~module_:"micro_mg" ~sub:"micro_mg_tend" ()
+    ~module_:"micro_mg" ~sub:"micro_mg_tend"
 
-let kgen_flags ?(threshold = 1e-12) (fixture : Fixture.t) =
+let kgen_flags (fixture : Fixture.t) =
   let cap = capture_kernel fixture in
   let replay fma =
     Rca_interp.Kernel.replay ~program:fixture.Fixture.clean_program
       ~configure:(fun m -> Rca_interp.Machine.set_fma m ~enabled:fma ~disabled:[])
       cap
   in
-  Rca_interp.Kernel.divergent ~threshold (replay false) (replay true)
+  Rca_interp.Kernel.divergent ~threshold:1e-12 (replay false) (replay true)
 
 (* Top-k eigenvector in-centrality nodes of the community containing
    micro_mg, within the AVX2 slice. *)

@@ -52,8 +52,6 @@ let default_params ?(scale_label = "tiny") config =
 
 type score = { precision : float; recall : float; f1 : float }
 
-let zero_score = { precision = 0.0; recall = 0.0; f1 = 0.0 }
-
 let score_sets ~expected ~candidates =
   let cands = List.sort_uniq compare candidates in
   (* membership via a hash set — [List.mem c expected] per candidate was

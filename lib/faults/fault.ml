@@ -32,8 +32,6 @@ let family_name = function
 let all_families =
   [ Fma; Prng; Off_by_one; Transposed_index; Intent_guard; Stale_value; Coeff ]
 
-let family_of_name s = List.find_opt (fun f -> family_name f = s) all_families
-
 (* Ground-truth target, resolved against a concrete metagraph only once
    the (possibly bugged) source has been compiled into one.  [t_sub =
    Some s] is the exact (module, subprogram, name) key ([s = ""] for

@@ -14,11 +14,8 @@ type token =
 
 exception Lex_error of string
 
-val is_digit : char -> bool
-val is_alpha : char -> bool
 val is_ident_char : char -> bool
 
-val pp_token : Format.formatter -> token -> unit
 val token_to_string : token -> string
 
 val tokenize : string -> token list

@@ -84,6 +84,7 @@ let decl_str d =
   let init = match d.d_init with None -> "" | Some e -> " = " ^ expr_str e in
   Printf.sprintf "%s%s :: %s%s%s" (type_str d.d_type) attrs d.d_name dims init
 
+(* One string per physical output line, indented by [indent] spaces. *)
 let rec stmt_lines indent st =
   let pad = String.make indent ' ' in
   match st.node with

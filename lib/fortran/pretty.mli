@@ -5,24 +5,9 @@
 
 open Ast
 
-val binop_str : binop -> string
-
 val expr_str : ?ctx:int -> expr -> string
 (** Render an expression, parenthesizing according to the enclosing
     precedence [ctx] (0 = statement position). *)
 
-val desig_str : designator -> string
-val intent_str : intent -> string
-val type_str : type_spec -> string
-val decl_str : decl -> string
-
-val stmt_lines : int -> stmt -> string list
-(** Render one statement at the given indent depth, one string per
-    physical output line. *)
-
-val body_lines : int -> stmt list -> string list
-val subprogram_lines : int -> subprogram -> string list
-val use_line : use_stmt -> string
-val module_lines : module_unit -> string list
 val module_to_string : module_unit -> string
 val program_to_string : program -> string

@@ -6,17 +6,12 @@
 val keywords : string list
 (** Fortran keywords excluded from scraped identifier lists. *)
 
-val is_ident_start : char -> bool
 val is_ident_char : char -> bool
 
 val scrape_identifiers : string -> string list
 (** Stage three: every identifier-shaped token in the text, in order of
     first occurrence, duplicates and {!keywords} removed.  Skips string
     literals and numeric suffixes like [1.0e-3_r8]. *)
-
-val assignment_split_index : string -> int option
-(** Index of the top-level [=] of an assignment — outside parentheses and
-    strings, not part of [== /= <= >= =>]. *)
 
 type relaxed_assignment = {
   lhs_base : string;  (** root variable of the left-hand side *)

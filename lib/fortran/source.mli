@@ -7,12 +7,6 @@ type logical_line = {
   line : int;  (** 1-based physical line number of the first fragment *)
 }
 
-val strip_comment : string -> string
-(** Strip a trailing [!] comment, respecting single- and double-quoted
-    strings. *)
-
-val is_blank : string -> bool
-
 val logical_lines : string -> logical_line list
 (** Split a file's text into logical lines: comments stripped, [&]
     continuations joined, blank lines dropped. *)

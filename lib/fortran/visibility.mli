@@ -13,10 +13,8 @@
 type callable = { c_module : string; c_sub : Ast.subprogram }
 (** One candidate procedure: its defining module and its definition. *)
 
-val intrinsic_names : string list
-(** The intrinsic functions of the subset. *)
-
 val is_intrinsic : string -> bool
+(** Whether a name is one of the subset's intrinsic functions. *)
 
 type scope = {
   vars : (string, string * string) Hashtbl.t;

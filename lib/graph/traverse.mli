@@ -13,9 +13,6 @@ val bfs_dist : Digraph.t -> int list -> int array
 (** [bfs_dist g sources] is the array of BFS hop distances from the
     nearest source, following successor edges; [no_dist] if unreachable. *)
 
-val bfs_dist_rev : Digraph.t -> int list -> int array
-(** Distances {e to} the given targets, following predecessor edges. *)
-
 val descendants : Digraph.t -> int list -> int list
 (** Nodes reachable from any source (sources included), ascending. *)
 

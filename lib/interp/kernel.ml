@@ -6,7 +6,7 @@
    CAM, run it with AVX2/FMA on and off, and flag the 42 local variables
    whose normalized RMS difference exceeded 1e-12.  Here [capture] records
    the kernel's inputs (formal argument values plus every module variable)
-   at the n-th call during a full model run, and [replay] re-executes just
+   at its first call during a full model run, and [replay] re-executes just
    the kernel on those inputs on a fresh machine. *)
 
 open Rca_fortran
@@ -37,35 +37,26 @@ let snapshot_globals (machine : Machine.t) program =
         (Hashtbl.find_opt machine.modules mu.Ast.m_name))
     program
 
-(* Run [drive machine] until the [nth] (1-based) call of [module_.sub],
-   capture its inputs, and abort the run. *)
-let capture ?(nth = 1) ~program ~configure ~drive ~module_ ~sub () =
+(* Run [drive machine] until the first call of [module_.sub], capture
+   its inputs, and abort the run. *)
+let capture ~program ~configure ~drive ~module_ ~sub =
   let machine = Machine.create program in
   configure machine;
-  let count = ref 0 in
   let result = ref None in
   machine.Machine.hooks.Machine.on_call <-
     Some
       (fun m s locals ->
         if m = module_ && s = sub then begin
-          incr count;
-          if !count = nth then begin
-            let formals =
-              Hashtbl.fold
-                (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
-                locals []
-              |> List.sort compare
-            in
-            result :=
-              Some
-                {
-                  k_module = module_;
-                  k_sub = sub;
-                  formals;
-                  globals = snapshot_globals machine program;
-                };
-            raise Captured
-          end
+          let formals =
+            Hashtbl.fold
+              (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
+              locals []
+            |> List.sort compare
+          in
+          result :=
+            Some
+              { k_module = module_; k_sub = sub; formals; globals = snapshot_globals machine program };
+          raise Captured
         end);
   (try drive machine with Captured -> ());
   match !result with

@@ -13,16 +13,14 @@ type capture = {
 exception Captured
 
 val capture :
-  ?nth:int ->
   program:Rca_fortran.Ast.program ->
   configure:(Machine.t -> unit) ->
   drive:(Machine.t -> unit) ->
   module_:string ->
   sub:string ->
-  unit ->
   capture
-(** Run [drive] on a fresh configured machine until the [nth] (1-based)
-    call of [module_.sub]; snapshot its inputs and abort the run.  Raises
+(** Run [drive] on a fresh configured machine until the first call of
+    [module_.sub]; snapshot its inputs and abort the run.  Raises
     {!Machine.Runtime_error} if the kernel is never called. *)
 
 val replay :

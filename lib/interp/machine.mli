@@ -24,16 +24,6 @@ type value =
 val copy_value : value -> value
 (** Deep copy (arrays and derived components included). *)
 
-val as_float : value -> float
-(** Numeric coercion; raises {!Runtime_error} for arrays and strings. *)
-
-val as_int : value -> int
-val as_bool : value -> bool
-val as_arr : value -> arr
-
-val arr_norm : arr -> float
-(** L2 norm — the scalar whole-array events report to the sampling hook. *)
-
 type module_rt = {
   unit_ : Rca_fortran.Ast.module_unit;
   vars : (string, value ref) Hashtbl.t;  (** visible cells: own + imported *)
@@ -72,17 +62,12 @@ type t = {
   mutable max_steps : int;
 }
 
-val module_order : Rca_fortran.Ast.program -> Rca_fortran.Ast.module_unit list
-(** Topological order of modules by use-dependency. *)
-
 val create : ?prng:Rca_rng.Prng.t -> ?max_steps:int -> Rca_fortran.Ast.program -> t
-(** Elaborate the program in {!module_order}: resolve names through
-    {!Rca_fortran.Visibility} (an import hides a same-named declaration),
-    initialize module variables (parameters evaluated, arrays zeroed,
-    derived types instantiated; a derived type the module cannot see is
-    a {!Runtime_error}). *)
-
-val find_callable : t -> module_:string -> sub:string -> Rca_fortran.Visibility.callable
+(** Elaborate the program's modules in use-dependency order: resolve
+    names through {!Rca_fortran.Visibility} (an import hides a
+    same-named declaration), initialize module variables (parameters
+    evaluated, arrays zeroed, derived types instantiated; a derived type
+    the module cannot see is a {!Runtime_error}). *)
 
 val invoke : t -> module_:string -> sub:string -> args:value list -> value
 (** Call a subprogram with interpreter-level values (scalars by value; use

@@ -1,7 +1,7 @@
 (* Pipeline-wide tracing and metrics.
 
-   One global, process-wide recorder: span-scoped wall-clock timers,
-   named monotone counters and last-write-wins gauges.  Everything is a
+   One global, process-wide recorder: span-scoped wall-clock timers and
+   named monotone counters.  Everything is a
    no-op until [enable] flips the single atomic flag, so instrumented
    hot paths pay one atomic load (plus the closure already at the call
    site) when tracing is off — the "compiled-out" sink the bench
@@ -34,7 +34,6 @@ let enabled () = Atomic.get enabled_flag
 let lock = Mutex.create ()
 let events : span_record list ref = ref []  (* newest first *)
 let counter_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
-let gauge_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
 let epoch_us = ref 0.0
 let wall_epoch = ref 0.0  (* Unix epoch us at [enable], for trace anchoring only *)
 
@@ -54,8 +53,7 @@ let locked f =
 let reset () =
   locked (fun () ->
       events := [];
-      Hashtbl.reset counter_tbl;
-      Hashtbl.reset gauge_tbl)
+      Hashtbl.reset counter_tbl)
 
 let enable () =
   reset ();
@@ -111,18 +109,12 @@ let incr ?(by = 1) name =
         Hashtbl.replace counter_tbl name
           (by + Option.value ~default:0 (Hashtbl.find_opt counter_tbl name)))
 
-let gauge name v = if enabled () then locked (fun () -> Hashtbl.replace gauge_tbl name v)
-
 (* --- introspection --------------------------------------------------------- *)
 
 let spans () = locked (fun () -> List.rev !events)
 
 let counters () =
   locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) counter_tbl [])
-  |> List.sort compare
-
-let gauges () =
-  locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_tbl [])
   |> List.sort compare
 
 let counter_value name =
@@ -185,8 +177,8 @@ let chrome_trace_json () =
       ("traceEvents", Jsonio.Arr (List.map span (spans ()) @ counters_event));
     ]
 
-(* Flat aggregate: per-span-name count/total/mean/max plus counters and
-   gauges, keys sorted for stable diffs — the shape BENCH_pipeline.json
+(* Flat aggregate: per-span-name count/total/mean/max plus counters,
+   keys sorted for stable diffs — the shape BENCH_pipeline.json
    embeds. *)
 let summary_json () =
   let agg : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
@@ -213,7 +205,6 @@ let summary_json () =
     [
       ("spans", Jsonio.Obj (List.map span_json spans));
       ("counters", counters_json (counters ()));
-      ("gauges", Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Num v)) (gauges ())));
     ]
 
 let write_chrome_trace path = Jsonio.to_file path (chrome_trace_json ())

@@ -1,5 +1,5 @@
 (** Pipeline-wide tracing and metrics: span-scoped monotonic-clock
-    timers, named counters and gauges, recorded into one global
+    timers and named counters, recorded into one global
     process-wide buffer and emitted as {!Jsonio} values: Chrome
     trace-event JSON or a flat JSON summary.  Span timing uses
     [CLOCK_MONOTONIC] (never stepped by NTP, so durations are always
@@ -57,9 +57,6 @@ val span' : string -> ('a -> (string * arg) list) -> (unit -> 'a) -> 'a
 val incr : ?by:int -> string -> unit
 (** Add [by] (default 1) to a named counter. *)
 
-val gauge : string -> float -> unit
-(** Set a named gauge (last write wins). *)
-
 (** {1 Introspection} *)
 
 val spans : unit -> span_record list
@@ -68,7 +65,6 @@ val spans : unit -> span_record list
 val counters : unit -> (string * int) list
 (** Counter values, sorted by name. *)
 
-val gauges : unit -> (string * float) list
 val counter_value : string -> int
 val span_count : string -> int
 val span_total_ms : string -> float
@@ -83,7 +79,7 @@ val chrome_trace_json : unit -> Jsonio.t
 
 val summary_json : unit -> Jsonio.t
 (** Flat aggregate JSON: per-span-name [count]/[total_ms]/[mean_ms]/
-    [max_ms], counters and gauges, keys sorted — the shape
+    [max_ms] and counters, keys sorted — the shape
     [BENCH_pipeline.json] embeds. *)
 
 val write_chrome_trace : string -> unit

@@ -131,9 +131,12 @@ let read_framed ~magic ~version ~kind path =
         else begin
           let payload_len = Int64.to_int (String.get_int64_le data 16) in
           let checksum = String.get_int64_le data 24 in
-          if payload_len < 0 || header_len + payload_len > String.length data then
+          (* compared by subtraction: a length near max_int would wrap
+             [header_len + payload_len] negative *)
+          let available = String.length data - header_len in
+          if payload_len < 0 || payload_len > available then
             Error (Printf.sprintf "truncated %s: payload shorter than the header claims" kind)
-          else if header_len + payload_len < String.length data then
+          else if payload_len < available then
             Error (Printf.sprintf "corrupt %s: trailing bytes after the payload" kind)
           else begin
             let payload = String.sub data header_len payload_len in

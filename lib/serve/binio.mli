@@ -5,10 +5,6 @@
     payload.  Writers are atomic (temp + rename); readers return every
     damage mode as a distinct [Error] instead of raising. *)
 
-val header_len : int
-(** Bytes of fixed header before the payload (magic + version + length
-    + checksum). *)
-
 val fnv1a64 : string -> int64
 (** FNV-1a 64-bit hash — the checksum both formats store. *)
 

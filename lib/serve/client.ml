@@ -53,7 +53,8 @@ let recv_line t =
         | 0 -> None  (* server closed mid-line *)
         | k ->
             t.residue <- t.residue ^ Bytes.sub_string t.chunk 0 k;
-            go ())
+            go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()  (* a signal handler ran *))
   in
   go ()
 

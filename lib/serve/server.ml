@@ -455,10 +455,15 @@ let save_cache st =
 
 (* --- the reactor ----------------------------------------------------------- *)
 
+(* A stale socket at the path is replaced; any other file is refused
+   and left as it is. *)
 let listener_of addr =
   match addr with
   | `Unix path ->
-      if Sys.file_exists path then Unix.unlink path;
+      (match (Unix.lstat path).Unix.st_kind with
+      | Unix.S_SOCK -> Unix.unlink path
+      | _ -> raise (Sys_error (path ^ ": exists and is not a socket; not replacing it"))
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;
@@ -682,6 +687,14 @@ let serve ?(cache_capacity = 64) ?(workers = 1) ?(queue_capacity = 64)
       cache_saves = 0;
     }
   in
+  (* bind before starting any domain: a refused path starts none *)
+  let listener = listener_of addr in
+  Fun.protect ~finally:(fun () ->
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      match addr with
+      | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+      | `Tcp _ -> ())
+  @@ fun () ->
   let notify_r, notify_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock notify_r;
   Unix.set_nonblock notify_w;
@@ -718,16 +731,11 @@ let serve ?(cache_capacity = 64) ?(workers = 1) ?(queue_capacity = 64)
           stats.warm_entries <- n
       | Error _ -> ())
   | _ -> ());
-  let listener = listener_of addr in
   Fun.protect
     ~finally:(fun () ->
       G.Pool.Workqueue.shutdown st.wq;
       (try Unix.close notify_r with Unix.Unix_error _ -> ());
-      (try Unix.close notify_w with Unix.Unix_error _ -> ());
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      match addr with
-      | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | `Tcp _ -> ())
+      try Unix.close notify_w with Unix.Unix_error _ -> ())
     (fun () ->
       Option.iter (fun f -> f ()) on_ready;
       serve_loop ?cache_save_every st listener;

@@ -26,8 +26,9 @@
     — the daemon never dies on request input. *)
 
 type addr = [ `Unix of string | `Tcp of int ]
-(** Where to listen: a Unix-domain socket path (unlinked and rebound if
-    it exists) or a loopback TCP port. *)
+(** Where to listen: a Unix-domain socket path or a loopback TCP port.
+    A socket already at the path is replaced; any other file there is
+    refused (see {!serve}). *)
 
 type stats = {
   mutable served : int;  (** successful replies, all ops *)
@@ -70,4 +71,8 @@ val serve :
     [cache_save_every] seconds of the monotonic clock (never saved when
     omitted).
     [on_ready] fires after the socket is listening (e.g. to signal a
-    forked parent).  Returns the final counters. *)
+    forked parent).  Returns the final counters.
+
+    The socket is bound before any worker domain starts.  A file at a
+    [`Unix] path that is not a socket is left as it is, and [serve]
+    raises [Sys_error] naming the path. *)

@@ -9,7 +9,6 @@ type model = {
   lambda : float;
 }
 
-val sigmoid : float -> float
 val soft_threshold : float -> float -> float
 (** [soft_threshold x t] shrinks [x] toward zero by [t]. *)
 

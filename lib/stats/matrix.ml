@@ -119,10 +119,3 @@ let jacobi_eigen (m0 : t) : eigen =
     values = Array.map (fun k -> a.(k).(k)) order;
     vectors = Array.map (fun k -> Array.init p (fun i -> v.(i).(k))) order;
   }
-
-let pp ppf (m : t) =
-  Array.iter
-    (fun row ->
-      Array.iter (fun x -> Format.fprintf ppf "%10.4f " x) row;
-      Format.fprintf ppf "@.")
-    m

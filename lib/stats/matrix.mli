@@ -26,5 +26,3 @@ val jacobi_eigen : t -> eigen
 (** Cyclic Jacobi eigendecomposition of a symmetric matrix: at most 100
     sweeps, stopping once the off-diagonal Frobenius norm falls below
     1e-12. *)
-
-val pp : Format.formatter -> t -> unit

@@ -60,9 +60,9 @@ let lasso ?(target = 5) ~names ~(ensemble : Matrix.t) ~(experimental : Matrix.t)
 
 (* Direct value comparison — the paper's recommended first attempt: keep
    variables whose values differ between a single ensemble member and a
-   single experimental run by more than [rel_tol] relative difference. *)
-let direct_comparison ?(rel_tol = 1e-14) ~names ~(member : float array)
-    ~(experiment : float array) () : ranked_variable list =
+   single experimental run by more than 1e-14 relative difference. *)
+let direct_comparison ~names ~(member : float array) ~(experiment : float array) :
+    ranked_variable list =
   let p = Array.length names in
   if Array.length member <> p || Array.length experiment <> p then
     invalid_arg "Select.direct_comparison: length mismatch";
@@ -70,7 +70,7 @@ let direct_comparison ?(rel_tol = 1e-14) ~names ~(member : float array)
   for j = 0 to p - 1 do
     let scale = Float.max (abs_float member.(j)) 1e-300 in
     let rel = abs_float (experiment.(j) -. member.(j)) /. scale in
-    if rel > rel_tol then out := { name = names.(j); score = rel } :: !out
+    if rel > 1e-14 then out := { name = names.(j); score = rel } :: !out
   done;
   List.sort (fun a b -> compare b.score a.score) !out
 

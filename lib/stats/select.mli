@@ -23,14 +23,10 @@ val lasso :
     five"); scores are |coefficients|, descending. *)
 
 val direct_comparison :
-  ?rel_tol:float ->
-  names:string array ->
-  member:float array ->
-  experiment:float array ->
-  unit ->
-  ranked_variable list
+  names:string array -> member:float array -> experiment:float array -> ranked_variable list
 (** The paper's recommended first attempt: direct relative comparison of
-    one ensemble member against one experimental run. *)
+    one ensemble member against one experimental run; keeps the variables
+    whose relative difference exceeds 1e-14. *)
 
 val names_of : ranked_variable list -> string list
 val take : int -> ranked_variable list -> ranked_variable list

@@ -101,17 +101,11 @@ let generate (config : Config.t) : sources =
   { config; files; filler; driver_module = "cam_driver" }
 
 (* Apply a textual bug injection: replace [from_] with [to_] in the named
-   file.
-
-   Occurrence policy: when the caller does not pass [?occurrence] the
-   pattern must appear exactly once — an ambiguous pattern raises instead
-   of silently patching the first hit (the historical behavior, which let
-   a bug land on the wrong line without any signal).  [`First] and
-   [`Nth k] (1-based) select one occurrence explicitly; [`All] rewrites
-   every occurrence.  Occurrences are counted left to right without
-   overlap, the same scan the replacement uses.  Raises [Invalid_argument]
-   if the file is unknown, the pattern is absent, or [`Nth k] asks for
-   more occurrences than exist. *)
+   file.  The pattern must occur exactly once, counted left to right
+   without overlap: an ambiguous pattern raises instead of silently
+   patching the first hit, which would let a bug land on the wrong line
+   without any signal.  Raises [Invalid_argument] if the file is unknown
+   or the pattern is empty, absent or ambiguous. *)
 let occurrences ~pattern src =
   let flen = String.length pattern and slen = String.length src in
   if flen = 0 then invalid_arg "Model.inject: empty pattern";
@@ -122,55 +116,25 @@ let occurrences ~pattern src =
   in
   scan 0 []
 
-let replace_at src ~pattern ~to_ positions =
-  let flen = String.length pattern in
-  let buf = Buffer.create (String.length src + 64) in
-  let last =
-    List.fold_left
-      (fun last i ->
-        Buffer.add_substring buf src last (i - last);
-        Buffer.add_string buf to_;
-        i + flen)
-      0 positions
-  in
-  Buffer.add_substring buf src last (String.length src - last);
-  Buffer.contents buf
-
-let inject ?occurrence ~file ~from_ ~to_ (s : sources) : sources =
+let inject ~file ~from_ ~to_ (s : sources) : sources =
   if not (List.mem_assoc file s.files) then
     invalid_arg (Printf.sprintf "Model.inject: no file %s in the source tree" file);
   let files =
     List.map
       (fun (name, src) ->
         if name <> file then (name, src)
-        else begin
-          let occs = occurrences ~pattern:from_ src in
-          let n = List.length occs in
-          if n = 0 then
-            invalid_arg
-              (Printf.sprintf "Model.inject: pattern %S not found in %s" from_ file);
-          let chosen =
-            match occurrence with
-            | None ->
-                if n > 1 then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Model.inject: pattern %S is ambiguous in %s (%d occurrences); \
-                        pass ~occurrence"
-                       from_ file n);
-                occs
-            | Some `First -> [ List.hd occs ]
-            | Some (`Nth k) ->
-                if k < 1 || k > n then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Model.inject: occurrence %d of pattern %S requested but %s has %d"
-                       k from_ file n);
-                [ List.nth occs (k - 1) ]
-            | Some `All -> occs
-          in
-          (name, replace_at src ~pattern:from_ ~to_ chosen)
-        end)
+        else
+          match occurrences ~pattern:from_ src with
+          | [ i ] ->
+              let rest = i + String.length from_ in
+              (name, String.sub src 0 i ^ to_ ^ String.sub src rest (String.length src - rest))
+          | [] ->
+              invalid_arg
+                (Printf.sprintf "Model.inject: pattern %S not found in %s" from_ file)
+          | occs ->
+              invalid_arg
+                (Printf.sprintf "Model.inject: pattern %S is ambiguous in %s (%d occurrences)"
+                   from_ file (List.length occs)))
       s.files
   in
   { s with files }
@@ -261,9 +225,9 @@ let default_opts ?(member = 0) (config : Config.t) =
   }
 
 (* Build a machine for an already-parsed program. *)
-let machine_of ?(max_steps = 200_000_000) program opts =
+let machine_of program opts =
   Rca_rng.Prng.reseed opts.prng opts.prng_seed;
-  let m = Rca_interp.Machine.create ~prng:opts.prng ~max_steps program in
+  let m = Rca_interp.Machine.create ~prng:opts.prng program in
   (match opts.fma with
   | `Off -> Rca_interp.Machine.set_fma m ~enabled:false ~disabled:[]
   | `On -> Rca_interp.Machine.set_fma m ~enabled:true ~disabled:[]
@@ -302,5 +266,5 @@ let run program opts = output_vector (run_machine program opts)
 
 (* An ensemble of runs differing only in initial-condition perturbation
    phase: rows are members, columns follow [Outputs.names]. *)
-let ensemble ?(base_opts = fun c m -> default_opts ~member:m c) ~members program config =
-  Array.init members (fun member -> run program (base_opts config member))
+let ensemble ~members program config =
+  Array.init members (fun member -> run program (default_opts ~member config))

@@ -1,4 +1,4 @@
-(* Tests for the fault-injection campaign stack: the occurrence-aware
+(* Tests for the fault-injection campaign stack: the single-occurrence
    injection API, the mined corpus's invariants, scorecard determinism,
    Pipeline.located_bugs edge cases, and coverage on zero-trip loops and
    unreachable code. *)
@@ -25,7 +25,7 @@ let file_text s file = List.assoc file s.Model.files
 (* a synthetic one-file source tree so the tests control the text exactly *)
 let toy text = { (Lazy.force srcs) with Model.files = [ ("toy.F90", text) ] }
 
-(* --- Model.inject occurrence policy ---------------------------------------- *)
+(* --- Model.inject: exactly one occurrence ----------------------------------- *)
 
 let inject_absent_pattern () =
   check_bool "absent pattern raises" true
@@ -35,35 +35,19 @@ let inject_absent_pattern () =
     (raises_invalid (fun () ->
          Model.inject ~file:"nope.F90" ~from_:"a" ~to_:"x" (toy "a")))
 
-let inject_duplicate_requires_occurrence () =
+let inject_duplicate_pattern_raises () =
   let s = toy "x = 1.0\ny = 1.0\n" in
   check_bool "ambiguous pattern raises" true
-    (raises_invalid (fun () -> Model.inject ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s));
-  let first = Model.inject ~occurrence:`First ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s in
-  check_string "first only" "x = 2.0\ny = 1.0\n" (file_text first "toy.F90");
-  let second =
-    Model.inject ~occurrence:(`Nth 2) ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s
-  in
-  check_string "second only" "x = 1.0\ny = 2.0\n" (file_text second "toy.F90");
-  let all = Model.inject ~occurrence:`All ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s in
-  check_string "all" "x = 2.0\ny = 2.0\n" (file_text all "toy.F90");
-  check_bool "out-of-range occurrence raises" true
-    (raises_invalid (fun () ->
-         Model.inject ~occurrence:(`Nth 3) ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s))
+    (raises_invalid (fun () -> Model.inject ~file:"toy.F90" ~from_:"1.0" ~to_:"2.0" s))
 
 let inject_overlapping_counted_without_overlap () =
   (* "aaaa" holds two non-overlapping "aa" (positions 0 and 2), not three *)
   let s = toy "aaaa" in
   check_bool "two occurrences are ambiguous" true
     (raises_invalid (fun () -> Model.inject ~file:"toy.F90" ~from_:"aa" ~to_:"b" s));
-  let second = Model.inject ~occurrence:(`Nth 2) ~file:"toy.F90" ~from_:"aa" ~to_:"b" s in
-  check_string "second non-overlapping occurrence" "aab" (file_text second "toy.F90");
-  check_bool "third occurrence does not exist" true
-    (raises_invalid (fun () ->
-         Model.inject ~occurrence:(`Nth 3) ~file:"toy.F90" ~from_:"aa" ~to_:"b" s));
   (* "aaa" in "aaaa" occurs exactly once under the same scan *)
   let once = Model.inject ~file:"toy.F90" ~from_:"aaa" ~to_:"b" s in
-  check_string "single occurrence needs no policy" "ba" (file_text once "toy.F90")
+  check_string "single occurrence is replaced" "ba" (file_text once "toy.F90")
 
 let inject_line_contract () =
   let s = toy "one\ntwo\nthree\n" in
@@ -367,7 +351,7 @@ let () =
       ( "inject",
         [
           Alcotest.test_case "absent pattern" `Quick inject_absent_pattern;
-          Alcotest.test_case "duplicate pattern" `Quick inject_duplicate_requires_occurrence;
+          Alcotest.test_case "duplicate pattern" `Quick inject_duplicate_pattern_raises;
           Alcotest.test_case "overlapping pattern" `Quick
             inject_overlapping_counted_without_overlap;
           Alcotest.test_case "inject_line contract" `Quick inject_line_contract;

@@ -494,9 +494,9 @@ let kernel_capture_and_replay () =
   let prog = parse kernel_src in
   let drive m = ignore (Machine.invoke m ~module_:"kdriver" ~sub:"run_model" ~args:[]) in
   let cap =
-    Kernel.capture ~nth:2 ~program:prog
+    Kernel.capture ~program:prog
       ~configure:(fun _ -> ())
-      ~drive ~module_:"mg_kernel" ~sub:"micro_tend" ()
+      ~drive ~module_:"mg_kernel" ~sub:"micro_tend"
   in
   check_bool "captured formals" true (List.mem_assoc "q" cap.Kernel.formals);
   check_bool "captured globals include base" true
@@ -514,7 +514,7 @@ let kernel_flags_fma_divergence () =
   let drive m = ignore (Machine.invoke m ~module_:"kdriver" ~sub:"run_model" ~args:[]) in
   let cap =
     Kernel.capture ~program:prog ~configure:(fun _ -> ()) ~drive ~module_:"mg_kernel"
-      ~sub:"micro_tend" ()
+      ~sub:"micro_tend"
   in
   let with_fma flag m = Machine.set_fma m ~enabled:flag ~disabled:[] in
   let l_off = Kernel.replay ~program:prog ~configure:(with_fma false) cap in

@@ -20,10 +20,8 @@ let disabled_records_nothing () =
   check_bool "disabled" false (Obs.enabled ());
   check_int "span returns result" 7 (Obs.span "s" (fun () -> 7));
   Obs.incr "c";
-  Obs.gauge "g" 1.0;
   check_int "no spans" 0 (List.length (Obs.spans ()));
-  check_int "no counters" 0 (List.length (Obs.counters ()));
-  check_int "no gauges" 0 (List.length (Obs.gauges ()))
+  check_int "no counters" 0 (List.length (Obs.counters ()))
 
 let spans_recorded_in_order () =
   Obs.enable ();
@@ -47,19 +45,15 @@ let span_exception_recorded_and_reraised () =
       check_bool "raised arg" true (List.mem_assoc "raised" s.Obs.span_args)
   | l -> Alcotest.failf "expected one span, got %d" (List.length l)
 
-let counters_and_gauges () =
+let counters_add_up () =
   Obs.enable ();
   Obs.incr "a";
   Obs.incr ~by:4 "a";
   Obs.incr "b";
-  Obs.gauge "g" 2.5;
-  Obs.gauge "g" 7.5;
   Obs.disable ();
   check_int "a" 5 (Obs.counter_value "a");
   check_int "b" 1 (Obs.counter_value "b");
-  check_int "absent" 0 (Obs.counter_value "zzz");
-  Alcotest.(check (list (pair string (float 1e-9)))) "gauge last write wins"
-    [ ("g", 7.5) ] (Obs.gauges ())
+  check_int "absent" 0 (Obs.counter_value "zzz")
 
 let span'_args_from_result () =
   Obs.enable ();
@@ -80,12 +74,14 @@ let enable_resets () =
   check_int "spans cleared" 0 (Obs.span_count "stale")
 
 (* Both emitters print through Jsonio and parse back: the escaped span
-   arg survives the round trip and a non-finite gauge becomes null. *)
+   arg survives the round trip and a non-finite span arg becomes null. *)
 let emitters_well_formed () =
   Obs.enable ();
-  ignore (Obs.span ~args:[ ("quote", Obs.Str "a\"b\\c\nd") ] "esc" (fun () -> ()));
+  ignore
+    (Obs.span
+       ~args:[ ("quote", Obs.Str "a\"b\\c\nd"); ("nan", Obs.Float Float.nan) ]
+       "esc" (fun () -> ()));
   Obs.incr "events";
-  Obs.gauge "nan_gauge" Float.nan;
   Obs.disable ();
   let parse v =
     match J.of_string (J.to_string v) with
@@ -101,11 +97,11 @@ let emitters_well_formed () =
   in
   check_bool "esc span quote arg survives" true
     (Option.bind esc (path [ "args"; "quote" ]) = Some (J.Str "a\"b\\c\nd"));
+  check_bool "nan span arg is null" true (Option.bind esc (path [ "args"; "nan" ]) = Some J.Null);
   check_bool "esc span complete event" true
     (Option.bind esc (J.member "ph") = Some (J.Str "X"));
   let summary = parse (Obs.summary_json ()) in
-  check_bool "span aggregated" true (path [ "spans"; "esc"; "count" ] summary = Some (J.num 1));
-  check_bool "nan gauge is null" true (path [ "gauges"; "nan_gauge" ] summary = Some J.Null)
+  check_bool "span aggregated" true (path [ "spans"; "esc"; "count" ] summary = Some (J.num 1))
 
 (* --- monotonic clock ------------------------------------------------------------ *)
 
@@ -267,8 +263,8 @@ let pool_counters_recorded () =
     (p2.Rca_oracle.Brandes.node_bc = p3.Rca_oracle.Brandes.node_bc);
   check_bool "batches counted" true (Obs.counter_value "pool.batches" > 0);
   check_bool "chunks counted" true (Obs.counter_value "pool.chunks" > 0);
-  (* per-domain chunk utilization gauges ride on counters named
-     pool.chunks.d<id>; they must sum to the total *)
+  (* per-domain chunk use rides on counters named pool.chunks.d<id>;
+     they must sum to the total *)
   let per_domain =
     List.fold_left
       (fun acc (name, v) ->
@@ -311,7 +307,7 @@ let () =
           Alcotest.test_case "disabled no-op" `Quick disabled_records_nothing;
           Alcotest.test_case "span order" `Quick spans_recorded_in_order;
           Alcotest.test_case "span exception" `Quick span_exception_recorded_and_reraised;
-          Alcotest.test_case "counters gauges" `Quick counters_and_gauges;
+          Alcotest.test_case "counters" `Quick counters_add_up;
           Alcotest.test_case "span' args" `Quick span'_args_from_result;
           Alcotest.test_case "enable resets" `Quick enable_resets;
           Alcotest.test_case "emitters well-formed" `Quick emitters_well_formed;

@@ -491,8 +491,15 @@ let snapshot_rejects_damage () =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
     Bytes.to_string b
   in
+  let with_payload_len s n =
+    let b = Bytes.of_string s in
+    Bytes.set_int64_le b 16 (Int64.of_int n);
+    Bytes.to_string b
+  in
   expect_error ~substr:"shorter than the fixed header" (String.sub data 0 10);
   expect_error ~substr:"payload shorter" (String.sub data 0 (String.length data / 2));
+  (* header_len + this length wraps past max_int *)
+  expect_error ~substr:"payload shorter" (with_payload_len data (max_int - 5));
   expect_error ~substr:"bad magic" (flip data 0);
   expect_error ~substr:"snapshot version" (flip data 8);
   expect_error ~substr:"checksum mismatch" (flip data 40);
@@ -626,12 +633,19 @@ let request_checked conn v =
   Client.send conn v;
   recv_checked conn
 
+(* Seconds a daemon test may run before its daemon is killed. *)
+let watchdog_s = 60
+
 let with_daemon_at ?cache_path f =
   let snap = Lazy.force compiled in
   let dir = Filename.temp_file "rca_serve_test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let sock = Filename.concat dir "rca.sock" in
+  (* the daemon starts over a stale socket, as after a crash *)
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX sock);
+  Unix.close stale;
   flush stdout;
   flush stderr;
   let child =
@@ -650,16 +664,35 @@ let with_daemon_at ?cache_path f =
         connect (attempts - 1)
   in
   let conn = connect 100 in
+  (* Watchdog: a daemon that never ends a reply line would block the
+     client's reads forever.  Killing it ends them with end of file, so
+     the test fails instead of hanging; writing to it then fails with
+     EPIPE rather than a fatal SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let on_alarm =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ()))
+  in
+  ignore (Unix.alarm watchdog_s);
+  let rec reap () =
+    match Unix.waitpid [] child with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+  in
   (* the cleanup only records the shutdown reply; it is checked once the
      daemon is reaped, so a failed check cannot skip the cleanup *)
   let shutdown_line = ref None in
   let result =
     Fun.protect
       ~finally:(fun () ->
-        Client.send conn (J.Obj [ ("op", J.Str "shutdown") ]);
-        shutdown_line := Client.recv_line conn;
+        (try
+           Client.send conn (J.Obj [ ("op", J.Str "shutdown") ]);
+           shutdown_line := Client.recv_line conn
+         with Unix.Unix_error _ -> ());
         Client.close conn;
-        ignore (Unix.waitpid [] child);
+        reap ();
+        ignore (Unix.alarm 0);
+        Sys.set_signal Sys.sigalrm on_alarm;
         (try
            if Sys.file_exists sock then Sys.remove sock;
            Unix.rmdir dir
@@ -670,6 +703,25 @@ let with_daemon_at ?cache_path f =
   result
 
 let with_daemon ?cache_path f = with_daemon_at ?cache_path (fun _ conn -> f conn)
+
+(* A regular file at the socket path keeps its bytes and the daemon
+   fails, in this process, before it starts a domain: forking still
+   works afterwards.  A daemon that does listen there stops at once. *)
+let daemon_refuses_non_socket_path () =
+  let path = Filename.temp_file "rca_serve_victim" ".txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious bytes\n");
+  let exception Listening in
+  (match Server.serve ~on_ready:(fun () -> raise Listening) (`Unix path) (Lazy.force compiled) with
+  | exception Sys_error msg ->
+      check_bool "error names the path" true (contains_substring msg path)
+  | exception Listening -> Alcotest.fail "serve replaced a regular file with its socket"
+  | _ -> Alcotest.fail "serve returned instead of refusing the path");
+  check_string "file keeps its bytes" "precious bytes\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  match Unix.fork () with
+  | 0 -> Unix._exit 0
+  | pid -> ignore (Unix.waitpid [] pid)
 
 let reply conn fields =
   match request_checked conn (J.Obj fields) with
@@ -1096,5 +1148,6 @@ let () =
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
           Alcotest.test_case "empty targets use defaults" `Quick daemon_empty_targets_default;
           Alcotest.test_case "reply backlog" `Quick daemon_reply_backlog;
+          Alcotest.test_case "refuses a non-socket path" `Quick daemon_refuses_non_socket_path;
         ] );
     ]

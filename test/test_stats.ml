@@ -273,7 +273,7 @@ let lasso_selection_finds_shift () =
 let direct_comparison_flags_changes () =
   let member = [| 1.0; 2.0; 3.0; 4.0 |] in
   let experiment = [| 1.0; 2.0 +. 1e-6; 3.0; 4.0 |] in
-  let ranked = Select.direct_comparison ~names:names4 ~member ~experiment () in
+  let ranked = Select.direct_comparison ~names:names4 ~member ~experiment in
   Alcotest.(check (list string)) "only omega" [ "omega" ] (Select.names_of ranked)
 
 let take_limits () =
