@@ -7,7 +7,7 @@
 
    Targets: wsubbug randmt goffgratch avx2 avx2full randombug dyn3bug
             table1 table2 fig4 fig10 fig11 ablation micro-par gn
-            pipeline refine scaling lint serve campaign
+            pipeline refine interp scaling lint serve campaign
 
    `serve` runs before the other named targets, whatever their order:
    it forks its daemons with Unix.fork, which OCaml 5 refuses once the
@@ -15,7 +15,7 @@
 
    Flags: --json PATH     write the target's telemetry and gates as one
                           compact JSON object {"bench", fields..., "gates"}
-                          (`gn`, `pipeline`, `refine`, `scaling`, `lint`;
+                          (`gn`, `pipeline`, `refine`, `interp`, `scaling`, `lint`;
                           `serve` and `campaign` always write one)
           --domains N     pool size for the parallel `gn` runs (default 4)
           --detector NAME community detector for the `pipeline`/`refine`/
@@ -37,7 +37,9 @@
    fixture twice — uninstrumented, then under lib/obs tracing — checks
    the results are identical, and writes the per-stage telemetry
    (BENCH_pipeline.json); `refine` checks the masked engine against the
-   test/oracle list engine; `scaling` times each detector at small,
+   test/oracle list engine; `interp` checks the translating interpreter
+   against the test/oracle tree-walker on the small GOFFGRATCH runs and
+   reports both engines' cost; `scaling` times each detector at small,
    paper and huge scale.  Every target with identity checks or bounds
    reports them as gates and exits 1 when one fails. *)
 
@@ -1385,6 +1387,97 @@ let run_serve_bench ~json () =
           ("oracle_reply_write_us_p50", J.Num oracle_reply_write_us_p50);
         ])
 
+(* --- interpreter: translated closures vs the tree-walking oracle (interp) ---------------- *)
+
+(* The small GOFFGRATCH set-up's interpreter runs (20 control members on
+   the clean build, 8 experimental ones on the injected build), once
+   through the test/oracle tree-walker and once through the translating
+   machine.  Exits 1 unless every output vector is bitwise equal and every
+   run executes the same number of statements. *)
+let run_interp_bench ~json () =
+  hr ();
+  let config = Rca_synth.Config.small and spec = Experiments.goffgratch in
+  let p = Harness.default_params config in
+  let fixture = Fixture.make ~inject:spec.Harness.inject config in
+  let runs =
+    List.init p.Harness.ensemble_members (fun member ->
+        (fixture.Fixture.clean_program, Rca_synth.Model.default_opts ~member config))
+    @ List.init p.Harness.experimental_members (fun i ->
+          ( fixture.Fixture.exp_program,
+            spec.Harness.opts (Rca_synth.Model.default_opts ~member:(1000 + i) config) ))
+  in
+  let n = List.length runs in
+  Printf.printf
+    "interpreter: %d small GOFFGRATCH runs through the tree-walking oracle and the translating \
+     machine\n%!"
+    n;
+  (* each run: output vector, statements, ms, minor words *)
+  let measure run =
+    List.map
+      (fun (program, opts) ->
+        let w0 = Gc.minor_words () in
+        let (out, steps), t = timeit (fun () -> run program opts) in
+        (out, steps, t *. 1e3, Gc.minor_words () -. w0))
+      runs
+  in
+  let oracle =
+    measure (fun program opts ->
+        let m = Rca_oracle.Tree_interp.run_model program opts in
+        let value name = Option.get (Rca_oracle.Tree_interp.history_value m name) in
+        (Array.map value Rca_synth.Model.output_names, m.Rca_oracle.Tree_interp.steps))
+  in
+  Rca_obs.Obs.enable ();
+  let machine =
+    measure (fun program opts ->
+        let m = Rca_synth.Model.run_machine program opts in
+        (Rca_synth.Model.output_vector m, m.Rca_interp.Machine.steps))
+  in
+  Rca_obs.Obs.disable ();
+  let translate_ms = Rca_obs.Obs.span_total_ms "interp.translate" /. float_of_int n in
+  let translated = float_of_int (Rca_obs.Obs.span_count "interp.translate") /. float_of_int n in
+  let bits v = Array.map Int64.bits_of_float v in
+  let bitwise = List.for_all2 (fun (a, _, _, _) (b, _, _, _) -> bits a = bits b) oracle machine in
+  let same_steps = List.for_all2 (fun (_, a, _, _) (_, b, _, _) -> a = b) oracle machine in
+  let summary name rows =
+    let ms = List.sort compare (List.map (fun (_, _, t, _) -> t) rows) in
+    let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows /. float_of_int n in
+    let p50 = List.nth ms (n / 2) in
+    let steps = mean (fun (_, s, _, _) -> float_of_int s) in
+    let words = mean (fun (_, _, _, w) -> w) in
+    Printf.printf "  %-12s %9.2f ms/run (p50)  %9.0f statements/run  %12.0f minor words/run\n%!"
+      name p50 steps words;
+    (p50, steps, words)
+  in
+  let o50, o_steps, o_words = summary "tree-walker" oracle in
+  let m50, m_steps, m_words = summary "translated" machine in
+  Printf.printf "  speedup %.2fx; translation %.2f ms/run (%.0f subprograms/run)\n%!"
+    (o50 /. m50) translate_ms translated;
+  let engine name p50 steps words =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("ms_per_run_p50", J.Num p50);
+        ("statements_per_run", J.Num steps);
+        ("minor_words_per_run", J.Num words);
+      ]
+  in
+  report ~bench:"interp" ~json
+    [
+      ("outputs bitwise equal to the tree-walker", bitwise);
+      ("statement counts equal to the tree-walker", same_steps);
+    ]
+    [
+      ("scale", J.Str "small");
+      ("experiment", J.Str spec.Harness.name);
+      ("runs", J.num n);
+      ( "engines",
+        J.Arr
+          [ engine "tree_walker" o50 o_steps o_words; engine "translated" m50 m_steps m_words ] );
+      ("speedup_p50", J.Num (o50 /. m50));
+      ("translate_ms_per_run", J.Num translate_ms);
+      ("subprograms_translated_per_run", J.Num translated);
+    ]
+
 (* --- driver ---------------------------------------------------------------------------- *)
 
 let all_experiments =
@@ -1409,6 +1502,7 @@ let run_target ~json ~trace ~domains ~partitioner = function
   | "gn" -> run_gn_bench ~trace ~json ~domains ()
   | "pipeline" -> run_pipeline_bench ~json ~trace ~domains ~partitioner ()
   | "refine" -> run_refine_bench ~json ~trace ~domains ~partitioner ()
+  | "interp" -> run_interp_bench ~json ()
   | "scaling" -> run_scaling_bench ~json ~domains ()
   | "lint" -> run_lint_bench ~json ()
   | "serve" -> run_serve_bench ~json ()

@@ -21,12 +21,12 @@ type capture = {
 
 exception Captured
 
+let fail fmt = Printf.ksprintf (fun s -> raise (Machine.Runtime_error s)) fmt
+
 (* Deep copies of a module's own variables (imported cells are aliases
    of some module's own cell). *)
-let own_values (mrt : Machine.module_rt) =
-  Hashtbl.fold
-    (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
-    mrt.Machine.own_vars []
+let copies tbl = Hashtbl.fold (fun name cell acc -> (name, Machine.copy_value !cell) :: acc) tbl []
+let own_values (mrt : Machine.module_rt) = copies mrt.Machine.own_vars
 
 (* The machine's module-level state, own variables only. *)
 let snapshot_globals (machine : Machine.t) program =
@@ -47,24 +47,15 @@ let capture ~program ~configure ~drive ~module_ ~sub =
     Some
       (fun m s locals ->
         if m = module_ && s = sub then begin
-          let formals =
-            Hashtbl.fold
-              (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
-              locals []
-            |> List.sort compare
-          in
+          let formals = List.sort compare (copies locals) in
           result :=
-            Some
-              { k_module = module_; k_sub = sub; formals; globals = snapshot_globals machine program };
+            Some { k_module = module_; k_sub = sub; formals; globals = snapshot_globals machine program };
           raise Captured
         end);
   (try drive machine with Captured -> ());
   match !result with
   | Some c -> c
-  | None ->
-      raise
-        (Machine.Runtime_error
-           (Printf.sprintf "kernel %s.%s was never called" module_ sub))
+  | None -> fail "kernel %s.%s was never called" module_ sub
 
 (* Replay the captured kernel on a fresh machine configured by
    [configure]; returns every local variable's exit value. *)
@@ -80,11 +71,7 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
                 Hashtbl.find_opt mrt.Machine.own_vars name)
           with
           | Some cell -> cell := Machine.copy_value v
-          | None ->
-              raise
-                (Machine.Runtime_error
-                   (Printf.sprintf "captured variable %s.%s is not in the replayed program"
-                      module_ name)))
+          | None -> fail "captured variable %s.%s is not in the replayed program" module_ name)
         vars)
     c.globals;
   let exit_locals = ref [] in
@@ -96,20 +83,11 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
       (fun m s locals ->
         if m = c.k_module && s = c.k_sub then begin
           decr depth;
-          if !depth = 0 && !exit_locals = [] then
-            exit_locals :=
-              Hashtbl.fold
-                (fun name cell acc -> (name, Machine.copy_value !cell) :: acc)
-                locals []
+          if !depth = 0 && !exit_locals = [] then exit_locals := copies locals
         end);
   (* captured formals are stored sorted by name; invoke is positional *)
-  let sub_def =
-    match Ast.find_module program c.k_module with
-    | Some mu -> Ast.find_subprogram mu c.k_sub
-    | None -> None
-  in
   let arg_order =
-    match sub_def with
+    match Option.bind (Ast.find_module program c.k_module) (fun mu -> Ast.find_subprogram mu c.k_sub) with
     | Some s -> s.Ast.s_args
     | None -> List.map fst c.formals
   in
@@ -118,10 +96,7 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
       (fun name ->
         match List.assoc_opt name c.formals with
         | Some v -> Machine.copy_value v
-        | None ->
-            raise
-              (Machine.Runtime_error
-                 (Printf.sprintf "captured kernel is missing formal %s" name)))
+        | None -> fail "captured kernel is missing formal %s" name)
       arg_order
   in
   ignore (Machine.invoke machine ~module_:c.k_module ~sub:c.k_sub ~args);

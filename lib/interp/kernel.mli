@@ -10,8 +10,6 @@ type capture = {
       (** per module: its own variables at capture time *)
 }
 
-exception Captured
-
 val capture :
   program:Rca_fortran.Ast.program ->
   configure:(Machine.t -> unit) ->

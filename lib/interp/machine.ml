@@ -1,4 +1,4 @@
-(* AST interpreter for the Fortran subset.
+(* Interpreter for the Fortran subset.
 
    This is the stand-in for "running CESM on the supercomputer": the same
    source the metagraph is compiled from is executed here, so runtime
@@ -7,15 +7,16 @@
    {!Rca_fortran.Visibility}, the rules the metagraph builder compiles
    with, so a sampled value lands on the variable its node stands for.
 
-   Machine-level switches reproduce the paper's experimental axes:
-   - [prng]: the generator behind the `random_number` intrinsic; swapping
-     KISS for MT19937 is the RAND-MT experiment.
-   - [fma_for]: per-module fused-multiply-add contraction; evaluating
-     a*b+c with [Float.fma] vs mul-then-add reproduces the AVX2/FMA
-     sensitivity, and the per-module flag drives Table 1's selective
-     disablement.
-   - [hooks]: statement/assignment/call observers used by coverage
-     recording, runtime sampling and kernel capture. *)
+   Each subprogram is translated, on its first call, into OCaml closures
+   over resolved slots: a local or formal is an index into the call's
+   frame array, a module variable is its cell, a call site holds its
+   callee and an intrinsic its implementation, and every hook argument is
+   a constant.  The translation keeps the evaluation order, the float
+   operations and every run-time rule of the tree-walker it replaced
+   (test/oracle/tree_interp.ml), so outputs are bitwise equal and hooks
+   see the same events.  [prng] drives `random_number` (RAND-MT),
+   {!set_fma} contracts a*b+c per module (AVX2, Table 1), and [hooks]
+   observe execution (coverage, runtime sampling, kernel capture). *)
 
 open Rca_fortran
 
@@ -56,17 +57,22 @@ let as_int = function
   | Vreal f -> int_of_float f
   | v -> err "expected integer, got %s" (match v with Vlog _ -> "logical" | _ -> "non-numeric")
 
-let as_bool = function
-  | Vlog b -> b
-  | Vint i -> i <> 0
-  | _ -> err "expected logical value"
-
+let as_bool = function Vlog b -> b | Vint i -> i <> 0 | _ -> err "expected logical value"
 let as_arr = function Varr a -> a | _ -> err "expected an array"
 
 (* L2 norm; the scalar a whole-array assignment reports to the sampling
    hook. *)
-let arr_norm a =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a.data)
+let arr_norm a = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a.data)
+
+let vtrue = Vlog true
+let vfalse = Vlog false
+
+(* The number a store or a formal binding reports to the assignment hook. *)
+let reported = function
+  | Vreal f -> Some f
+  | Vint i -> Some (float_of_int i)
+  | Varr a -> Some (arr_norm a)
+  | Vlog _ | Vstr _ | Vderived _ -> None
 
 (* --- runtime structures ------------------------------------------------------ *)
 
@@ -76,6 +82,7 @@ type module_rt = {
   own_vars : (string, value ref) Hashtbl.t;  (* cells of the module's own declarations *)
   visible_subs : (string, Visibility.callable list) Hashtbl.t;  (* incl. interface candidates *)
   visible_types : (string, Ast.derived_type_def) Hashtbl.t;
+  mutable fma : bool;  (* contract a*b+c in this module's subprograms *)
 }
 
 type hooks = {
@@ -92,718 +99,868 @@ type hooks = {
   mutable on_outfld : (string -> float -> unit) option;
 }
 
+(* One call's variables: slot [s] holds the cell of local [names.(s)]. *)
+type frame = value ref array
+
+(* A subprogram translated for one machine.  Its slots are the distinct
+   formals in order of first appearance, the declared locals in
+   declaration order, the function result, and the undeclared
+   do-variables, which become locals when their loop first runs. *)
+type code = {
+  k_module : string;
+  k_sub : Ast.subprogram;
+  names : string array;
+  formals : int array;  (* slot of each entry of [s_args] *)
+  prologue : frame -> unit;  (* allocates the declared locals and the result *)
+  body : frame -> unit;
+  result : int;  (* slot of the function result; -1 for a subroutine *)
+}
+
 type t = {
-  program : Ast.program;
   modules : (string, module_rt) Hashtbl.t;
   mutable prng : Rca_rng.Prng.t;
-  mutable fma_for : string -> bool;
   hooks : hooks;
   history : (string, float) Hashtbl.t;  (* outfld name -> last value *)
   print_log : Buffer.t;
-  mutable steps : int;
+  mutable steps : int;  (* statements executed, bounded by [max_steps] *)
   mutable max_steps : int;
-}
-
-type ctx = {
-  machine : t;
-  mrt : module_rt;
-  sub_name : string;
-  locals : (string, value ref) Hashtbl.t;
-  mutable fma : bool;  (* cached per-module flag *)
+  codes : (string * string, (Ast.subprogram * code) list) Hashtbl.t;
+  mutable elaborating : bool;  (* module initializers are running *)
 }
 
 exception Return_exc
 exception Exit_exc
 exception Cycle_exc
 
-(* --- name resolution ----------------------------------------------------------- *)
+(* The slot of a local that does not exist yet: an undeclared
+   do-variable before its loop first runs. *)
+let unset : value ref = ref (Vstr "<unset>")
 
-let lookup_cell ctx name =
-  match Hashtbl.find_opt ctx.locals name with
-  | Some c -> Some c
-  | None -> Hashtbl.find_opt ctx.mrt.vars name
+(* --- array indexing and stores ------------------------------------------------- *)
 
-(* --- array indexing ------------------------------------------------------------- *)
+let rank_error a n = err "rank mismatch: %d indices for rank-%d array" n (Array.length a.dims)
+let bound_error a i d = err "index %d out of bounds 1..%d in dimension %d" i a.dims.(d) (d + 1)
 
 let flat_index a idx =
   let nd = Array.length a.dims in
-  if Array.length idx <> nd then
-    err "rank mismatch: %d indices for rank-%d array" (Array.length idx) nd;
+  if Array.length idx <> nd then rank_error a (Array.length idx);
   let flat = ref 0 and stride = ref 1 in
   for d = 0 to nd - 1 do
     let i = idx.(d) in
-    if i < 1 || i > a.dims.(d) then
-      err "index %d out of bounds 1..%d in dimension %d" i a.dims.(d) (d + 1);
+    if i < 1 || i > a.dims.(d) then bound_error a i d;
     flat := !flat + ((i - 1) * !stride);
     stride := !stride * a.dims.(d)
   done;
   !flat
 
-(* Flat indices selected by a (index | full-range) vector, column-major. *)
+(* Flat indices selected by an (index | full range = None) vector,
+   column-major. *)
 let slice_indices a spec =
   let nd = Array.length a.dims in
   if Array.length spec <> nd then err "rank mismatch in array section";
   let rec build d acc_flat stride =
     if d = nd then [ acc_flat ]
     else
+      let at i = build (d + 1) (acc_flat + ((i - 1) * stride)) (stride * a.dims.(d)) in
       match spec.(d) with
-      | `At i ->
+      | Some i ->
           if i < 1 || i > a.dims.(d) then err "section index out of bounds";
-          build (d + 1) (acc_flat + ((i - 1) * stride)) (stride * a.dims.(d))
-      | `All ->
-          List.concat_map
-            (fun i -> build (d + 1) (acc_flat + ((i - 1) * stride)) (stride * a.dims.(d)))
-            (List.init a.dims.(d) (fun k -> k + 1))
+          at i
+      | None -> List.concat_map at (List.init a.dims.(d) (fun k -> k + 1))
   in
   build 0 0 1
 
-(* --- lvalues --------------------------------------------------------------------- *)
+let section a idx =
+  Varr { dims = [| List.length idx |]; data = Array.of_list (List.map (fun i -> a.data.(i)) idx) }
 
-type lvalue =
-  | Lcell of value ref
-  | Lelem of arr * int  (* flat index *)
-  | Lslice of arr * int list
+(* The checked flat index of an element access, computed without
+   allocating for ranks 1 and 2. *)
+let index_fn (ixs : (frame -> int) array) : frame -> arr -> int =
+  match ixs with
+  | [| i0 |] ->
+      fun fr a ->
+        let i = i0 fr in
+        if Array.length a.dims <> 1 then rank_error a 1;
+        if i < 1 || i > a.dims.(0) then bound_error a i 0;
+        i - 1
+  | [| i0; i1 |] ->
+      fun fr a ->
+        let i = i0 fr in
+        let j = i1 fr in
+        if Array.length a.dims <> 2 then rank_error a 2;
+        if i < 1 || i > a.dims.(0) then bound_error a i 0;
+        if j < 1 || j > a.dims.(1) then bound_error a j 1;
+        i - 1 + ((j - 1) * a.dims.(0))
+  | _ -> fun fr a -> flat_index a (Array.map (fun f -> f fr) ixs)
 
-(* --- expression evaluation --------------------------------------------------------- *)
+(* Assignment to a whole variable: the cell's current value decides the
+   coercion (int <-> real, scalar broadcast into an array). *)
+let store_cell cell v =
+  match (!cell, v) with
+  | Vint _, Vreal f -> cell := Vint (int_of_float f)
+  | Vreal _, Vint i -> cell := Vreal (float_of_int i)
+  | Varr a, (Vreal _ | Vint _) -> Array.fill a.data 0 (Array.length a.data) (as_float v)
+  | Varr a, Varr b ->
+      if Array.length a.data <> Array.length b.data then err "array assignment length mismatch";
+      Array.blit b.data 0 a.data 0 (Array.length a.data)
+  | _ -> cell := v
 
-let rec eval_expr ctx (e : Ast.expr) : value =
-  match e with
-  | Ast.Enum f -> Vreal f
-  | Ast.Eint i -> Vint i
-  | Ast.Elogical b -> Vlog b
-  | Ast.Estring s -> Vstr s
-  | Ast.Erange _ -> err "array section used as a value"
-  | Ast.Eun (Ast.Neg, e) -> (
-      match eval_expr ctx e with
-      | Vint i -> Vint (-i)
-      | v -> Vreal (-.as_float v))
-  | Ast.Eun (Ast.Not, e) -> Vlog (not (as_bool (eval_expr ctx e)))
-  | Ast.Ebin (op, a, b) -> eval_binop ctx op a b
-  | Ast.Edesig d -> eval_designator ctx d
+let store_section a idx = function
+  | Varr b ->
+      if List.length idx <> Array.length b.data then err "section assignment length mismatch";
+      List.iteri (fun k i -> a.data.(i) <- b.data.(k)) idx
+  | v ->
+      let f = as_float v in
+      List.iter (fun i -> a.data.(i) <- f) idx
 
-and eval_binop ctx op a b =
+(* --- translation --------------------------------------------------------------------- *)
+
+(* A translated expression, by what it always yields: [R] a [Vreal], [B] a
+   [Vlog], [V] any value.  [R] and [B] skip the boxing and the dispatch
+   whenever the consumer only needs the number or the truth value. *)
+type cx = R of (frame -> float) | B of (frame -> bool) | V of (frame -> value)
+
+let value_of = function
+  | R f -> fun fr -> Vreal (f fr) | B f -> fun fr -> if f fr then vtrue else vfalse | V f -> f
+
+let float_of = function
+  | R f -> f | B f -> fun fr -> if f fr then 1.0 else 0.0 | V f -> fun fr -> as_float (f fr)
+
+let bool_of = function
+  | B f -> f | R f -> fun fr -> as_bool (Vreal (f fr)) | V f -> fun fr -> as_bool (f fr)
+
+let int_of = function
+  | V f -> fun fr -> as_int (f fr) | R f -> fun fr -> int_of_float (f fr) | B f -> fun fr -> as_int (Vlog (f fr))
+
+let is_v = function V _ -> true | R _ | B _ -> false
+
+(* x and y run before c: [sign]*x*y + c, or x*y - c when [negc]. *)
+let fused cx cy cc sign_xy negc =
+  match (cx, cy, cc) with
+  | V fx, V fy, V fc ->
+      V (fun fr ->
+          let vx = fx fr in
+          let vy = fy fr in
+          match (vx, vy, fc fr) with
+          | Vint a, Vint b, Vint cc ->
+              Vint (if negc then (a * b) - cc else (int_of_float sign_xy * a * b) + cc)
+          | _, _, vc when negc -> Vreal (Float.fma (as_float vx) (as_float vy) (-.as_float vc))
+          | _, _, vc -> Vreal (Float.fma (sign_xy *. as_float vx) (as_float vy) (as_float vc)))
+  | cx, cy, cc ->
+      let fx = float_of cx and fy = float_of cy and fc = float_of cc in
+      if negc then R (fun fr -> let x = fx fr in let y = fy fr in Float.fma x y (-.fc fr))
+      else R (fun fr -> let x = fx fr in let y = fy fr in Float.fma (sign_xy *. x) y (fc fr))
+
+(* Two numeric operands: integers stay integers, anything else is real. *)
+let arith op ca cb =
   let open Ast in
-  match op with
-  | And -> Vlog (as_bool (eval_expr ctx a) && as_bool (eval_expr ctx b))
-  | Or -> Vlog (as_bool (eval_expr ctx a) || as_bool (eval_expr ctx b))
-  | Concat -> (
-      match (eval_expr ctx a, eval_expr ctx b) with
-      | Vstr x, Vstr y -> Vstr (x ^ y)
-      | _ -> err "// requires strings")
-  | Eq | Ne | Lt | Le | Gt | Ge -> (
-      let va = eval_expr ctx a and vb = eval_expr ctx b in
-      match (va, vb) with
-      | Vstr x, Vstr y ->
-          let c = compare x y in
-          Vlog
-            (match op with
-            | Eq -> c = 0
-            | Ne -> c <> 0
-            | Lt -> c < 0
-            | Le -> c <= 0
-            | Gt -> c > 0
-            | Ge -> c >= 0
-            | _ -> assert false)
-      | _ ->
-          let x = as_float va and y = as_float vb in
-          Vlog
-            (match op with
-            | Eq -> x = y
-            | Ne -> x <> y
-            | Lt -> x < y
-            | Le -> x <= y
-            | Gt -> x > y
-            | Ge -> x >= y
-            | _ -> assert false))
-  | Add | Sub -> eval_addsub ctx op a b
-  | Mul -> arith ctx ( * ) ( *. ) a b
-  | Div ->
-      let va = eval_expr ctx a and vb = eval_expr ctx b in
-      (match (va, vb) with
-      | Vint x, Vint y ->
-          if y = 0 then err "integer division by zero";
-          (* Fortran integer division truncates toward zero *)
-          Vint (if (x < 0) <> (y < 0) then -(abs x / abs y) else abs x / abs y)
-      | _ -> Vreal (as_float va /. as_float vb))
-  | Pow -> (
-      let va = eval_expr ctx a and vb = eval_expr ctx b in
-      match (va, vb) with
-      | Vint x, Vint y when y >= 0 ->
-          let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
-          Vint (ipow 1 x y)
-      | _ -> Vreal (Float.pow (as_float va) (as_float vb)))
+  match (ca, cb) with
+  | V fa, V fb ->
+      V (fun fr ->
+          let va = fa fr in
+          match (op, va, fb fr) with
+          | Add, Vint x, Vint y -> Vint (x + y)
+          | Sub, Vint x, Vint y -> Vint (x - y)
+          | Mul, Vint x, Vint y -> Vint (x * y)
+          | Div, Vint x, Vint y ->
+              if y = 0 then err "integer division by zero";
+              (* Fortran integer division truncates toward zero *)
+              Vint (if x < 0 <> (y < 0) then -(abs x / abs y) else abs x / abs y)
+          | Pow, Vint x, Vint y when y >= 0 ->
+              let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
+              Vint (ipow 1 x y)
+          | Add, va, vb -> Vreal (as_float va +. as_float vb)
+          | Sub, va, vb -> Vreal (as_float va -. as_float vb)
+          | Mul, va, vb -> Vreal (as_float va *. as_float vb)
+          | Div, va, vb -> Vreal (as_float va /. as_float vb)
+          | _, va, vb -> Vreal (Float.pow (as_float va) (as_float vb)))
+  | ca, cb -> (
+      (* an operand that is never an integer makes the result real *)
+      let fa = float_of ca and fb = float_of cb in
+      match op with
+      | Add -> R (fun fr -> let x = fa fr in x +. fb fr)
+      | Sub -> R (fun fr -> let x = fa fr in x -. fb fr)
+      | Mul -> R (fun fr -> let x = fa fr in x *. fb fr)
+      | Div -> R (fun fr -> let x = fa fr in x /. fb fr)
+      | _ -> R (fun fr -> let x = fa fr in Float.pow x (fb fr)))
 
-(* a*b+c patterns contract to a fused multiply-add when the current module
-   has FMA enabled — the mechanism behind the AVX2 experiments. *)
-and eval_addsub ctx op a b =
-  let open Ast in
-  let plain () =
-    match op with
-    | Add -> arith ctx ( + ) ( +. ) a b
-    | Sub -> arith ctx ( - ) ( -. ) a b
-    | _ -> assert false
-  in
-  if not ctx.fma then plain ()
-  else
-    match (op, a, b) with
-    | Add, Ebin (Mul, x, y), c | Add, c, Ebin (Mul, x, y) -> fused ctx x y c 1.0
-    | Sub, Ebin (Mul, x, y), c -> fused_negc ctx x y c
-    | Sub, c, Ebin (Mul, x, y) -> fused ctx x y c (-1.0)
-    | _ -> plain ()
+(* A translated designator as a location. *)
+type lv =
+  | Lcell of (frame -> value ref)
+  | Lelem of (frame -> arr) * (frame -> arr -> int)  (* the array, then its checked index *)
+  | Lslice of (frame -> arr) * (frame -> arr -> int list)
 
-and fused ctx x y c sign_xy =
-  let vx = eval_expr ctx x and vy = eval_expr ctx y and vc = eval_expr ctx c in
-  match (vx, vy, vc) with
-  | Vint a, Vint b, Vint cc -> Vint ((int_of_float sign_xy * a * b) + cc)
-  | _ -> Vreal (Float.fma (sign_xy *. as_float vx) (as_float vy) (as_float vc))
+type env = {
+  m : t;
+  mrt : module_rt;
+  mname : string;
+  sname : string;
+  slots : (string, int) Hashtbl.t;  (* formals and declared locals, visible below [visible] *)
+  visible : int;
+  dyn : (string, int) Hashtbl.t;  (* undeclared do-variables *)
+  contract : bool;  (* module initializers never contract *)
+}
 
-and fused_negc ctx x y c =
-  let vx = eval_expr ctx x and vy = eval_expr ctx y and vc = eval_expr ctx c in
-  match (vx, vy, vc) with
-  | Vint a, Vint b, Vint cc -> Vint ((a * b) - cc)
-  | _ -> Vreal (Float.fma (as_float vx) (as_float vy) (-.as_float vc))
+type place = Local of int | Global of value ref | Dyn of int | Unknown
 
-and arith ctx iop fop a b =
-  let va = eval_expr ctx a and vb = eval_expr ctx b in
-  match (va, vb) with
-  | Vint x, Vint y -> Vint (iop x y)
-  | _ -> Vreal (fop (as_float va) (as_float vb))
-
-and eval_designator ctx (d : Ast.designator) : value =
-  match d with
-  | Ast.Dname n -> (
-      match lookup_cell ctx n with
-      | Some cell -> !cell
-      | None -> err "unknown variable %s in %s.%s" n ctx.mrt.unit_.Ast.m_name ctx.sub_name)
-  | Ast.Dmember _ -> (
-      match resolve_lvalue ctx d with
-      | Lcell cell -> !cell
-      | Lelem (a, i) -> Vreal a.data.(i)
-      | Lslice (a, idx) ->
-          Varr { dims = [| List.length idx |]; data = Array.of_list (List.map (fun i -> a.data.(i)) idx) })
-  | Ast.Dindex (base, args) -> (
-      (* array reference or function call — the Fortran ambiguity *)
-      match base with
-      | Ast.Dname n when lookup_cell ctx n <> None -> (
-          match resolve_lvalue ctx d with
-          | Lcell cell -> !cell
-          | Lelem (a, i) -> Vreal a.data.(i)
-          | Lslice (a, idx) ->
-              Varr
-                { dims = [| List.length idx |];
-                  data = Array.of_list (List.map (fun i -> a.data.(i)) idx) })
-      | Ast.Dname n -> eval_function_call ctx n args
-      | _ -> (
-          match resolve_lvalue ctx d with
-          | Lcell cell -> !cell
-          | Lelem (a, i) -> Vreal a.data.(i)
-          | Lslice (a, idx) ->
-              Varr
-                { dims = [| List.length idx |];
-                  data = Array.of_list (List.map (fun i -> a.data.(i)) idx) }))
-
-and eval_function_call ctx name args =
-  if Visibility.is_intrinsic name then eval_intrinsic ctx name args
-  else
-    match Hashtbl.find_opt ctx.mrt.visible_subs name with
-    | Some candidates -> (
-        let arity = List.length args in
-        match
-          List.find_opt
-            (fun (c : Visibility.callable) ->
-              List.length c.c_sub.Ast.s_args = arity && c.c_sub.Ast.s_kind = Ast.Function)
-            candidates
-        with
-        | Some c -> call_subprogram ctx.machine c (bind_actuals ctx c args)
-        | None -> err "no matching function %s/%d" name arity)
-    | None -> err "unknown function or array %s in %s" name ctx.mrt.unit_.Ast.m_name
-
-and eval_intrinsic ctx name args =
-  let one () = match args with [ a ] -> eval_expr ctx a | _ -> err "%s expects 1 argument" name in
-  let fl f = Vreal (f (as_float (one ()))) in
-  match name with
-  | "abs" -> (
-      match one () with Vint i -> Vint (abs i) | v -> Vreal (abs_float (as_float v)))
-  | "sqrt" -> fl sqrt
-  | "exp" -> fl exp
-  | "log" -> fl log
-  | "log10" -> fl log10
-  | "sin" -> fl sin
-  | "cos" -> fl cos
-  | "tan" -> fl tan
-  | "tanh" -> fl tanh
-  | "real" | "dble" -> Vreal (as_float (one ()))
-  | "int" -> Vint (int_of_float (as_float (one ())))
-  | "nint" -> Vint (int_of_float (Float.round (as_float (one ()))))
-  | "floor" -> Vint (int_of_float (Float.floor (as_float (one ()))))
-  | "epsilon" ->
-      ignore (one ());
-      Vreal epsilon_float
-  | "tiny" ->
-      ignore (one ());
-      Vreal 2.2250738585072014e-308
-  | "huge" ->
-      ignore (one ());
-      Vreal 1.7976931348623157e308
-  | "min" | "max" -> (
-      let vs = List.map (fun a -> eval_expr ctx a) args in
-      match vs with
-      | [] -> err "%s needs arguments" name
-      | v0 :: rest ->
-          if List.for_all (function Vint _ -> true | _ -> false) vs then
-            let f = if name = "min" then min else max in
-            Vint (List.fold_left (fun acc v -> f acc (as_int v)) (as_int v0) rest)
-          else
-            let f = if name = "min" then Float.min else Float.max in
-            Vreal (List.fold_left (fun acc v -> f acc (as_float v)) (as_float v0) rest))
-  | "mod" -> (
-      match List.map (fun a -> eval_expr ctx a) args with
-      | [ Vint a; Vint b ] ->
-          if b = 0 then err "mod by zero";
-          Vint (a - (b * (a / b)))
-      | [ a; b ] -> Vreal (Float.rem (as_float a) (as_float b))
-      | _ -> err "mod expects 2 arguments")
-  | "sign" -> (
-      match List.map (fun a -> eval_expr ctx a) args with
-      | [ a; b ] ->
-          let x = as_float a in
-          Vreal (if as_float b >= 0.0 then abs_float x else -.abs_float x)
-      | _ -> err "sign expects 2 arguments")
-  | "sum" -> Vreal (Array.fold_left ( +. ) 0.0 (as_arr (one ())).data)
-  | "maxval" -> Vreal (Array.fold_left Float.max neg_infinity (as_arr (one ())).data)
-  | "minval" -> Vreal (Array.fold_left Float.min infinity (as_arr (one ())).data)
-  | "size" -> Vint (Array.length (as_arr (one ())).data)
-  | "merge" -> (
-      match args with
-      | [ t; f; mask ] -> if as_bool (eval_expr ctx mask) then eval_expr ctx t else eval_expr ctx f
-      | _ -> err "merge expects 3 arguments")
-  | _ -> err "unimplemented intrinsic %s" name
-
-(* Resolve a designator to an assignable location. *)
-and resolve_lvalue ctx (d : Ast.designator) : lvalue =
-  match d with
-  | Ast.Dname n -> (
-      match lookup_cell ctx n with
-      | Some cell -> Lcell cell
-      | None -> err "unknown variable %s in %s.%s" n ctx.mrt.unit_.Ast.m_name ctx.sub_name)
-  | Ast.Dmember (base, field) -> (
-      let base_cell =
-        match resolve_lvalue ctx base with
-        | Lcell c -> c
-        | Lelem _ | Lslice _ -> err "indexing into derived-type arrays is not supported"
-      in
-      match !base_cell with
-      | Vderived tbl -> (
-          match Hashtbl.find_opt tbl field with
-          | Some c -> Lcell c
-          | None -> err "derived type has no component %s" field)
-      | _ -> err "%%%s applied to a non-derived value" field)
-  | Ast.Dindex (base, args) -> (
-      let cell =
-        match resolve_lvalue ctx base with
-        | Lcell c -> c
-        | _ -> err "cannot index a section"
-      in
-      match !cell with
-      | Varr a ->
-          let spec =
-            Array.of_list
-              (List.map
-                 (function
-                   | Ast.Erange (None, None) -> `All
-                   | Ast.Erange _ -> err "bounded array sections are not supported at runtime"
-                   | e -> `At (as_int (eval_expr ctx e)))
-                 args)
-          in
-          if Array.for_all (function `At _ -> true | `All -> false) spec then
-            Lelem (a, flat_index a (Array.map (function `At i -> i | `All -> 0) spec))
-          else Lslice (a, slice_indices a spec)
-      | _ -> err "%s is not an array" (Ast.designator_base base))
-
-(* Bind actual arguments to a callee's formals.  Plain-variable actuals
-   alias the caller's cell (Fortran by-reference); element/section actuals
-   get copy-in/copy-out temporaries; expression actuals are passed by
-   value.  Returns the prepared locals table and the copy-back thunk. *)
-and bind_actuals ctx (callee : Visibility.callable) args =
-  let formals = callee.c_sub.Ast.s_args in
-  if List.length formals <> List.length args then
-    err "%s called with %d arguments, expected %d" callee.c_sub.Ast.s_name
-      (List.length args) (List.length formals);
-  let locals = Hashtbl.create 16 in
-  let copy_backs = ref [] in
-  (* An [Edesig] actual is only an lvalue when its base names a variable;
-     otherwise it is a function call and is passed by value. *)
-  let is_variable d = lookup_cell ctx (Ast.designator_base d) <> None in
-  List.iter2
-    (fun formal actual ->
-      match actual with
-      | Ast.Edesig d when is_variable d -> (
-          match resolve_lvalue ctx d with
-          | Lcell cell -> Hashtbl.replace locals formal cell
-          | Lelem (a, i) ->
-              let tmp = ref (Vreal a.data.(i)) in
-              Hashtbl.replace locals formal tmp;
-              copy_backs := (fun () -> a.data.(i) <- as_float !tmp) :: !copy_backs
-          | Lslice (a, idx) ->
-              let data = Array.of_list (List.map (fun i -> a.data.(i)) idx) in
-              let tmp = ref (Varr { dims = [| Array.length data |]; data }) in
-              Hashtbl.replace locals formal tmp;
-              copy_backs :=
-                (fun () ->
-                  match !tmp with
-                  | Varr a' -> List.iteri (fun k i -> a.data.(i) <- a'.data.(k)) idx
-                  | v -> List.iter (fun i -> a.data.(i) <- as_float v) idx)
-                :: !copy_backs)
-      | e -> Hashtbl.replace locals formal (ref (eval_expr ctx e)))
-    formals args;
-  (locals, fun () -> List.iter (fun f -> f ()) !copy_backs)
-
-(* --- declarations ------------------------------------------------------------------ *)
-
-and default_value ctx_opt machine mrt locals (d : Ast.decl) : value =
-  let eval_dim e =
-    let ctx =
-      match ctx_opt with
-      | Some c -> c
-      | None -> { machine; mrt; sub_name = "<decl>"; locals; fma = false }
-    in
-    as_int (eval_expr ctx e)
-  in
-  match d.Ast.d_dims with
-  | [] -> (
-      match d.Ast.d_type with
-      | Ast.Treal -> Vreal 0.0
-      | Ast.Tinteger -> Vint 0
-      | Ast.Tlogical -> Vlog false
-      | Ast.Tcharacter -> Vstr ""
-      | Ast.Ttype tname -> (
-          match Hashtbl.find_opt mrt.visible_types tname with
-          | None -> err "unknown derived type %s" tname
-          | Some td ->
-              let tbl = Hashtbl.create 8 in
-              List.iter
-                (fun f ->
-                  Hashtbl.replace tbl f.Ast.d_name
-                    (ref (default_value ctx_opt machine mrt locals f)))
-                td.Ast.t_fields;
-              Vderived tbl))
-  | dims ->
-      let extents = List.map eval_dim dims in
-      let total = List.fold_left ( * ) 1 extents in
-      if total < 0 || total > 50_000_000 then err "unreasonable array size %d" total;
-      Varr { dims = Array.of_list extents; data = Array.make total 0.0 }
-
-(* --- statement execution -------------------------------------------------------------- *)
-
-and store ctx line (d : Ast.designator) (v : value) =
-  let lv = resolve_lvalue ctx d in
-  let reported =
-    match lv with
-    | Lcell cell ->
-        (match (!cell, v) with
-        | Vint _, Vreal f -> cell := Vint (int_of_float f)
-        | Vreal _, Vint i -> cell := Vreal (float_of_int i)
-        | Varr a, (Vreal _ | Vint _) ->
-            let x = as_float v in
-            Array.fill a.data 0 (Array.length a.data) x
-        | Varr a, Varr b ->
-            if Array.length a.data <> Array.length b.data then
-              err "array assignment length mismatch";
-            Array.blit b.data 0 a.data 0 (Array.length a.data)
-        | _ -> cell := v);
-        (match !cell with
-        | Vreal f -> Some f
-        | Vint i -> Some (float_of_int i)
-        | Varr a -> Some (arr_norm a)
-        | _ -> None)
-    | Lelem (a, i) ->
-        let f = as_float v in
-        a.data.(i) <- f;
-        Some f
-    | Lslice (a, idx) ->
-        (match v with
-        | Varr b ->
-            if List.length idx <> Array.length b.data then
-              err "section assignment length mismatch";
-            List.iteri (fun k i -> a.data.(i) <- b.data.(k)) idx
-        | _ ->
-            let f = as_float v in
-            List.iter (fun i -> a.data.(i) <- f) idx);
-        Some (arr_norm a)
-  in
-  match (ctx.machine.hooks.on_assign, reported) with
-  | Some hook, Some f ->
-      hook ~module_:ctx.mrt.unit_.Ast.m_name ~sub:ctx.sub_name ~line
-        ~var:(Ast.designator_base d) ~canonical:(Ast.designator_canonical d) f
-  | _ -> ()
-
-and exec_stmt ctx (st : Ast.stmt) =
-  let m = ctx.machine in
-  m.steps <- m.steps + 1;
-  if m.steps > m.max_steps then err "statement budget exceeded (possible runaway loop)";
-  (match m.hooks.on_stmt with
-  | Some hook -> hook ctx.mrt.unit_.Ast.m_name ctx.sub_name st.Ast.line
-  | None -> ());
-  match st.Ast.node with
-  | Ast.Assign (d, e) -> store ctx st.Ast.line d (eval_expr ctx e)
-  | Ast.Call (name, args) -> exec_call ctx name args
-  | Ast.Return -> raise Return_exc
-  | Ast.Exit_loop -> raise Exit_exc
-  | Ast.Cycle -> raise Cycle_exc
-  | Ast.Stop -> err "STOP reached in %s.%s" ctx.mrt.unit_.Ast.m_name ctx.sub_name
-  | Ast.Print args ->
-      let parts =
-        List.map
-          (fun e ->
-            match eval_expr ctx e with
-            | Vstr s -> s
-            | Vreal f -> Printf.sprintf "%g" f
-            | Vint i -> string_of_int i
-            | Vlog b -> if b then "T" else "F"
-            | Varr _ -> "<array>"
-            | Vderived _ -> "<derived>")
-          args
-      in
-      Buffer.add_string m.print_log (String.concat " " parts);
-      Buffer.add_char m.print_log '\n'
-  | Ast.Unparsed raw -> err "executed unparsed statement: %s" raw
-  | Ast.If (branches, els) -> (
-      let rec pick = function
-        | [] -> exec_body ctx els
-        | (cond, body) :: rest ->
-            if as_bool (eval_expr ctx cond) then exec_body ctx body else pick rest
-      in
-      pick branches)
-  | Ast.Do { var; lo; hi; step; body } ->
-      let cell =
-        match lookup_cell ctx var with
-        | Some c -> c
-        | None ->
-            let c = ref (Vint 0) in
-            Hashtbl.replace ctx.locals var c;
-            c
-      in
-      let lo = as_int (eval_expr ctx lo) and hi = as_int (eval_expr ctx hi) in
-      let step = match step with None -> 1 | Some s -> as_int (eval_expr ctx s) in
-      if step = 0 then err "do loop with zero step";
-      (try
-         let i = ref lo in
-         while (step > 0 && !i <= hi) || (step < 0 && !i >= hi) do
-           cell := Vint !i;
-           (try exec_body ctx body with Cycle_exc -> ());
-           i := !i + step
-         done
-       with Exit_exc -> ())
-  | Ast.Do_while (cond, body) -> (
-      try
-        while as_bool (eval_expr ctx cond) do
-          try exec_body ctx body with Cycle_exc -> ()
-        done
-      with Exit_exc -> ())
-  | Ast.Select (selector, cases, default) ->
-      let sel = eval_expr ctx selector in
-      let matches v =
-        match (sel, eval_expr ctx v) with
-        | Vint a, Vint b -> a = b
-        | Vstr a, Vstr b -> a = b
-        | a, b -> as_float a = as_float b
-      in
-      let rec pick = function
-        | [] -> exec_body ctx default
-        | (vs, body) :: rest ->
-            if List.exists matches vs then exec_body ctx body else pick rest
-      in
-      pick cases
-
-and exec_body ctx body = List.iter (exec_stmt ctx) body
-
-and exec_call ctx name args =
-  match name with
-  | "random_number" -> (
-      match args with
-      | [ Ast.Edesig d ] -> (
-          match resolve_lvalue ctx d with
-          | Lcell cell -> (
-              match !cell with
-              | Varr a ->
-                  for i = 0 to Array.length a.data - 1 do
-                    a.data.(i) <- Rca_rng.Prng.float01 ctx.machine.prng
-                  done
-              | _ -> cell := Vreal (Rca_rng.Prng.float01 ctx.machine.prng))
-          | Lelem (a, i) -> a.data.(i) <- Rca_rng.Prng.float01 ctx.machine.prng
-          | Lslice (a, idx) ->
-              List.iter (fun i -> a.data.(i) <- Rca_rng.Prng.float01 ctx.machine.prng) idx)
-      | _ -> err "random_number expects one variable argument")
-  | "outfld" -> (
-      (* history output: the interpreter plays the role of CAM's I/O layer *)
-      match args with
-      | [ name_e; val_e ] -> (
-          match (eval_expr ctx name_e, eval_expr ctx val_e) with
-          | Vstr fld, v ->
-              let f = match v with Varr a -> arr_norm a | v -> as_float v in
-              Hashtbl.replace ctx.machine.history fld f;
-              (match ctx.machine.hooks.on_outfld with Some h -> h fld f | None -> ())
-          | _ -> err "outfld expects (string, value)")
-      | _ -> err "outfld expects 2 arguments")
+(* A name resolves as it would when the code runs: locals first, then the
+   module's visible variables.  A module's table is final once [create]
+   returns, and code translated before that is not kept. *)
+let place env n =
+  match Hashtbl.find_opt env.slots n with
+  | Some s when s < env.visible -> Local s
   | _ -> (
-      match Hashtbl.find_opt ctx.mrt.visible_subs name with
-      | Some candidates -> (
-          let arity = List.length args in
-          match
-            List.find_opt
-              (fun (c : Visibility.callable) -> List.length c.c_sub.Ast.s_args = arity)
-              candidates
-          with
-          | Some callee -> ignore (call_subprogram ctx.machine callee (bind_actuals ctx callee args))
-          | None -> err "no matching subprogram %s/%d" name arity)
-      | None -> err "unknown subroutine %s called from %s" name ctx.mrt.unit_.Ast.m_name)
+      match Hashtbl.find_opt env.mrt.vars n with
+      | Some c -> Global c
+      | None -> ( match Hashtbl.find_opt env.dyn n with Some s -> Dyn s | None -> Unknown))
 
-(* Run one subprogram with pre-bound locals; returns the function result
-   value (unit-like Vlog false for subroutines). *)
-and call_subprogram machine (callee : Visibility.callable) (locals, copy_back) : value =
-  let mrt =
-    match Hashtbl.find_opt machine.modules callee.c_module with
-    | Some m -> m
-    | None -> err "module %s not elaborated" callee.c_module
-  in
-  let sub = callee.c_sub in
-  let ctx =
-    {
-      machine;
-      mrt;
-      sub_name = sub.Ast.s_name;
-      locals;
-      fma = machine.fma_for callee.c_module;
-    }
-  in
-  (match machine.hooks.on_call with
-  | Some hook -> hook callee.c_module sub.Ast.s_name locals
-  | None -> ());
+let unknown env n = err "unknown variable %s in %s.%s" n env.mname env.sname
+
+(* (formal, slot) for each distinct formal of [sub]. *)
+let formal_slots (sub : Ast.subprogram) =
+  List.fold_left
+    (fun acc f -> if List.mem_assoc f acc then acc else (f, List.length acc) :: acc)
+    [] sub.Ast.s_args
+
+(* The locals table the call hooks see: every allocated slot. *)
+let locals_table code (frame : frame) =
+  let tbl = Hashtbl.create 16 in
+  Array.iteri (fun s c -> if c != unset then Hashtbl.replace tbl code.names.(s) c) frame;
+  tbl
+
+(* Run a translated subprogram on a frame whose formals are bound;
+   returns the function result ([Vlog false] for subroutines). *)
+let enter m code (frame : frame) =
+  let h = m.hooks and sub = code.k_sub in
+  let name = sub.Ast.s_name in
+  (match h.on_call with Some f -> f code.k_module name (locals_table code frame) | None -> ());
   (* Binding a formal argument delivers a value to it: report it to the
      assignment hook so instrumentation can sample formals the same way a
      source-level sampler would. *)
-  (match machine.hooks.on_assign with
+  (match h.on_assign with
   | Some hook ->
-      List.iter
-        (fun formal ->
-          match Hashtbl.find_opt locals formal with
-          | Some cell ->
-              let value =
-                match !cell with
-                | Vreal f -> Some f
-                | Vint i -> Some (float_of_int i)
-                | Varr a -> Some (arr_norm a)
-                | Vlog _ | Vstr _ | Vderived _ -> None
-              in
-              Option.iter
-                (fun f ->
-                  hook ~module_:callee.c_module ~sub:sub.Ast.s_name ~line:sub.Ast.s_line
-                    ~var:formal ~canonical:formal f)
-                value
-          | None -> ())
+      List.iteri
+        (fun k formal ->
+          Option.iter
+            (hook ~module_:code.k_module ~sub:name ~line:sub.Ast.s_line ~var:formal ~canonical:formal)
+            (reported !(frame.(code.formals.(k)))))
         sub.Ast.s_args
   | None -> ());
-  (* allocate locals that are not already bound (formals are) *)
-  List.iter
-    (fun (d : Ast.decl) ->
-      if not (Hashtbl.mem locals d.Ast.d_name) then begin
-        let v =
-          match d.Ast.d_init with
-          | Some e when d.Ast.d_dims = [] -> eval_expr ctx e
-          | _ -> default_value (Some ctx) machine mrt locals d
-        in
-        Hashtbl.replace locals d.Ast.d_name (ref v)
-      end)
-    sub.Ast.s_decls;
-  (* function result cell *)
+  code.prologue frame;
+  (try code.body frame with Return_exc -> ());
+  (match h.on_return with Some f -> f code.k_module name (locals_table code frame) | None -> ());
+  if code.result >= 0 then !(frame.(code.result)) else vfalse
+
+let rec code_of m (c : Visibility.callable) =
+  let key = (c.c_module, c.c_sub.Ast.s_name) in
+  let known = Option.value ~default:[] (Hashtbl.find_opt m.codes key) in
+  match List.assq_opt c.c_sub known with
+  | Some code -> code
+  | None ->
+      let code = Rca_obs.Obs.span "interp.translate" (fun () -> translate m c) in
+      if not m.elaborating then Hashtbl.replace m.codes key ((c.c_sub, code) :: known);
+      code
+
+and translate m (callee : Visibility.callable) =
+  let mrt =
+    match Hashtbl.find_opt m.modules callee.c_module with Some r -> r | None -> err "module %s not elaborated" callee.c_module
+  in
+  let sub = callee.c_sub and slots = Hashtbl.create 16 in
+  List.iter (fun (f, s) -> Hashtbl.replace slots f s) (formal_slots sub);
+  let env =
+    { m; mrt; mname = callee.c_module; sname = sub.Ast.s_name; slots; visible = 0;
+      dyn = Hashtbl.create 4; contract = true }
+  in
+  let fresh name = Hashtbl.replace slots name (Hashtbl.length slots); Hashtbl.length slots - 1 in
+  let alloc s init (fr : frame) = fr.(s) <- ref (init fr) in
+  (* a declaration's initializer sees the formals and the locals
+     declared before it *)
+  let allocs =
+    List.filter_map
+      (fun (d : Ast.decl) ->
+        if Hashtbl.mem slots d.Ast.d_name then None
+        else
+          let init = default_of { env with visible = Hashtbl.length slots } d in
+          Some (alloc (fresh d.Ast.d_name) init))
+      sub.Ast.s_decls
+  in
   let result_name = Ast.function_result_name sub in
-  if sub.Ast.s_kind = Ast.Function && not (Hashtbl.mem locals result_name) then
-    Hashtbl.replace locals result_name (ref (Vreal 0.0));
-  (try exec_body ctx sub.Ast.s_body with Return_exc -> ());
-  (match machine.hooks.on_return with
-  | Some hook -> hook callee.c_module sub.Ast.s_name locals
-  | None -> ());
-  copy_back ();
-  if sub.Ast.s_kind = Ast.Function then
-    match Hashtbl.find_opt locals result_name with
-    | Some cell -> !cell
-    | None ->
-        (* copy_back removed it: the result name collided with an
-           argument local that was copied out and dropped *)
-        invalid_arg
-          (Printf.sprintf "function %s: result variable %S vanished during copy-back"
-             sub.Ast.s_name result_name)
-  else Vlog false
+  let result, allocs =
+    match (sub.Ast.s_kind, Hashtbl.find_opt slots result_name) with
+    | Ast.Subroutine, _ -> (-1, allocs)
+    | Ast.Function, Some s -> (s, allocs)
+    | Ast.Function, None ->
+        let s = fresh result_name in
+        (s, allocs @ [ alloc s (fun _ -> Vreal 0.0) ])
+  in
+  let env = { env with visible = Hashtbl.length slots } in
+  Ast.iter_stmts
+    (fun st ->
+      match st.Ast.node with
+      | Ast.Do { var; _ } when place env var == Unknown ->
+          Hashtbl.replace env.dyn var (Hashtbl.length slots + Hashtbl.length env.dyn)
+      | _ -> ())
+    sub.Ast.s_body;
+  let names = Array.make (Hashtbl.length slots + Hashtbl.length env.dyn) "" in
+  Hashtbl.iter (fun n s -> names.(s) <- n) slots;
+  Hashtbl.iter (fun n s -> names.(s) <- n) env.dyn;
+  let allocs = Array.of_list allocs in
+  {
+    k_module = callee.c_module;
+    k_sub = sub;
+    names;
+    formals = Array.of_list (List.map (Hashtbl.find slots) sub.Ast.s_args);
+    prologue = (fun fr -> Array.iter (fun a -> a fr) allocs);
+    body = block env sub.Ast.s_body;
+    result;
+  }
+
+(* --- expressions --------------------------------------------------------------------- *)
+
+and expr env (e : Ast.expr) : cx =
+  match e with
+  | Ast.Enum f -> R (fun _ -> f)
+  | Ast.Eint i -> const (Vint i)
+  | Ast.Elogical b -> B (fun _ -> b)
+  | Ast.Estring s -> const (Vstr s)
+  | Ast.Erange _ -> V (fun _ -> err "array section used as a value")
+  | Ast.Eun (Ast.Neg, e) -> (
+      match expr env e with
+      | R f -> R (fun fr -> -.f fr)
+      | c -> let f = value_of c in V (fun fr -> match f fr with Vint i -> Vint (-i) | v -> Vreal (-.as_float v)))
+  | Ast.Eun (Ast.Not, e) -> let f = bool_of (expr env e) in B (fun fr -> not (f fr))
+  | Ast.Ebin (op, a, b) -> binop env op a b
+  | Ast.Edesig d -> desig env d
+
+and const v = V (fun _ -> v)
+
+and binop env op a b =
+  let open Ast in
+  match op with
+  | And | Or ->
+      let fa = bool_of (expr env a) and fb = bool_of (expr env b) in
+      if op = And then B (fun fr -> fa fr && fb fr) else B (fun fr -> fa fr || fb fr)
+  | Concat ->
+      let fa = value_of (expr env a) and fb = value_of (expr env b) in
+      V (fun fr ->
+          let va = fa fr in
+          match (va, fb fr) with Vstr x, Vstr y -> Vstr (x ^ y) | _ -> err "// requires strings")
+  | Eq | Ne | Lt | Le | Gt | Ge -> (
+      let holds c =
+        match op with Eq -> c = 0 | Ne -> c <> 0 | Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0
+      in
+      let fcmp : float -> float -> bool =
+        match op with Eq -> ( = ) | Ne -> ( <> ) | Lt -> ( < ) | Le -> ( <= ) | Gt -> ( > ) | _ -> ( >= )
+      in
+      match (expr env a, expr env b) with
+      | V fa, V fb ->
+          B (fun fr ->
+              let va = fa fr in
+              match (va, fb fr) with
+              | Vstr x, Vstr y -> holds (compare x y)
+              | va, vb -> fcmp (as_float va) (as_float vb))
+      | ca, cb ->
+          let fa = float_of ca and fb = float_of cb in
+          B (fun fr -> let x = fa fr in fcmp x (fb fr)))
+  | Add | Sub -> (
+      (* a*b+c patterns contract to a fused multiply-add when the module
+         has FMA enabled at the time the site runs; both paths share the
+         operands' code *)
+      let shape =
+        match (op, a, b) with
+        | _ when not env.contract -> None
+        | Add, Ebin (Mul, x, y), c -> Some (x, y, c, true, 1.0, false)
+        | Add, c, Ebin (Mul, x, y) -> Some (x, y, c, false, 1.0, false)
+        | Sub, Ebin (Mul, x, y), c -> Some (x, y, c, true, 1.0, true)
+        | Sub, c, Ebin (Mul, x, y) -> Some (x, y, c, false, -1.0, false)
+        | _ -> None
+      in
+      match shape with
+      | None -> arith op (expr env a) (expr env b)
+      | Some (x, y, c, product_first, sign_xy, negc) -> (
+          let cx = expr env x and cy = expr env y and cc = expr env c in
+          let product = arith Mul cx cy and mrt = env.mrt in
+          let plain = if product_first then arith op product cc else arith op cc product in
+          match (plain, fused cx cy cc sign_xy negc) with
+          | R p, R f -> R (fun fr -> if mrt.fma then f fr else p fr)
+          | p, f ->
+              let p = value_of p and f = value_of f in
+              V (fun fr -> if mrt.fma then f fr else p fr)))
+  | Mul | Div | Pow -> arith op (expr env a) (expr env b)
+
+and desig env (d : Ast.designator) : cx =
+  match d with
+  | Ast.Dindex (Ast.Dname n, args) -> (
+      (* array reference or function call — the Fortran ambiguity *)
+      match place env n with
+      | Local _ | Global _ -> read env d
+      | Unknown -> call_fn env n args
+      | Dyn s ->
+          let el = value_of (read env d) and fn = value_of (call_fn env n args) in
+          V (fun fr -> if fr.(s) != unset then el fr else fn fr))
+  | _ -> read env d
+
+and read env d : cx =
+  match lvalue env d with
+  | Lcell c -> V (fun fr -> !(c fr))
+  | Lelem (get, ix) -> R (fun fr -> let a = get fr in a.data.(ix fr a))
+  | Lslice (get, sl) -> V (fun fr -> let a = get fr in section a (sl fr a))
+
+(* Resolve a designator to an assignable location. *)
+and lvalue env (d : Ast.designator) : lv =
+  match d with
+  | Ast.Dname n -> (
+      match place env n with
+      | Local s -> Lcell (fun fr -> fr.(s))
+      | Global c -> Lcell (fun _ -> c)
+      | Dyn s -> Lcell (fun fr -> if fr.(s) == unset then unknown env n else fr.(s))
+      | Unknown -> Lcell (fun _ -> unknown env n))
+  | Ast.Dmember (base, field) ->
+      let base =
+        match lvalue env base with
+        | Lcell c -> c
+        | Lelem _ | Lslice _ -> fun _ -> err "indexing into derived-type arrays is not supported"
+      in
+      (* a component table never changes once its value is built, so the
+         site keeps the last one it looked into *)
+      let last_tbl = ref (Hashtbl.create 1) and last = ref unset in
+      Lcell (fun fr ->
+          match !(base fr) with
+          | Vderived tbl when tbl == !last_tbl -> !last
+          | Vderived tbl -> (
+              match Hashtbl.find_opt tbl field with
+              | Some c ->
+                  last_tbl := tbl;
+                  last := c;
+                  c
+              | None -> err "derived type has no component %s" field)
+          | _ -> err "%%%s applied to a non-derived value" field)
+  | Ast.Dindex (base, args) ->
+      let cell =
+        match lvalue env base with Lcell c -> c | _ -> fun _ -> err "cannot index a section"
+      in
+      let what = Ast.designator_base base in
+      let get fr = match !(cell fr) with Varr a -> a | _ -> err "%s is not an array" what in
+      (* None: a full range *)
+      let spec =
+        List.map
+          (function
+            | Ast.Erange (None, None) -> None
+            | Ast.Erange _ -> Some (fun _ -> err "bounded array sections are not supported at runtime")
+            | e -> Some (int_of (expr env e)))
+          args
+      in
+      if List.for_all Option.is_some spec then
+        Lelem (get, index_fn (Array.of_list (List.map Option.get spec)))
+      else
+        let spec = Array.of_list spec in
+        Lslice (get, fun fr a -> slice_indices a (Array.map (Option.map (fun f -> f fr)) spec))
+
+and call_fn env name args : cx =
+  if Visibility.is_intrinsic name then intrinsic env name args
+  else
+    match Hashtbl.find_opt env.mrt.visible_subs name with
+    | Some candidates -> (
+        let arity = List.length args in
+        let fits (c : Visibility.callable) =
+          List.length c.c_sub.Ast.s_args = arity && c.c_sub.Ast.s_kind = Ast.Function
+        in
+        match List.find_opt fits candidates with
+        | Some c -> V (call_to env c args)
+        | None -> V (fun _ -> err "no matching function %s/%d" name arity))
+    | None -> V (fun _ -> err "unknown function or array %s in %s" name env.mname)
+
+and intrinsic env name args : cx =
+  let one () = match args with [ a ] -> expr env a | _ -> V (fun _ -> err "%s expects 1 argument" name) in
+  let two k =
+    match args with [ a; b ] -> k (expr env a) (expr env b) | _ -> V (fun _ -> err "%s expects 2 arguments" name)
+  in
+  let fl f = let a = float_of (one ()) in R (fun fr -> f (a fr)) in
+  let to_int f = let a = float_of (one ()) in V (fun fr -> Vint (int_of_float (f (a fr)))) in
+  let constant x = let a = value_of (one ()) in R (fun fr -> ignore (a fr); x) in
+  let whole f = let a = value_of (one ()) in fun fr -> f (as_arr (a fr)).data in
+  match name with
+  | "abs" -> (
+      match one () with
+      | R a -> R (fun fr -> abs_float (a fr))
+      | c ->
+          let a = value_of c in
+          V (fun fr -> match a fr with Vint i -> Vint (abs i) | v -> Vreal (abs_float (as_float v))))
+  | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos" | "tan" | "tanh" ->
+      fl (List.assoc name [ ("sqrt", sqrt); ("exp", exp); ("log", log); ("log10", log10);
+                            ("sin", sin); ("cos", cos); ("tan", tan); ("tanh", tanh) ])
+  | "real" | "dble" -> R (float_of (one ()))
+  | "int" -> to_int Fun.id
+  | "nint" -> to_int Float.round
+  | "floor" -> to_int Float.floor
+  | "epsilon" -> constant epsilon_float
+  | "tiny" -> constant 2.2250738585072014e-308
+  | "huge" -> constant 1.7976931348623157e308
+  | "min" | "max" -> (
+      let is_min = name = "min" in
+      match List.map (expr env) args with
+      | [] -> V (fun _ -> err "%s needs arguments" name)
+      | [ a; b ] when not (is_v a && is_v b) ->
+          let fa = float_of a and fb = float_of b in
+          R (fun fr -> let x = fa fr in let y = fb fr in if is_min then Float.min x y else Float.max x y)
+      | c0 :: cs ->
+          let f0 = value_of c0 and fs = List.map value_of cs in
+          V (fun fr ->
+              let v0 = f0 fr in
+              let rest = List.map (fun f -> f fr) fs in
+              if List.for_all (function Vint _ -> true | _ -> false) (v0 :: rest) then
+                let f = if is_min then min else max in
+                Vint (List.fold_left (fun acc v -> f acc (as_int v)) (as_int v0) rest)
+              else
+                let f = if is_min then Float.min else Float.max in
+                Vreal (List.fold_left (fun acc v -> f acc (as_float v)) (as_float v0) rest)))
+  | "mod" ->
+      two (fun a b ->
+          match (a, b) with
+          | V fa, V fb ->
+              V (fun fr ->
+                  let va = fa fr in
+                  match (va, fb fr) with
+                  | Vint a, Vint b ->
+                      if b = 0 then err "mod by zero";
+                      Vint (a - (b * (a / b)))
+                  | a, b -> Vreal (Float.rem (as_float a) (as_float b)))
+          | a, b ->
+              let fa = float_of a and fb = float_of b in
+              R (fun fr -> let x = fa fr in Float.rem x (fb fr)))
+  | "sign" ->
+      two (fun a b ->
+          let fa = float_of a and fb = float_of b in
+          R (fun fr -> let x = fa fr in if fb fr >= 0.0 then abs_float x else -.abs_float x))
+  | "sum" -> R (whole (Array.fold_left ( +. ) 0.0))
+  | "maxval" -> R (whole (Array.fold_left Float.max neg_infinity))
+  | "minval" -> R (whole (Array.fold_left Float.min infinity))
+  | "size" -> let n = whole Array.length in V (fun fr -> Vint (n fr))
+  | "merge" -> (
+      match args with
+      | [ t; f; mask ] -> (
+          let mask = bool_of (expr env mask) in
+          match (expr env t, expr env f) with
+          | R a, R b -> R (fun fr -> if mask fr then a fr else b fr)
+          | a, b ->
+              let a = value_of a and b = value_of b in
+              V (fun fr -> if mask fr then a fr else b fr))
+      | _ -> V (fun _ -> err "merge expects 3 arguments"))
+  | _ -> V (fun _ -> err "unimplemented intrinsic %s" name)
+
+(* A call binds the actuals into a fresh frame of the callee, whose code
+   the site looks up when it first runs.  Plain-variable actuals alias the
+   caller's cell (Fortran by-reference); element/section actuals get
+   copy-in/copy-out temporaries, copied back last-bound first; expression
+   actuals are passed by value. *)
+and call_to env (callee : Visibility.callable) args : frame -> value =
+  let m = env.m and slots = formal_slots callee.c_sub in
+  let binds =
+    Array.of_list
+      (List.map2 (fun f a -> (List.assoc f slots, actual env a)) callee.c_sub.Ast.s_args args)
+  in
+  let site = ref None in
+  fun fr ->
+    let code =
+      match !site with Some c -> c | None -> let c = code_of m callee in if not m.elaborating then site := Some c; c
+    in
+    let frame = Array.make (Array.length code.names) unset and backs = ref [] in
+    for k = 0 to Array.length binds - 1 do
+      let s, bind = binds.(k) in
+      frame.(s) <- bind fr backs
+    done;
+    let r = enter m code frame in
+    List.iter (fun f -> f ()) !backs;
+    r
+
+and actual env (e : Ast.expr) : frame -> (unit -> unit) list ref -> value ref =
+  let by_value () = let f = value_of (expr env e) in fun fr _ -> ref (f fr) in
+  let by_ref d =
+    match lvalue env d with
+    | Lcell c -> fun fr _ -> c fr
+    | Lelem (get, ix) ->
+        fun fr backs ->
+          let a = get fr in
+          let i = ix fr a in
+          let tmp = ref (Vreal a.data.(i)) in
+          backs := (fun () -> a.data.(i) <- as_float !tmp) :: !backs;
+          tmp
+    | Lslice (get, sl) ->
+        fun fr backs ->
+          let a = get fr in
+          let idx = sl fr a in
+          let tmp = ref (section a idx) in
+          let back () =
+            match !tmp with
+            | Varr a' -> List.iteri (fun k i -> a.data.(i) <- a'.data.(k)) idx
+            | v -> List.iter (fun i -> a.data.(i) <- as_float v) idx
+          in
+          backs := back :: !backs;
+          tmp
+  in
+  match e with
+  | Ast.Edesig d -> (
+      (* an lvalue only when its base names a variable; otherwise a
+         function call, passed by value *)
+      match place env (Ast.designator_base d) with
+      | Local _ | Global _ -> by_ref d
+      | Unknown -> by_value ()
+      | Dyn s ->
+          let r = by_ref d and v = by_value () in
+          fun fr backs -> if fr.(s) != unset then r fr backs else v fr backs)
+  | _ -> by_value ()
+
+(* --- declarations ------------------------------------------------------------------ *)
+
+and default_of env (d : Ast.decl) : frame -> value =
+  match d.Ast.d_init with
+  | Some e when d.Ast.d_dims = [] -> value_of (expr env e)
+  | _ -> default_value env d
+
+and default_value env (d : Ast.decl) : frame -> value =
+  match (d.Ast.d_dims, d.Ast.d_type) with
+  | [], Ast.Treal -> fun _ -> Vreal 0.0
+  | [], Ast.Tinteger -> fun _ -> Vint 0
+  | [], Ast.Tlogical -> fun _ -> vfalse
+  | [], Ast.Tcharacter -> fun _ -> Vstr ""
+  | [], Ast.Ttype tname -> (
+      match Hashtbl.find_opt env.mrt.visible_types tname with
+      | None -> fun _ -> err "unknown derived type %s" tname
+      | Some td ->
+          (* the fields are translated as a value is built, so a recursive
+             type fails as it runs, not as it is translated *)
+          fun fr ->
+            let tbl = Hashtbl.create 8 in
+            List.iter
+              (fun f -> Hashtbl.replace tbl f.Ast.d_name (ref (default_value env f fr)))
+              td.Ast.t_fields;
+            Vderived tbl)
+  | dims, _ ->
+      let dims = List.map (fun e -> int_of (expr env e)) dims in
+      fun fr ->
+        let extents = List.map (fun f -> f fr) dims in
+        let total = List.fold_left ( * ) 1 extents in
+        if total < 0 || total > 50_000_000 then err "unreasonable array size %d" total;
+        Varr { dims = Array.of_list extents; data = Array.make total 0.0 }
+
+(* --- statements -------------------------------------------------------------------- *)
+
+and block env body : frame -> unit =
+  match Array.of_list (List.map (stmt env) body) with
+  | [||] -> fun _ -> ()
+  | [| s |] -> s
+  | ss ->
+      fun fr ->
+        for i = 0 to Array.length ss - 1 do
+          ss.(i) fr
+        done
+
+and stmt env (st : Ast.stmt) : frame -> unit =
+  let m = env.m and mname = env.mname and sname = env.sname and line = st.Ast.line in
+  let run = action env st in
+  fun fr ->
+    m.steps <- m.steps + 1;
+    if m.steps > m.max_steps then err "statement budget exceeded (possible runaway loop)";
+    (match m.hooks.on_stmt with Some hook -> hook mname sname line | None -> ());
+    run fr
+
+and action env (st : Ast.stmt) : frame -> unit =
+  let m = env.m in
+  match st.Ast.node with
+  | Ast.Assign (d, e) -> assign env st.Ast.line d e
+  | Ast.Call (name, args) -> call_stmt env name args
+  | Ast.Return -> fun _ -> raise Return_exc
+  | Ast.Exit_loop -> fun _ -> raise Exit_exc
+  | Ast.Cycle -> fun _ -> raise Cycle_exc
+  | Ast.Stop -> fun _ -> err "STOP reached in %s.%s" env.mname env.sname
+  | Ast.Unparsed raw -> fun _ -> err "executed unparsed statement: %s" raw
+  | Ast.Print args ->
+      let fs = List.map (fun e -> value_of (expr env e)) args in
+      let show = function
+        | Vstr s -> s
+        | Vreal f -> Printf.sprintf "%g" f
+        | Vint i -> string_of_int i
+        | Vlog b -> if b then "T" else "F"
+        | Varr _ -> "<array>"
+        | Vderived _ -> "<derived>"
+      in
+      fun fr ->
+        Buffer.add_string m.print_log (String.concat " " (List.map (fun f -> show (f fr)) fs));
+        Buffer.add_char m.print_log '\n'
+  | Ast.If (branches, els) ->
+      let branches = List.map (fun (c, b) -> (bool_of (expr env c), block env b)) branches in
+      let els = block env els in
+      let rec pick fr = function [] -> els fr | (c, b) :: rest -> if c fr then b fr else pick fr rest in
+      fun fr -> pick fr branches
+  | Ast.Do { var; lo; hi; step; body } ->
+      let cell =
+        match place env var with
+        | Local s -> fun fr -> fr.(s)
+        | Global c -> fun _ -> c
+        | Dyn s ->
+            fun fr ->
+              if fr.(s) == unset then fr.(s) <- ref (Vint 0);
+              fr.(s)
+        | Unknown -> fun _ -> unknown env var
+      in
+      let lo = int_of (expr env lo) and hi = int_of (expr env hi) in
+      let step = match step with None -> fun _ -> 1 | Some s -> int_of (expr env s) in
+      let body = block env body in
+      fun fr ->
+        let cell = cell fr in
+        let lo = lo fr in
+        let hi = hi fr in
+        let step = step fr in
+        if step = 0 then err "do loop with zero step";
+        (try
+           let i = ref lo in
+           while (step > 0 && !i <= hi) || (step < 0 && !i >= hi) do
+             cell := Vint !i;
+             (try body fr with Cycle_exc -> ());
+             i := !i + step
+           done
+         with Exit_exc -> ())
+  | Ast.Do_while (cond, body) -> (
+      let cond = bool_of (expr env cond) and body = block env body in
+      fun fr ->
+        try
+          while cond fr do
+            try body fr with Cycle_exc -> ()
+          done
+        with Exit_exc -> ())
+  | Ast.Select (selector, cases, default) ->
+      let sel = value_of (expr env selector) and default = block env default in
+      let cases =
+        List.map (fun (vs, b) -> (List.map (fun v -> value_of (expr env v)) vs, block env b)) cases
+      in
+      fun fr ->
+        let sel = sel fr in
+        let matches f =
+          match (sel, f fr) with
+          | Vint a, Vint b -> a = b
+          | Vstr a, Vstr b -> a = b
+          | a, b -> as_float a = as_float b
+        in
+        let rec pick = function
+          | [] -> default fr
+          | (vs, body) :: rest -> if List.exists matches vs then body fr else pick rest
+        in
+        pick cases
+
+(* The value is computed before the location is resolved; the hook sees
+   the stored number (an array's L2 norm). *)
+and assign env line d e : frame -> unit =
+  let m = env.m and module_ = env.mname and sub = env.sname in
+  let var = Ast.designator_base d and canonical = Ast.designator_canonical d in
+  let rhs = expr env e in
+  match lvalue env d with
+  | Lcell c ->
+      let rhs = value_of rhs in
+      fun fr ->
+        let v = rhs fr in
+        let cell = c fr in
+        store_cell cell v;
+        (match m.hooks.on_assign with
+        | Some hook -> Option.iter (hook ~module_ ~sub ~line ~var ~canonical) (reported !cell)
+        | None -> ())
+  | Lelem (get, ix) ->
+      let rhs = float_of rhs in
+      fun fr ->
+        let f = rhs fr in
+        let a = get fr in
+        a.data.(ix fr a) <- f;
+        (match m.hooks.on_assign with Some hook -> hook ~module_ ~sub ~line ~var ~canonical f | None -> ())
+  | Lslice (get, sl) ->
+      let rhs = value_of rhs in
+      fun fr ->
+        let v = rhs fr in
+        let a = get fr in
+        store_section a (sl fr a) v;
+        (match m.hooks.on_assign with
+        | Some hook -> hook ~module_ ~sub ~line ~var ~canonical (arr_norm a)
+        | None -> ())
+
+and call_stmt env name args : frame -> unit =
+  let m = env.m in
+  match (name, args) with
+  | "random_number", [ Ast.Edesig d ] -> (
+      let draw () = Rca_rng.Prng.float01 m.prng in
+      match lvalue env d with
+      | Lcell c -> (
+          fun fr ->
+            let cell = c fr in
+            match !cell with
+            | Varr a -> Array.iteri (fun i _ -> a.data.(i) <- draw ()) a.data
+            | _ -> cell := Vreal (draw ()))
+      | Lelem (get, ix) -> fun fr -> let a = get fr in let i = ix fr a in a.data.(i) <- draw ()
+      | Lslice (get, sl) -> fun fr -> let a = get fr in List.iter (fun i -> a.data.(i) <- draw ()) (sl fr a))
+  | "random_number", _ -> fun _ -> err "random_number expects one variable argument"
+  | "outfld", [ name_e; val_e ] -> (
+      (* history output: the interpreter plays the role of CAM's I/O layer *)
+      let fname = value_of (expr env name_e) and fv = value_of (expr env val_e) in
+      fun fr ->
+        let name = fname fr in
+        match (name, fv fr) with
+        | Vstr fld, v ->
+            let f = match v with Varr a -> arr_norm a | v -> as_float v in
+            Hashtbl.replace m.history fld f;
+            Option.iter (fun h -> h fld f) m.hooks.on_outfld
+        | _ -> err "outfld expects (string, value)")
+  | "outfld", _ -> fun _ -> err "outfld expects 2 arguments"
+  | _ -> (
+      match Hashtbl.find_opt env.mrt.visible_subs name with
+      | Some candidates -> (
+          let arity = List.length args in
+          let fits (c : Visibility.callable) = List.length c.c_sub.Ast.s_args = arity in
+          match List.find_opt fits candidates with
+          | Some callee ->
+              let call = call_to env callee args in
+              fun fr -> ignore (call fr)
+          | None -> fun _ -> err "no matching subprogram %s/%d" name arity)
+      | None -> fun _ -> err "unknown subroutine %s called from %s" name env.mname)
 
 (* --- elaboration ------------------------------------------------------------------------ *)
 
 (* Topological order of modules by use-dependency (Kahn); unresolvable
    cycles keep source order for the remainder. *)
 let module_order (prog : Ast.program) =
-  let by_name = Hashtbl.create 64 in
+  let by_name = Hashtbl.create 64 and indeg = Hashtbl.create 64 and dependents = Hashtbl.create 64 in
+  let users name = Option.value ~default:[] (Hashtbl.find_opt dependents name) in
   List.iter (fun m -> Hashtbl.replace by_name m.Ast.m_name m) prog;
-  let indeg = Hashtbl.create 64 in
-  let dependents = Hashtbl.create 64 in
   List.iter
     (fun m ->
-      let deps =
-        List.filter (fun u -> Hashtbl.mem by_name u.Ast.u_module) m.Ast.m_uses
-      in
+      let deps = List.filter (fun u -> Hashtbl.mem by_name u.Ast.u_module) m.Ast.m_uses in
       Hashtbl.replace indeg m.Ast.m_name (List.length deps);
-      List.iter
-        (fun u ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt dependents u.Ast.u_module) in
-          Hashtbl.replace dependents u.Ast.u_module (m.Ast.m_name :: cur))
-        deps)
+      List.iter (fun u -> Hashtbl.replace dependents u.Ast.u_module (m.Ast.m_name :: users u.Ast.u_module)) deps)
     prog;
-  let q = Queue.create () in
-  List.iter
-    (fun m ->
-      (* every module got an indeg entry in the pass above; a missing
-         one would mean [prog] changed under us *)
-      match Hashtbl.find_opt indeg m.Ast.m_name with
-      | Some 0 -> Queue.add m.Ast.m_name q
-      | Some _ -> ()
-      | None ->
-          invalid_arg
-            (Printf.sprintf "module_order: module %S has no in-degree entry" m.Ast.m_name))
-    prog;
-  let order = ref [] in
+  let q = Queue.create () and order = ref [] in
+  List.iter (fun m -> if Hashtbl.find indeg m.Ast.m_name = 0 then Queue.add m.Ast.m_name q) prog;
   while not (Queue.is_empty q) do
     let name = Queue.pop q in
     order := name :: !order;
     List.iter
       (fun dep ->
-        match Hashtbl.find_opt indeg dep with
-        | None ->
-            invalid_arg
-              (Printf.sprintf "module_order: dependent module %S has no in-degree entry" dep)
-        | Some n ->
-            let d = n - 1 in
-            Hashtbl.replace indeg dep d;
-            if d = 0 then Queue.add dep q)
-      (Option.value ~default:[] (Hashtbl.find_opt dependents name))
+        let d = Hashtbl.find indeg dep - 1 in
+        Hashtbl.replace indeg dep d;
+        if d = 0 then Queue.add dep q)
+      (users name)
   done;
   let ordered = List.rev !order in
-  let remaining =
-    List.filter (fun m -> not (List.mem m.Ast.m_name ordered)) prog
-    |> List.map (fun m -> m.Ast.m_name)
-  in
-  List.filter_map (Hashtbl.find_opt by_name) (ordered @ remaining)
+  let remaining = List.filter (fun m -> not (List.mem m.Ast.m_name ordered)) prog in
+  List.filter_map (Hashtbl.find_opt by_name) (ordered @ List.map (fun m -> m.Ast.m_name) remaining)
 
 let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : Ast.program) : t =
   let machine =
     {
-      program = prog;
       modules = Hashtbl.create 64;
       prng;
-      fma_for = (fun _ -> false);
-      hooks =
-        { on_stmt = None; on_assign = None; on_call = None; on_return = None; on_outfld = None };
+      hooks = { on_stmt = None; on_assign = None; on_call = None; on_return = None; on_outfld = None };
       history = Hashtbl.create 64;
       print_log = Buffer.create 256;
       steps = 0;
       max_steps;
+      codes = Hashtbl.create 64;
+      elaborating = true;
     }
   in
   let vis = Visibility.of_program prog in
@@ -813,13 +970,8 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
       (fun (mu : Ast.module_unit) ->
         let sc = Visibility.scope vis mu.Ast.m_name in
         let mrt =
-          {
-            unit_ = mu;
-            vars = Hashtbl.create 16;
-            own_vars = Hashtbl.create 16;
-            visible_subs = sc.Visibility.subs;
-            visible_types = sc.Visibility.types;
-          }
+          { unit_ = mu; vars = Hashtbl.create 16; own_vars = Hashtbl.create 16;
+            visible_subs = sc.Visibility.subs; visible_types = sc.Visibility.types; fma = false }
         in
         Hashtbl.replace machine.modules mu.Ast.m_name mrt;
         (mu, sc, mrt))
@@ -833,25 +985,23 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
       Hashtbl.iter
         (fun local (owner, name) ->
           Option.iter
-            (fun src ->
-              Option.iter (Hashtbl.replace mrt.vars local) (Hashtbl.find_opt src.own_vars name))
+            (fun src -> Option.iter (Hashtbl.replace mrt.vars local) (Hashtbl.find_opt src.own_vars name))
             (Hashtbl.find_opt machine.modules owner))
         sc.Visibility.vars;
-      let decl_ctx = { machine; mrt; sub_name = "<module>"; locals = Hashtbl.create 1; fma = false } in
+      let env =
+        { m = machine; mrt; mname = mu.Ast.m_name; sname = "<module>"; slots = Hashtbl.create 1;
+          visible = 0; dyn = Hashtbl.create 1; contract = false }
+      in
       List.iter
         (fun (d : Ast.decl) ->
-          let v =
-            match d.Ast.d_init with
-            | Some e when d.Ast.d_dims = [] -> eval_expr decl_ctx e
-            | _ -> default_value (Some decl_ctx) machine mrt decl_ctx.locals d
-          in
-          let cell = ref v in
+          let cell = ref (default_of env d [||]) in
           Hashtbl.replace mrt.own_vars d.Ast.d_name cell;
           (* an import of the same name hides the declaration *)
           if Visibility.var sc d.Ast.d_name = Some (mu.Ast.m_name, d.Ast.d_name) then
             Hashtbl.replace mrt.vars d.Ast.d_name cell)
         mu.Ast.m_decls)
     shells;
+  machine.elaborating <- false;
   machine
 
 (* --- public entry points ------------------------------------------------------------------ *)
@@ -871,34 +1021,25 @@ let invoke machine ~module_ ~sub ~args =
   let formals = callee.c_sub.Ast.s_args in
   if List.length formals <> List.length args then
     err "%s.%s expects %d arguments" module_ sub (List.length formals);
-  let locals = Hashtbl.create 16 in
-  List.iter2 (fun f v -> Hashtbl.replace locals f (ref v)) formals args;
-  call_subprogram machine callee (locals, fun () -> ())
+  let code = code_of machine callee in
+  let frame = Array.make (Array.length code.names) unset in
+  List.iteri (fun k v -> frame.(code.formals.(k)) <- ref v) args;
+  enter machine code frame
 
-let get_module_var machine ~module_ ~name =
+let module_cell machine ~module_ ~name =
   match Hashtbl.find_opt machine.modules module_ with
   | None -> err "unknown module %s" module_
   | Some mrt -> (
       match Hashtbl.find_opt mrt.vars name with
-      | Some cell -> !cell
+      | Some cell -> cell
       | None -> err "unknown variable %s.%s" module_ name)
 
-let set_module_var machine ~module_ ~name v =
-  match Hashtbl.find_opt machine.modules module_ with
-  | None -> err "unknown module %s" module_
-  | Some mrt -> (
-      match Hashtbl.find_opt mrt.vars name with
-      | Some cell -> cell := v
-      | None -> err "unknown variable %s.%s" module_ name)
-
+let get_module_var machine ~module_ ~name = !(module_cell machine ~module_ ~name)
+let set_module_var machine ~module_ ~name v = module_cell machine ~module_ ~name := v
 let history machine = Hashtbl.fold (fun k v acc -> (k, v) :: acc) machine.history []
-
 let history_value machine fld = Hashtbl.find_opt machine.history fld
-
 let printed machine = Buffer.contents machine.print_log
 
 (* Enable FMA everywhere except the modules in [disabled]. *)
 let set_fma machine ~enabled ~disabled =
-  let dis = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace dis m ()) disabled;
-  machine.fma_for <- (fun m -> enabled && not (Hashtbl.mem dis m))
+  Hashtbl.iter (fun name mrt -> mrt.fma <- enabled && not (List.mem name disabled)) machine.modules

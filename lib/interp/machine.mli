@@ -1,13 +1,10 @@
-(** AST interpreter for the Fortran subset — the stand-in for "running
-    CESM on the supercomputer".  Module-level names resolve through
-    {!Rca_fortran.Visibility}, as in the metagraph builder.
-
-    Machine-level switches reproduce the paper's experimental axes:
-    [prng] (the generator behind [random_number]; swapping KISS for
-    MT19937 is the RAND-MT experiment), [fma_for] (per-module fused
-    multiply-add contraction; the AVX2 experiments), and [hooks]
-    (statement / assignment / call observers behind coverage recording,
-    runtime sampling and kernel capture). *)
+(** Interpreter for the Fortran subset — the stand-in for "running CESM
+    on the supercomputer".  Each subprogram is translated on its first
+    call into closures over resolved slots; module-level names resolve
+    through {!Rca_fortran.Visibility}, as in the metagraph builder.
+    [prng] drives [random_number] (the RAND-MT experiment), {!set_fma}
+    contracts a*b+c per module (the AVX2 experiments), and [hooks]
+    observe execution (coverage, runtime sampling, kernel capture). *)
 
 exception Runtime_error of string
 
@@ -31,6 +28,7 @@ type module_rt = {
       (** cells of the module's own declarations, hidden ones included *)
   visible_subs : (string, Rca_fortran.Visibility.callable list) Hashtbl.t;
   visible_types : (string, Rca_fortran.Ast.derived_type_def) Hashtbl.t;
+  mutable fma : bool;  (** contract a*b+c in this module's subprograms *)
 }
 
 type hooks = {
@@ -50,16 +48,20 @@ type hooks = {
   mutable on_outfld : (string -> float -> unit) option;
 }
 
+type code
+(** One subprogram translated for one machine. *)
+
 type t = {
-  program : Rca_fortran.Ast.program;
   modules : (string, module_rt) Hashtbl.t;
   mutable prng : Rca_rng.Prng.t;
-  mutable fma_for : string -> bool;
   hooks : hooks;
   history : (string, float) Hashtbl.t;  (** outfld label -> last value *)
   print_log : Buffer.t;
-  mutable steps : int;
+  mutable steps : int;  (** statements executed *)
   mutable max_steps : int;
+  codes : (string * string, (Rca_fortran.Ast.subprogram * code) list) Hashtbl.t;
+      (** translations, by (module, subprogram) *)
+  mutable elaborating : bool;  (** module initializers are running; nothing is kept *)
 }
 
 val create : ?prng:Rca_rng.Prng.t -> ?max_steps:int -> Rca_fortran.Ast.program -> t

@@ -239,15 +239,19 @@ let machine_of program opts =
   m
 
 (* Run the model; returns the machine (history, module state) for
-   inspection. *)
+   inspection.  Traced as one [interp.run] span carrying the number of
+   statements executed. *)
 let run_machine ?(machine_hooks = fun (_ : Rca_interp.Machine.t) -> ()) program opts :
     Rca_interp.Machine.t =
-  let m = machine_of program opts in
-  machine_hooks m;
-  ignore
-    (Rca_interp.Machine.invoke m ~module_:"cam_driver" ~sub:"cam_run"
-       ~args:[ Rca_interp.Machine.Vint opts.nsteps ]);
-  m
+  Rca_obs.Obs.span' "interp.run"
+    (fun (m : Rca_interp.Machine.t) -> [ ("statements", Rca_obs.Obs.Int m.Rca_interp.Machine.steps) ])
+    (fun () ->
+      let m = machine_of program opts in
+      machine_hooks m;
+      ignore
+        (Rca_interp.Machine.invoke m ~module_:"cam_driver" ~sub:"cam_run"
+           ~args:[ Rca_interp.Machine.Vint opts.nsteps ]);
+      m)
 
 (* Output vector in the order of [Outputs.names]; raises if the run did
    not write one of the catalogued outputs. *)

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Fail when a library export has no user outside its own module.
 #
-# Every `val NAME` of lib/*/*.mli must be named by some other .ml/.mli
-# under lib, bin, bench, examples, perfbench or test.  The compiler's
-# warning 32 only sees values an interface hides; this catches the ones
-# it exports.  The match is by bare identifier, so a name that also
+# Every `val NAME` and `exception NAME` of lib/*/*.mli must be named by
+# some other .ml/.mli under lib, bin, bench, examples, perfbench or test.
+# The compiler's warnings 32 and 38 only see values and exceptions an
+# interface hides; this catches the ones it exports.  The match is by bare identifier, so a name that also
 # occurs elsewhere for another reason passes: the check can miss a dead
 # export, but it never flags a live one.
 #
@@ -17,12 +17,12 @@ files=$(find lib bin bench examples perfbench test \
   \( -name '*.ml' -o -name '*.mli' \) -type f -print | sort)
 
 # One "FILE:IDENT" line per identifier a file names, then one
-# "MLI:LINE:val NAME ..." line per export.
+# "MLI:LINE:val NAME ..." or "MLI:LINE:exception NAME ..." line per export.
 # shellcheck disable=SC2086
 {
   grep -oHE "[A-Za-z_][A-Za-z0-9_']*" $files | sort -u
   echo '--'
-  grep -HnE '^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_]*' lib/*/*.mli
+  grep -HnE '^[[:space:]]*(val[[:space:]]+[a-z_]|exception[[:space:]]+[A-Z])' lib/*/*.mli
 } | awk '
   $0 == "--" { exports = 1; next }
   !exports {
@@ -37,8 +37,8 @@ files=$(find lib bin bench examples perfbench test \
   {
     split($0, p, ":"); mli = p[1]; line = p[2]
     decl = substr($0, length(mli) + length(line) + 3)
-    sub(/^[[:space:]]*val[[:space:]]+/, "", decl)
-    match(decl, /^[a-z_][A-Za-z0-9_]*/)
+    sub(/^[[:space:]]*(val|exception)[[:space:]]+/, "", decl)
+    match(decl, /^[A-Za-z_][A-Za-z0-9_]*/)
     name = substr(decl, 1, RLENGTH)
     self = mli; sub(/\.mli$/, "", self)
     if (!((name in first && first[name] != self) || (name in other))) {

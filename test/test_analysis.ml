@@ -597,6 +597,7 @@ let visibility_matches_resolver () =
 (* ---- Fortran-source fuzz --------------------------------------------------------- *)
 
 module Machine = Rca_interp.Machine
+module Tree = Rca_oracle.Tree_interp
 module Prng = Rca_rng.Prng
 
 let fuzz_tokens =
@@ -670,8 +671,37 @@ let fuzz_whole_program () =
         (try ignore (R.program prog) with e -> fail "Resolve.program" e);
         (* an initializer may call a function: bound the work a mutant buys *)
         match Machine.create ~max_steps:100_000 prog with
-        | _ | (exception Machine.Runtime_error _) -> ()
+        | exception Machine.Runtime_error _ -> ()
         | exception e -> fail "Machine.create" e
+        | m ->
+            (* one model step on both engines: the same history and log, or
+               the same class of failure *)
+            let outcome create invoke history printed =
+              match create () with
+              | exception e -> Error (Printexc.exn_slot_name e |> Filename.extension)
+              | t -> (
+                  match invoke t with
+                  | _ ->
+                      let h = List.sort compare (history t) in
+                      Ok (List.map (fun (k, v) -> (k, Int64.bits_of_float v)) h, printed t)
+                  | exception e -> Error (Printexc.exn_slot_name e |> Filename.extension))
+            in
+            let args = [ Machine.Vint 1 ] in
+            let machine =
+              outcome (fun () -> m)
+                (fun m -> Machine.invoke m ~module_:"cam_driver" ~sub:"cam_run" ~args)
+                Machine.history Machine.printed
+            and oracle =
+              outcome
+                (fun () -> Tree.create ~max_steps:100_000 prog)
+                (fun t -> Tree.invoke t ~module_:"cam_driver" ~sub:"cam_run" ~args)
+                Tree.history Tree.printed
+            in
+            if machine <> oracle then
+              Alcotest.failf "case %d (%s): the engines disagree (%s vs %s) on\n%s" !cases file
+                (match machine with Ok _ -> "ran" | Error e -> e)
+                (match oracle with Ok _ -> "ran" | Error e -> e)
+                mutant
   done
 
 let () =

@@ -583,7 +583,491 @@ let prop_interp_matches_reference =
       let want = ref_eval [ ("x", 1.25); ("y", -0.75) ] (Parser.parse_expression text) in
       got = want)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_interp_matches_reference ]
+(* --- differential: the translating machine vs the tree-walking oracle ------------------------ *)
+
+module Tree = Rca_oracle.Tree_interp
+
+(* Everything a run can show, floats as their bits: the entry's result or
+   the class of exception it raised, every module's own variables, the
+   history, the printed log, the hook event stream and the statement
+   count. *)
+type outcome = {
+  result : string;
+  globals : string list;
+  hist : string list;
+  printed : string;
+  events : string list;
+  steps : int;
+}
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let rec show = function
+  | Machine.Vreal f -> "r" ^ bits f
+  | Machine.Vint i -> "i" ^ string_of_int i
+  | Machine.Vlog b -> if b then "T" else "F"
+  | Machine.Vstr s -> Printf.sprintf "%S" s
+  | Machine.Varr a ->
+      Printf.sprintf "[%s|%s]"
+        (String.concat "x" (Array.to_list (Array.map string_of_int a.Machine.dims)))
+        (String.concat "," (Array.to_list (Array.map bits a.Machine.data)))
+  | Machine.Vderived tbl -> "{" ^ String.concat ";" (table tbl) ^ "}"
+
+and table tbl = List.sort compare (Hashtbl.fold (fun k c acc -> (k ^ "=" ^ show !c) :: acc) tbl [])
+
+let exn_class = function
+  | Machine.Runtime_error _ -> "Runtime_error"
+  | e ->
+      let name = Printexc.exn_slot_name e in
+      String.sub name (String.rindex name '.' + 1) (String.length name - String.rindex name '.' - 1)
+
+(* Record on_stmt, on_assign, on_outfld and the locals tables on_call and
+   on_return see. *)
+let record (h : Machine.hooks) =
+  let events = ref [] in
+  let add e = events := e :: !events in
+  h.Machine.on_stmt <- Some (fun md sb line -> add (Printf.sprintf "stmt %s.%s:%d" md sb line));
+  h.Machine.on_assign <-
+    Some
+      (fun ~module_ ~sub ~line ~var ~canonical v ->
+        add (Printf.sprintf "assign %s.%s:%d %s/%s=%s" module_ sub line var canonical (bits v)));
+  h.Machine.on_outfld <- Some (fun fld v -> add (Printf.sprintf "outfld %s=%s" fld (bits v)));
+  h.Machine.on_call <-
+    Some (fun md sb tbl -> add (Printf.sprintf "call %s.%s %s" md sb (String.concat " " (table tbl))));
+  h.Machine.on_return <-
+    Some (fun md sb tbl -> add (Printf.sprintf "return %s.%s %s" md sb (String.concat " " (table tbl))));
+  events
+
+let sorted_history h = List.sort compare (List.map (fun (k, v) -> k ^ "=" ^ bits v) h)
+
+let own_globals modules own =
+  Hashtbl.fold (fun md mrt acc -> List.map (fun kv -> md ^ "." ^ kv) (table (own mrt)) @ acc) modules []
+  |> List.sort compare
+
+let machine_outcome ?max_steps ?(configure = fun _ -> ()) prog ~module_ ~sub ~args =
+  let m = Machine.create ?max_steps prog in
+  configure m;
+  let events = record m.Machine.hooks in
+  let result =
+    match Machine.invoke m ~module_ ~sub ~args with v -> show v | exception e -> exn_class e
+  in
+  {
+    result;
+    globals = own_globals m.Machine.modules (fun mrt -> mrt.Machine.own_vars);
+    hist = sorted_history (Machine.history m);
+    printed = Machine.printed m;
+    events = List.rev !events;
+    steps = m.Machine.steps;
+  }
+
+let oracle_outcome ?max_steps ?(configure = fun _ -> ()) prog ~module_ ~sub ~args =
+  let m = Tree.create ?max_steps prog in
+  configure m;
+  let events = record m.Tree.hooks in
+  let result = match Tree.invoke m ~module_ ~sub ~args with v -> show v | exception e -> exn_class e in
+  {
+    result;
+    globals = own_globals m.Tree.modules (fun mrt -> mrt.Tree.own_vars);
+    hist = sorted_history (Tree.history m);
+    printed = Tree.printed m;
+    events = List.rev !events;
+    steps = m.Tree.steps;
+  }
+
+let check_outcome label (want : outcome) (got : outcome) =
+  let strings = Alcotest.(check (list string)) in
+  Alcotest.(check string) (label ^ ": result") want.result got.result;
+  strings (label ^ ": module variables") want.globals got.globals;
+  strings (label ^ ": history") want.hist got.hist;
+  Alcotest.(check string) (label ^ ": printed") want.printed got.printed;
+  strings (label ^ ": hook events") want.events got.events;
+  check_int (label ^ ": statements") want.steps got.steps
+
+(* Run one entry point through both engines; [fma] configures both. *)
+let same ?max_steps ?fma ?prng label src ~module_ ~sub ~args =
+  let prog = parse src in
+  let prng () = Option.map (fun mk -> mk ()) prng in
+  let machine =
+    machine_outcome ?max_steps prog ~module_ ~sub ~args ~configure:(fun m ->
+        Option.iter (fun p -> m.Machine.prng <- p) (prng ());
+        Option.iter (fun on -> Machine.set_fma m ~enabled:on ~disabled:[]) fma)
+  in
+  let oracle =
+    oracle_outcome ?max_steps prog ~module_ ~sub ~args ~configure:(fun m ->
+        Option.iter (fun p -> m.Tree.prng <- p) (prng ());
+        Option.iter (fun on -> Tree.set_fma m ~enabled:on ~disabled:[]) fma)
+  in
+  check_outcome label oracle machine;
+  machine
+
+let existing_programs_agree () =
+  let go = [] in
+  List.iter
+    (fun (label, src, module_, sub, args) ->
+      List.iter
+        (fun fma -> ignore (same ~fma (Printf.sprintf "%s fma=%b" label fma) src ~module_ ~sub ~args))
+        [ false; true ])
+    [
+      ("arith", arith_src, "arith", "go", go);
+      ("control flow", control_flow_src, "flow", "go", [ Machine.Vint 5 ]);
+      ("arrays", array_src, "arrays", "go", go);
+      ("derived", derived_src, "driver", "go", go);
+      ("calls", call_src, "caller_mod", "go", go);
+      ("use renames", use_rename_src, "consumer", "go", go);
+      ("interface", interface_src, "generic_mod", "go", go);
+      ( "fma",
+        fma_src,
+        "mg",
+        "go",
+        [ Machine.Vreal (1.0 +. epsilon_float); Machine.Vreal (1.0 -. epsilon_float); Machine.Vreal (-1.0) ] );
+      ("outfld", outfld_src, "hist", "go", go);
+      ("kernel", kernel_src, "kdriver", "run_model", go);
+      ("unknown variable", "module bad\ncontains\nsubroutine go()\nx = y + 1\nend subroutine\nend module bad", "bad", "go", go);
+      ("out of bounds", "module bad\nreal(r8) :: a(3)\ncontains\nsubroutine go()\na(4) = 1.0\nend subroutine\nend module bad", "bad", "go", go);
+      ("stop", "module s\ncontains\nsubroutine go()\nstop\nend subroutine\nend module s", "s", "go", go);
+      ( "visibility",
+        "module src\nreal(r8), parameter :: v = 2.0\nend module src\nmodule user\nuse src\n\
+         real(r8), parameter :: v = 5.0\nreal(r8) :: got\ncontains\nsubroutine go()\ngot = v\n\
+         end subroutine go\nend module user",
+        "user",
+        "go",
+        go );
+      ("unknown entry", arith_src, "arith", "nope", go);
+    ];
+  List.iter
+    (fun (label, prng) -> ignore (same ~prng label rng_src ~module_:"cloud" ~sub:"go" ~args:[]))
+    [ ("kiss", fun () -> Rca_rng.Kiss.create 7); ("mt", fun () -> Rca_rng.Mersenne.create 7) ];
+  ignore
+    (same ~max_steps:10_000 "runaway guard"
+       "module bad\nreal(r8) :: x\ncontains\nsubroutine go()\ndo while (x < 1.0)\nx = 0.0\nend do\nend subroutine\nend module bad"
+       ~module_:"bad" ~sub:"go" ~args:[])
+
+(* An undeclared do-variable is a local only once its loop first runs:
+   before that its name is unknown, or a function call. *)
+let undeclared_do_variable () =
+  let src =
+    {|
+module dv
+  real(r8) :: got, seen
+contains
+  function twice(a) result(r)
+    real(r8), intent(in) :: a
+    real(r8) :: r
+    r = 2.0_r8 * a
+  end function twice
+  subroutine go()
+    seen = twice(3.0_r8)
+    do twice = 1, 2
+      seen = seen + twice
+    end do
+    got = twice * 10.0_r8
+    do j = 1, 3
+      seen = seen + j
+    end do
+    do k = 1, 0
+    end do
+    seen = seen + 7 / (k + 2)
+  end subroutine go
+  subroutine early()
+    got = j
+    do j = 1, 2
+    end do
+  end subroutine early
+end module dv
+|}
+  in
+  let ok = same "do-variable" src ~module_:"dv" ~sub:"go" ~args:[] in
+  check_bool "the loop variable keeps its last value" true
+    (List.mem ("dv.got=r" ^ bits 20.0) ok.globals && List.mem ("dv.seen=r" ^ bits 18.0) ok.globals);
+  check_bool "on_return lists the do-variables" true
+    (List.exists (fun e -> contains_sub ~sub:"j=i3" e && contains_sub ~sub:"twice=i2" e) ok.events);
+  let early = same "do-variable before its loop" src ~module_:"dv" ~sub:"early" ~args:[] in
+  Alcotest.(check string) "unknown before the loop" "Runtime_error" early.result
+
+(* A store takes the type of the cell it lands in: an integer truncates
+   a real, a real widens an integer, and a logical replaces a real. *)
+let store_coercions () =
+  let src =
+    {|
+module co
+  integer :: n
+  real(r8) :: x, y, z
+contains
+  subroutine go()
+    n = 2.7_r8
+    x = 7
+    y = .true.
+    z = y + 1.0_r8
+  end subroutine go
+end module co
+|}
+  in
+  let o = same "coercions" src ~module_:"co" ~sub:"go" ~args:[] in
+  List.iter
+    (fun g -> check_bool g true (List.mem g o.globals))
+    [ "co.n=i2"; "co.x=r" ^ bits 7.0; "co.y=T"; "co.z=r" ^ bits 2.0 ]
+
+(* Plain actuals alias the caller's cell; element and section actuals are
+   copied in and back, the last-bound one first. *)
+let actual_aliasing () =
+  let src =
+    {|
+module al
+  real(r8) :: s, a(3), b(3, 2)
+contains
+  subroutine bump(x)
+    real(r8), intent(inout) :: x
+    x = x + 1.0_r8
+  end subroutine bump
+  subroutine twice(p, q)
+    real(r8), intent(inout) :: p, q
+    p = p + 1.0_r8
+    q = q * 3.0_r8
+  end subroutine twice
+  subroutine fill(v)
+    real(r8), intent(inout) :: v(3)
+    v = 9.0_r8
+  end subroutine fill
+  subroutine go()
+    s = 1.0_r8
+    a = 1.0_r8
+    call bump(s)
+    call bump(a(2))
+    call twice(s, s)
+    call twice(a(1), a(1))
+    call fill(b(:, 2))
+  end subroutine go
+end module al
+|}
+  in
+  let o = same "aliasing" src ~module_:"al" ~sub:"go" ~args:[] in
+  check_bool "aliased twice: (2+1)*3" true (List.mem ("al.s=r" ^ bits 9.0) o.globals);
+  check_bool "element copy-backs: the first-bound wins" true
+    (List.mem
+       (Printf.sprintf "al.a=[3|%s,%s,%s]" (bits 2.0) (bits 2.0) (bits 1.0))
+       o.globals);
+  check_bool "section copied back" true
+    (List.mem
+       (Printf.sprintf "al.b=[3x2|%s]"
+          (String.concat "," (List.map bits [ 0.; 0.; 0.; 9.; 9.; 9. ])))
+       o.globals)
+
+(* The four contraction shapes, their evaluation order (x and y before c)
+   and the all-integer case, FMA on and off. *)
+let fma_shapes () =
+  let src =
+    {|
+module sh
+  real(r8) :: r1, r2, r3, r4, r5, r6
+  integer :: i1, i2, i3, i4
+contains
+  function say(v) result(r)
+    real(r8), intent(in) :: v
+    real(r8) :: r
+    print *, v
+    r = v
+  end function say
+  subroutine go(a, b, c)
+    real(r8), intent(in) :: a, b, c
+    integer :: i, j, k
+    i = 3
+    j = -4
+    k = 5
+    r1 = a * b + c
+    r2 = c + a * b
+    r3 = a * b - c
+    r4 = c - a * b
+    r5 = say(c) + say(a) * say(b)
+    r6 = say(c) - say(b) * 2.0_r8
+    i1 = i * j + k
+    i2 = k + i * j
+    i3 = i * j - k
+    i4 = k - i * j
+  end subroutine go
+end module sh
+|}
+  in
+  let a = 1.0 +. epsilon_float and b = 1.0 -. epsilon_float in
+  let args = [ Machine.Vreal a; Machine.Vreal b; Machine.Vreal (-1.0) ] in
+  let on = same ~fma:true "fma on" src ~module_:"sh" ~sub:"go" ~args in
+  let off = same ~fma:false "fma off" src ~module_:"sh" ~sub:"go" ~args in
+  check_bool "c + a*b contracts" true (List.mem ("sh.r2=r" ^ bits (Float.fma a b (-1.0))) on.globals);
+  check_bool "c - a*b contracts" true
+    (List.mem ("sh.r4=r" ^ bits (Float.fma (-.a) b (-1.0))) on.globals);
+  check_bool "integers stay exact" true (List.mem "sh.i4=i17" on.globals && List.mem "sh.i1=i-7" on.globals);
+  Alcotest.(check string) "contracted operands run before the addend" "1\n1\n-1\n1\n-1\n" on.printed;
+  Alcotest.(check string) "plain order" "-1\n1\n1\n-1\n1\n" off.printed
+
+(* .and., .or. and merge evaluate no more operands than the tree-walker. *)
+let short_circuits () =
+  let src =
+    {|
+module sc
+  integer :: touched
+  real(r8) :: m1, m2
+  logical :: l1, l2
+contains
+  function touch() result(r)
+    logical :: r
+    touched = touched + 1
+    r = .true.
+  end function touch
+  function val(x) result(r)
+    real(r8), intent(in) :: x
+    real(r8) :: r
+    touched = touched + 10
+    r = x
+  end function val
+  subroutine go()
+    touched = 0
+    l1 = .false. .and. touch()
+    l2 = .true. .or. touch()
+    if (touch() .and. .false.) l1 = .true.
+    m1 = merge(val(1.0_r8), val(2.0_r8), .true.)
+    m2 = merge(val(1.0_r8), val(2.0_r8), touch())
+  end subroutine go
+end module sc
+|}
+  in
+  let o = same "short circuits" src ~module_:"sc" ~sub:"go" ~args:[] in
+  check_bool "two touches and two merge operands" true (List.mem "sc.touched=i22" o.globals)
+
+(* Operands run in the tree-walker's order, which the printed log shows:
+   left to right for arithmetic, comparisons, //, intrinsic and call
+   arguments, indices, loop bounds and outfld's (name, value). *)
+let operand_order () =
+  let src =
+    {|
+module oo
+  real(r8) :: r(8), grid(3, 3)
+  logical :: l
+  character :: c
+contains
+  function say(v) result(r)
+    real(r8), intent(in) :: v
+    real(r8) :: r
+    print *, v
+    r = v
+  end function say
+  function tag(s) result(r)
+    character, intent(in) :: s
+    character :: r
+    print *, s
+    r = s
+  end function tag
+  function pair(a, b) result(r)
+    real(r8), intent(in) :: a, b
+    real(r8) :: r
+    r = a - b
+  end function pair
+  subroutine go()
+    integer :: i
+    r(1) = say(1.0_r8) + say(2.0_r8)
+    r(2) = say(3.0_r8) / say(4.0_r8) - say(5.0_r8) ** say(6.0_r8)
+    l = say(7.0_r8) < say(8.0_r8)
+    l = say(9.0_r8) == say(10.0_r8) .or. say(11.0_r8) >= say(12.0_r8)
+    r(3) = mod(say(13.0_r8), say(14.0_r8)) + sign(say(15.0_r8), say(16.0_r8))
+    r(4) = max(say(17.0_r8), say(18.0_r8), say(19.0_r8)) + min(say(20.0_r8), say(21.0_r8))
+    r(5) = pair(say(22.0_r8), say(23.0_r8))
+    grid(int(say(1.0_r8)), int(say(2.0_r8))) = say(24.0_r8)
+    do i = int(say(1.0_r8)), int(say(2.0_r8))
+      r(6) = r(6) + i
+    end do
+    c = tag('a') // tag('b')
+    call outfld(tag('n'), say(25.0_r8))
+    print *, say(26.0_r8), say(27.0_r8)
+  end subroutine go
+end module oo
+|}
+  in
+  List.iter
+    (fun fma ->
+      let o = same ~fma (Printf.sprintf "operand order fma=%b" fma) src ~module_:"oo" ~sub:"go" ~args:[] in
+      check_bool "values printed" true (String.length o.printed > 40))
+    [ false; true ]
+
+(* The statement budget trips on the same statement in both engines. *)
+let budget_trips_alike () =
+  let src =
+    "module bad\nreal(r8) :: x\ncontains\nsubroutine go()\ndo while (x < 1.0)\nx = x + 1.0e-9\ncall inner()\nend do\nend subroutine\nsubroutine inner()\nx = x * 1.0\nend subroutine\nend module bad"
+  in
+  List.iter
+    (fun max_steps ->
+      let o = same ~max_steps (Printf.sprintf "budget %d" max_steps) src ~module_:"bad" ~sub:"go" ~args:[] in
+      Alcotest.(check string) "budget error" "Runtime_error" o.result;
+      check_int "steps stop one past the budget" (max_steps + 1) o.steps)
+    [ 1; 2; 999; 1_000; 1_001 ]
+
+(* Random arithmetic with FMA on: every contraction shape the generator
+   builds comes out bitwise equal. *)
+let prop_engines_agree_with_fma =
+  QCheck2.Test.make ~name:"translated machine matches the tree-walker (FMA on)" ~count:150
+    (gen_arith 3) (fun text ->
+      let src =
+        Printf.sprintf
+          "module t\nreal(r8) :: out, x, y\ncontains\nsubroutine go()\nx = 1.25\ny = -0.75\nout = %s\nend subroutine\nend module t"
+          text
+      in
+      let prog = Parser.parse_file ~strict:true ~file:"t.F90" src in
+      let fma m = Machine.set_fma m ~enabled:true ~disabled:[] in
+      let machine = machine_outcome prog ~module_:"t" ~sub:"go" ~args:[] ~configure:fma in
+      let oracle =
+        oracle_outcome prog ~module_:"t" ~sub:"go" ~args:[] ~configure:(fun m ->
+            Tree.set_fma m ~enabled:true ~disabled:[])
+      in
+      machine = oracle)
+
+(* The first difference between two long event streams. *)
+let check_stream label want got =
+  let rec go k = function
+    | w :: ws, g :: gs ->
+        if w <> g then Alcotest.failf "%s: event %d differs: %s vs %s" label k w g else go (k + 1) (ws, gs)
+    | [], [] -> ()
+    | _ -> Alcotest.failf "%s: %d events vs %d" label (List.length want) (List.length got)
+  in
+  go 0 (want, got)
+
+(* Every experiment at tiny scale: control, experimental, FMA On_except
+   and RAND-MT runs give bitwise-equal outputs and identical on_stmt,
+   on_assign and on_outfld streams on both engines. *)
+let experiments_agree () =
+  let module H = Rca_experiments.Harness in
+  let module F = Rca_experiments.Fixture in
+  let module Model = Rca_synth.Model in
+  let config = Rca_synth.Config.tiny in
+  let streams (h : Machine.hooks) =
+    let events = record h in
+    h.Machine.on_call <- None;
+    h.Machine.on_return <- None;
+    events
+  in
+  List.iter
+    (fun (spec : H.spec) ->
+      let fixture = F.make ~inject:spec.H.inject config in
+      let base member = Model.default_opts ~member config in
+      List.iter
+        (fun (kind, program, opts) ->
+          let label = spec.H.name ^ " " ^ kind in
+          let got = ref (ref []) and want = ref (ref []) in
+          let m = Model.run_machine program opts ~machine_hooks:(fun m -> got := streams m.Machine.hooks) in
+          let t = Tree.run_model program opts ~machine_hooks:(fun t -> want := streams t.Tree.hooks) in
+          let outputs value = List.map (fun n -> bits (Option.get (value n))) (Array.to_list Model.output_names) in
+          Alcotest.(check (list string)) (label ^ ": outputs")
+            (outputs (Tree.history_value t)) (outputs (Machine.history_value m));
+          check_bool (label ^ ": events recorded") true (List.length !(!got) > 1_000);
+          check_stream label (List.rev !(!want)) (List.rev !(!got)))
+        [
+          ("control", fixture.F.clean_program, base 0);
+          ("experimental", fixture.F.exp_program, spec.H.opts (base 1000));
+          ( "fma on_except",
+            fixture.F.exp_program,
+            { (base 1001) with Model.fma = `On_except [ "micro_mg"; "wv_saturation" ] } );
+          ("rand-mt", fixture.F.clean_program, { (base 2) with Model.prng = Rca_rng.Mersenne.create 8191 });
+        ])
+    Rca_experiments.Experiments.all
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_interp_matches_reference; prop_engines_agree_with_fma ]
 
 let () =
   Alcotest.run "rca_interp"
@@ -626,6 +1110,18 @@ let () =
           Alcotest.test_case "capture and replay" `Quick kernel_capture_and_replay;
           Alcotest.test_case "fma divergence" `Quick kernel_flags_fma_divergence;
           Alcotest.test_case "normalized rms" `Quick normalized_rms_values;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "existing programs" `Quick existing_programs_agree;
+          Alcotest.test_case "undeclared do variable" `Quick undeclared_do_variable;
+          Alcotest.test_case "store coercions" `Quick store_coercions;
+          Alcotest.test_case "actual aliasing and copy-back" `Quick actual_aliasing;
+          Alcotest.test_case "fma shapes" `Quick fma_shapes;
+          Alcotest.test_case "short circuits" `Quick short_circuits;
+          Alcotest.test_case "operand order" `Quick operand_order;
+          Alcotest.test_case "budget trips alike" `Quick budget_trips_alike;
+          Alcotest.test_case "tiny experiments" `Quick experiments_agree;
         ] );
       ("properties", qcheck_cases);
     ]

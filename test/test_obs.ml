@@ -299,6 +299,42 @@ let eigenvector_sweeps () =
   check_int "3-cycle stops after 2 sweeps" 2 (sweeps ~n:3 [ (0, 1); (1, 2); (2, 0) ]);
   Obs.reset ()
 
+(* --- interpreter ------------------------------------------------------------------ *)
+
+(* Tracing observes the interpreter without steering it: tiny-scale
+   Model.run outputs are bitwise equal with recording on and off, and each
+   run records exactly one interp.run span carrying its statement count. *)
+let interp_run_spans () =
+  let config = Rca_synth.Config.tiny in
+  let sources = Rca_synth.Model.generate config in
+  let program =
+    Rca_synth.Model.build_filter
+      (Rca_synth.Model.parse_program ~strict:false sources)
+      ~driver:"cam_driver"
+  in
+  let runs () =
+    List.map
+      (fun member ->
+        Array.map Int64.bits_of_float
+          (Rca_synth.Model.run program (Rca_synth.Model.default_opts ~member config)))
+      [ 0; 1; 2 ]
+  in
+  Obs.reset ();
+  let off = runs () in
+  Obs.enable ();
+  let on = runs () in
+  Obs.disable ();
+  check_bool "outputs bitwise equal" true (off = on);
+  let spans = List.filter (fun s -> s.Obs.span_name = "interp.run") (Obs.spans ()) in
+  check_int "one span per run" 3 (List.length spans);
+  List.iter
+    (fun s ->
+      match List.assoc_opt "statements" s.Obs.span_args with
+      | Some (Obs.Int k) -> check_bool "statements counted" true (k > 1_000)
+      | _ -> Alcotest.fail "interp.run span without a statement count")
+    spans;
+  Obs.reset ()
+
 let () =
   Alcotest.run "rca_obs"
     [
@@ -325,4 +361,5 @@ let () =
           Alcotest.test_case "pool counters" `Quick pool_counters_recorded;
         ] );
       ("centrality", [ Alcotest.test_case "eigenvector sweeps" `Quick eigenvector_sweeps ]);
+      ("interp", [ Alcotest.test_case "interp.run spans" `Quick interp_run_spans ]);
     ]
