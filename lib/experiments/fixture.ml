@@ -29,19 +29,22 @@ let module_name_of_file file =
 let make ?(inject = fun s -> s) (config : Config.t) : t =
   let clean_sources = Model.generate config in
   let exp_sources = inject clean_sources in
-  let clean_program =
-    Model.build_filter (Model.parse_program ~strict:false clean_sources) ~driver:"cam_driver"
-  in
   let exp_program =
     Model.build_filter (Model.parse_program ~strict:false exp_sources) ~driver:"cam_driver"
   in
-  (* coverage probe: two time steps of the experimental build *)
+  (* coverage probe: two time steps of the experimental build.  It runs
+     before the clean build is parsed, so the interpreter's translated
+     code and the clean AST are never live at once: the AST reuses the
+     probe's memory instead of raising the heap's high-water mark *)
   let cov = Rca_coverage.Coverage.create () in
   let probe_opts = { (Model.default_opts config) with Model.nsteps = 2 } in
   ignore
     (Model.run_machine
        ~machine_hooks:(Rca_coverage.Coverage.attach cov)
        exp_program probe_opts);
+  let clean_program =
+    Model.build_filter (Model.parse_program ~strict:false clean_sources) ~driver:"cam_driver"
+  in
   let coverage_report = Rca_coverage.Coverage.report exp_program cov in
   let covered_program = Rca_coverage.Coverage.filter_program exp_program cov in
   let mg = MG.build covered_program in

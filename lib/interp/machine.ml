@@ -1,22 +1,14 @@
-(* Interpreter for the Fortran subset.
-
-   This is the stand-in for "running CESM on the supercomputer": the same
-   source the metagraph is compiled from is executed here, so runtime
-   sampling, coverage and ECT statistics are all derived from genuine
-   execution of the analyzed code.  Module-level names resolve through
-   {!Rca_fortran.Visibility}, the rules the metagraph builder compiles
-   with, so a sampled value lands on the variable its node stands for.
-
-   Each subprogram is translated, on its first call, into OCaml closures
-   over resolved slots: a local or formal is an index into the call's
-   frame array, a module variable is its cell, a call site holds its
-   callee and an intrinsic its implementation, and every hook argument is
-   a constant.  The translation keeps the evaluation order, the float
+(* Interpreter for the Fortran subset: the stand-in for "running CESM on
+   the supercomputer", executing the source the metagraph is compiled
+   from.  Module-level names resolve through {!Rca_fortran.Visibility},
+   as in the metagraph builder.  Each subprogram is translated, on its
+   first call, into closures over resolved slots: a local is an index
+   into the call's frame, a module variable is its cell, a call site holds
+   its callee and an intrinsic its implementation, and hook arguments are
+   constants.  The translation keeps the evaluation order, the float
    operations and every run-time rule of the tree-walker it replaced
    (test/oracle/tree_interp.ml), so outputs are bitwise equal and hooks
-   see the same events.  [prng] drives `random_number` (RAND-MT),
-   {!set_fma} contracts a*b+c per module (AVX2, Table 1), and [hooks]
-   observe execution (coverage, runtime sampling, kernel capture). *)
+   see the same events (DESIGN.md §16). *)
 
 open Rca_fortran
 
@@ -91,10 +83,7 @@ type hooks = {
     (module_:string -> sub:string -> line:int -> var:string -> canonical:string ->
      float -> unit)
     option;
-  (* fired at subprogram entry, after formals are bound but before local
-     allocation: the table holds exactly the formal bindings *)
   mutable on_call : (string -> string -> (string, value ref) Hashtbl.t -> unit) option;
-  (* fired at subprogram exit with the full locals table *)
   mutable on_return : (string -> string -> (string, value ref) Hashtbl.t -> unit) option;
   mutable on_outfld : (string -> float -> unit) option;
 }
@@ -102,9 +91,8 @@ type hooks = {
 (* One call's variables: slot [s] holds the cell of local [names.(s)]. *)
 type frame = value ref array
 
-(* A subprogram translated for one machine.  Its slots are the distinct
-   formals in order of first appearance, the declared locals in
-   declaration order, the function result, and the undeclared
+(* A subprogram translated for one machine.  Slots: the distinct formals,
+   the declared locals, the function result, then the undeclared
    do-variables, which become locals when their loop first runs. *)
 type code = {
   k_module : string;
@@ -114,6 +102,7 @@ type code = {
   prologue : frame -> unit;  (* allocates the declared locals and the result *)
   body : frame -> unit;
   result : int;  (* slot of the function result; -1 for a subroutine *)
+  gen : int;  (* the machine's generation it was translated in *)
 }
 
 type t = {
@@ -125,6 +114,7 @@ type t = {
   mutable steps : int;  (* statements executed, bounded by [max_steps] *)
   mutable max_steps : int;
   codes : (string * string, (Ast.subprogram * code) list) Hashtbl.t;
+  mutable generation : int;  (* bumped by [set_fma]: older code is stale *)
   mutable elaborating : bool;  (* module initializers are running *)
 }
 
@@ -132,9 +122,11 @@ exception Return_exc
 exception Exit_exc
 exception Cycle_exc
 
-(* The slot of a local that does not exist yet: an undeclared
-   do-variable before its loop first runs. *)
+(* The slot of a do-variable before its loop first runs. *)
 let unset : value ref = ref (Vstr "<unset>")
+
+(* What a component cache holds before its first lookup. *)
+let no_components : (string, value ref) Hashtbl.t = Hashtbl.create 1
 
 (* --- array indexing and stores ------------------------------------------------- *)
 
@@ -234,72 +226,37 @@ let int_of = function
 
 let is_v = function V _ -> true | R _ | B _ -> false
 
-(* x and y run before c: [sign]*x*y + c, or x*y - c when [negc]. *)
-let fused cx cy cc sign_xy negc =
-  match (cx, cy, cc) with
-  | V fx, V fy, V fc ->
-      V (fun fr ->
-          let vx = fx fr in
-          let vy = fy fr in
-          match (vx, vy, fc fr) with
-          | Vint a, Vint b, Vint cc ->
-              Vint (if negc then (a * b) - cc else (int_of_float sign_xy * a * b) + cc)
-          | _, _, vc when negc -> Vreal (Float.fma (as_float vx) (as_float vy) (-.as_float vc))
-          | _, _, vc -> Vreal (Float.fma (sign_xy *. as_float vx) (as_float vy) (as_float vc)))
-  | cx, cy, cc ->
-      let fx = float_of cx and fy = float_of cy and fc = float_of cc in
-      if negc then R (fun fr -> let x = fx fr in let y = fy fr in Float.fma x y (-.fc fr))
-      else R (fun fr -> let x = fx fr in let y = fy fr in Float.fma (sign_xy *. x) y (fc fr))
-
-(* Two numeric operands: integers stay integers, anything else is real. *)
-let arith op ca cb =
-  let open Ast in
-  match (ca, cb) with
-  | V fa, V fb ->
-      V (fun fr ->
-          let va = fa fr in
-          match (op, va, fb fr) with
-          | Add, Vint x, Vint y -> Vint (x + y)
-          | Sub, Vint x, Vint y -> Vint (x - y)
-          | Mul, Vint x, Vint y -> Vint (x * y)
-          | Div, Vint x, Vint y ->
-              if y = 0 then err "integer division by zero";
-              (* Fortran integer division truncates toward zero *)
-              Vint (if x < 0 <> (y < 0) then -(abs x / abs y) else abs x / abs y)
-          | Pow, Vint x, Vint y when y >= 0 ->
-              let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
-              Vint (ipow 1 x y)
-          | Add, va, vb -> Vreal (as_float va +. as_float vb)
-          | Sub, va, vb -> Vreal (as_float va -. as_float vb)
-          | Mul, va, vb -> Vreal (as_float va *. as_float vb)
-          | Div, va, vb -> Vreal (as_float va /. as_float vb)
-          | _, va, vb -> Vreal (Float.pow (as_float va) (as_float vb)))
-  | ca, cb -> (
-      (* an operand that is never an integer makes the result real *)
-      let fa = float_of ca and fb = float_of cb in
-      match op with
-      | Add -> R (fun fr -> let x = fa fr in x +. fb fr)
-      | Sub -> R (fun fr -> let x = fa fr in x -. fb fr)
-      | Mul -> R (fun fr -> let x = fa fr in x *. fb fr)
-      | Div -> R (fun fr -> let x = fa fr in x /. fb fr)
-      | _ -> R (fun fr -> let x = fa fr in Float.pow x (fb fr)))
-
 (* A translated designator as a location. *)
 type lv =
   | Lcell of (frame -> value ref)
   | Lelem of (frame -> arr) * (frame -> arr -> int)  (* the array, then its checked index *)
   | Lslice of (frame -> arr) * (frame -> arr -> int list)
 
+(* What translated code needs when it runs, besides its frame; the
+   translation tables below die with the translation. *)
+type ctx = { m : t; mname : string; sname : string }
+
 type env = {
-  m : t;
+  ctx : ctx;
   mrt : module_rt;
-  mname : string;
-  sname : string;
   slots : (string, int) Hashtbl.t;  (* formals and declared locals, visible below [visible] *)
   visible : int;
   dyn : (string, int) Hashtbl.t;  (* undeclared do-variables *)
   contract : bool;  (* module initializers never contract *)
+  memo : (int * Ast.expr, cx) Hashtbl.t;  (* by (visible, tree): equal trees share code *)
+  floats : (int * Ast.expr, frame -> float) Hashtbl.t;
+  ints : (int * Ast.expr, frame -> int) Hashtbl.t;
+  places : (int * Ast.designator, lv) Hashtbl.t;
 }
+
+let new_env ctx mrt contract =
+  { ctx; mrt; slots = Hashtbl.create 16; visible = 0; dyn = Hashtbl.create 4; contract; memo = Hashtbl.create 64;
+    floats = Hashtbl.create 64; ints = Hashtbl.create 16; places = Hashtbl.create 32 }
+
+let memo tbl env key make =
+  match Hashtbl.find_opt tbl (env.visible, key) with
+  | Some c -> c
+  | None -> let c = make () in Hashtbl.replace tbl (env.visible, key) c; c
 
 type place = Local of int | Global of value ref | Dyn of int | Unknown
 
@@ -314,7 +271,24 @@ let place env n =
       | Some c -> Global c
       | None -> ( match Hashtbl.find_opt env.dyn n with Some s -> Dyn s | None -> Unknown))
 
-let unknown env n = err "unknown variable %s in %s.%s" n env.mname env.sname
+let unknown ctx n = err "unknown variable %s in %s.%s" n ctx.mname ctx.sname
+
+(* Every statement starts here: count it against the budget, then report
+   it to the statement hook. *)
+let tick ctx line =
+  let m = ctx.m in
+  m.steps <- m.steps + 1;
+  if m.steps > m.max_steps then err "statement budget exceeded (possible runaway loop)";
+  match m.hooks.on_stmt with Some hook -> hook ctx.mname ctx.sname line | None -> ()
+
+let report ctx line var canonical f =
+  match ctx.m.hooks.on_assign with
+  | Some hook -> hook ~module_:ctx.mname ~sub:ctx.sname ~line ~var ~canonical f
+  | None -> ()
+
+(* After a store into a whole variable: the hook sees the cell's number. *)
+let stored ctx line var canonical cell =
+  if ctx.m.hooks.on_assign != None then Option.iter (report ctx line var canonical) (reported !cell)
 
 (* (formal, slot) for each distinct formal of [sub]. *)
 let formal_slots (sub : Ast.subprogram) =
@@ -339,12 +313,10 @@ let enter m code (frame : frame) =
      source-level sampler would. *)
   (match h.on_assign with
   | Some hook ->
-      List.iteri
-        (fun k formal ->
-          Option.iter
-            (hook ~module_:code.k_module ~sub:name ~line:sub.Ast.s_line ~var:formal ~canonical:formal)
-            (reported !(frame.(code.formals.(k)))))
-        sub.Ast.s_args
+      let line = sub.Ast.s_line in
+      List.iteri (fun k var ->
+          Option.iter (hook ~module_:code.k_module ~sub:name ~line ~var ~canonical:var)
+            (reported !(frame.(code.formals.(k))))) sub.Ast.s_args
   | None -> ());
   code.prologue frame;
   (try code.body frame with Return_exc -> ());
@@ -362,17 +334,12 @@ let rec code_of m (c : Visibility.callable) =
       code
 
 and translate m (callee : Visibility.callable) =
-  let mrt =
-    match Hashtbl.find_opt m.modules callee.c_module with Some r -> r | None -> err "module %s not elaborated" callee.c_module
-  in
-  let sub = callee.c_sub and slots = Hashtbl.create 16 in
+  let mrt = try Hashtbl.find m.modules callee.c_module with Not_found -> err "module %s not elaborated" callee.c_module in
+  let sub = callee.c_sub in
+  let env = new_env { m; mname = callee.c_module; sname = sub.Ast.s_name } mrt true in
+  let slots = env.slots in
   List.iter (fun (f, s) -> Hashtbl.replace slots f s) (formal_slots sub);
-  let env =
-    { m; mrt; mname = callee.c_module; sname = sub.Ast.s_name; slots; visible = 0;
-      dyn = Hashtbl.create 4; contract = true }
-  in
   let fresh name = Hashtbl.replace slots name (Hashtbl.length slots); Hashtbl.length slots - 1 in
-  let alloc s init (fr : frame) = fr.(s) <- ref (init fr) in
   (* a declaration's initializer sees the formals and the locals
      declared before it *)
   let allocs =
@@ -381,7 +348,7 @@ and translate m (callee : Visibility.callable) =
         if Hashtbl.mem slots d.Ast.d_name then None
         else
           let init = default_of { env with visible = Hashtbl.length slots } d in
-          Some (alloc (fresh d.Ast.d_name) init))
+          Some (fresh d.Ast.d_name, init))
       sub.Ast.s_decls
   in
   let result_name = Ast.function_result_name sub in
@@ -391,33 +358,36 @@ and translate m (callee : Visibility.callable) =
     | Ast.Function, Some s -> (s, allocs)
     | Ast.Function, None ->
         let s = fresh result_name in
-        (s, allocs @ [ alloc s (fun _ -> Vreal 0.0) ])
+        (s, allocs @ [ (s, fun _ -> Vreal 0.0) ])
   in
   let env = { env with visible = Hashtbl.length slots } in
-  Ast.iter_stmts
-    (fun st ->
+  Ast.iter_stmts (fun st ->
       match st.Ast.node with
       | Ast.Do { var; _ } when place env var == Unknown ->
           Hashtbl.replace env.dyn var (Hashtbl.length slots + Hashtbl.length env.dyn)
-      | _ -> ())
-    sub.Ast.s_body;
+      | _ -> ()) sub.Ast.s_body;
   let names = Array.make (Hashtbl.length slots + Hashtbl.length env.dyn) "" in
   Hashtbl.iter (fun n s -> names.(s) <- n) slots;
   Hashtbl.iter (fun n s -> names.(s) <- n) env.dyn;
-  let allocs = Array.of_list allocs in
+  let targets = Array.of_list (List.map fst allocs) and inits = Array.of_list (List.map snd allocs) in
   {
     k_module = callee.c_module;
     k_sub = sub;
     names;
     formals = Array.of_list (List.map (Hashtbl.find slots) sub.Ast.s_args);
-    prologue = (fun fr -> Array.iter (fun a -> a fr) allocs);
+    prologue = (fun fr -> Array.iteri (fun k s -> fr.(s) <- ref (inits.(k) fr)) targets);
     body = block env sub.Ast.s_body;
     result;
+    gen = m.generation;
   }
 
 (* --- expressions --------------------------------------------------------------------- *)
 
-and expr env (e : Ast.expr) : cx =
+and expr env e = memo env.memo env e (fun () -> expr_node env e)
+and fexpr env e = memo env.floats env e (fun () -> float_of (expr env e))
+and iexpr env e = memo env.ints env e (fun () -> int_of (expr env e))
+
+and expr_node env (e : Ast.expr) : cx =
   match e with
   | Ast.Enum f -> R (fun _ -> f)
   | Ast.Eint i -> const (Vint i)
@@ -459,34 +429,68 @@ and binop env op a b =
               match (va, fb fr) with
               | Vstr x, Vstr y -> holds (compare x y)
               | va, vb -> fcmp (as_float va) (as_float vb))
-      | ca, cb ->
-          let fa = float_of ca and fb = float_of cb in
+      | _ ->
+          let fa = fexpr env a and fb = fexpr env b in
           B (fun fr -> let x = fa fr in fcmp x (fb fr)))
   | Add | Sub -> (
       (* a*b+c patterns contract to a fused multiply-add when the module
-         has FMA enabled at the time the site runs; both paths share the
-         operands' code *)
-      let shape =
-        match (op, a, b) with
-        | _ when not env.contract -> None
-        | Add, Ebin (Mul, x, y), c -> Some (x, y, c, true, 1.0, false)
-        | Add, c, Ebin (Mul, x, y) -> Some (x, y, c, false, 1.0, false)
-        | Sub, Ebin (Mul, x, y), c -> Some (x, y, c, true, 1.0, true)
-        | Sub, c, Ebin (Mul, x, y) -> Some (x, y, c, false, -1.0, false)
-        | _ -> None
-      in
-      match shape with
-      | None -> arith op (expr env a) (expr env b)
-      | Some (x, y, c, product_first, sign_xy, negc) -> (
-          let cx = expr env x and cy = expr env y and cc = expr env c in
-          let product = arith Mul cx cy and mrt = env.mrt in
-          let plain = if product_first then arith op product cc else arith op cc product in
-          match (plain, fused cx cy cc sign_xy negc) with
-          | R p, R f -> R (fun fr -> if mrt.fma then f fr else p fr)
-          | p, f ->
-              let p = value_of p and f = value_of f in
-              V (fun fr -> if mrt.fma then f fr else p fr)))
-  | Mul | Div | Pow -> arith op (expr env a) (expr env b)
+         has FMA enabled; code is translated under the flags of its call's
+         entry, as the tree-walker read them *)
+      match (op, a, b) with
+      | _ when not (env.contract && env.mrt.fma) -> arith env op a b
+      | Add, Ebin (Mul, x, y), c | Add, c, Ebin (Mul, x, y) -> fused env x y c 1.0 false
+      | Sub, Ebin (Mul, x, y), c -> fused env x y c 1.0 true
+      | Sub, c, Ebin (Mul, x, y) -> fused env x y c (-1.0) false
+      | _ -> arith env op a b)
+  | Mul | Div | Pow -> arith env op a b
+
+(* x and y run before c: [sign]*x*y + c, or x*y - c when [negc]. *)
+and fused env x y c sign_xy negc =
+  match (expr env x, expr env y, expr env c) with
+  | V fx, V fy, V fc ->
+      V (fun fr ->
+          let vx = fx fr in
+          let vy = fy fr in
+          match (vx, vy, fc fr) with
+          | Vint a, Vint b, Vint cc ->
+              Vint (if negc then (a * b) - cc else (int_of_float sign_xy * a * b) + cc)
+          | _, _, vc when negc -> Vreal (Float.fma (as_float vx) (as_float vy) (-.as_float vc))
+          | _, _, vc -> Vreal (Float.fma (sign_xy *. as_float vx) (as_float vy) (as_float vc)))
+  | _ ->
+      let fx = fexpr env x and fy = fexpr env y and fc = fexpr env c in
+      if negc then R (fun fr -> let x = fx fr in let y = fy fr in Float.fma x y (-.fc fr))
+      else R (fun fr -> let x = fx fr in let y = fy fr in Float.fma (sign_xy *. x) y (fc fr))
+
+(* Two numeric operands: integers stay integers, anything else is real. *)
+and arith env op a b =
+  let open Ast in
+  match (expr env a, expr env b) with
+  | V fa, V fb ->
+      V (fun fr ->
+          let va = fa fr in
+          match (op, va, fb fr) with
+          | (Add | Sub | Mul), Vint x, Vint y -> Vint (if op = Add then x + y else if op = Sub then x - y else x * y)
+          | Div, Vint x, Vint y ->
+              if y = 0 then err "integer division by zero";
+              (* Fortran integer division truncates toward zero *)
+              Vint (if x < 0 <> (y < 0) then -(abs x / abs y) else abs x / abs y)
+          | Pow, Vint x, Vint y when y >= 0 ->
+              let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
+              Vint (ipow 1 x y)
+          | Add, va, vb -> Vreal (as_float va +. as_float vb)
+          | Sub, va, vb -> Vreal (as_float va -. as_float vb)
+          | Mul, va, vb -> Vreal (as_float va *. as_float vb)
+          | Div, va, vb -> Vreal (as_float va /. as_float vb)
+          | _, va, vb -> Vreal (Float.pow (as_float va) (as_float vb)))
+  | _ -> (
+      (* an operand that is never an integer makes the result real *)
+      let fa = fexpr env a and fb = fexpr env b in
+      match op with
+      | Add -> R (fun fr -> let x = fa fr in x +. fb fr)
+      | Sub -> R (fun fr -> let x = fa fr in x -. fb fr)
+      | Mul -> R (fun fr -> let x = fa fr in x *. fb fr)
+      | Div -> R (fun fr -> let x = fa fr in x /. fb fr)
+      | _ -> R (fun fr -> let x = fa fr in Float.pow x (fb fr)))
 
 and desig env (d : Ast.designator) : cx =
   match d with
@@ -501,20 +505,28 @@ and desig env (d : Ast.designator) : cx =
   | _ -> read env d
 
 and read env d : cx =
-  match lvalue env d with
-  | Lcell c -> V (fun fr -> !(c fr))
-  | Lelem (get, ix) -> R (fun fr -> let a = get fr in a.data.(ix fr a))
-  | Lslice (get, sl) -> V (fun fr -> let a = get fr in section a (sl fr a))
+  match (match d with Ast.Dname n -> place env n | _ -> Unknown) with
+  | Local s -> V (fun fr -> !(fr.(s)))
+  | Global c -> V (fun _ -> !c)
+  | Dyn _ | Unknown -> (
+      match lvalue env d with
+      | Lcell c -> V (fun fr -> !(c fr))
+      | Lelem (get, ix) -> R (fun fr -> let a = get fr in a.data.(ix fr a))
+      | Lslice (get, sl) -> V (fun fr -> let a = get fr in section a (sl fr a)))
 
 (* Resolve a designator to an assignable location. *)
-and lvalue env (d : Ast.designator) : lv =
+and lvalue env d = memo env.places env d (fun () -> location env d)
+
+and location env (d : Ast.designator) : lv =
   match d with
   | Ast.Dname n -> (
       match place env n with
       | Local s -> Lcell (fun fr -> fr.(s))
       | Global c -> Lcell (fun _ -> c)
-      | Dyn s -> Lcell (fun fr -> if fr.(s) == unset then unknown env n else fr.(s))
-      | Unknown -> Lcell (fun _ -> unknown env n))
+      | Dyn s ->
+          let ctx = env.ctx in
+          Lcell (fun fr -> if fr.(s) == unset then unknown ctx n else fr.(s))
+      | Unknown -> let ctx = env.ctx in Lcell (fun _ -> unknown ctx n))
   | Ast.Dmember (base, field) ->
       let base =
         match lvalue env base with
@@ -523,7 +535,7 @@ and lvalue env (d : Ast.designator) : lv =
       in
       (* a component table never changes once its value is built, so the
          site keeps the last one it looked into *)
-      let last_tbl = ref (Hashtbl.create 1) and last = ref unset in
+      let last_tbl = ref no_components and last = ref unset in
       Lcell (fun fr ->
           match !(base fr) with
           | Vderived tbl when tbl == !last_tbl -> !last
@@ -547,7 +559,7 @@ and lvalue env (d : Ast.designator) : lv =
           (function
             | Ast.Erange (None, None) -> None
             | Ast.Erange _ -> Some (fun _ -> err "bounded array sections are not supported at runtime")
-            | e -> Some (int_of (expr env e)))
+            | e -> Some (iexpr env e))
           args
       in
       if List.for_all Option.is_some spec then
@@ -568,7 +580,7 @@ and call_fn env name args : cx =
         match List.find_opt fits candidates with
         | Some c -> V (call_to env c args)
         | None -> V (fun _ -> err "no matching function %s/%d" name arity))
-    | None -> V (fun _ -> err "unknown function or array %s in %s" name env.mname)
+    | None -> let mname = env.ctx.mname in V (fun _ -> err "unknown function or array %s in %s" name mname)
 
 and intrinsic env name args : cx =
   let one () = match args with [ a ] -> expr env a | _ -> V (fun _ -> err "%s expects 1 argument" name) in
@@ -583,9 +595,7 @@ and intrinsic env name args : cx =
   | "abs" -> (
       match one () with
       | R a -> R (fun fr -> abs_float (a fr))
-      | c ->
-          let a = value_of c in
-          V (fun fr -> match a fr with Vint i -> Vint (abs i) | v -> Vreal (abs_float (as_float v))))
+      | c -> let a = value_of c in V (fun fr -> match a fr with Vint i -> Vint (abs i) | v -> Vreal (abs_float (as_float v))))
   | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos" | "tan" | "tanh" ->
       fl (List.assoc name [ ("sqrt", sqrt); ("exp", exp); ("log", log); ("log10", log10);
                             ("sin", sin); ("cos", cos); ("tan", tan); ("tanh", tanh) ])
@@ -654,7 +664,7 @@ and intrinsic env name args : cx =
    copy-in/copy-out temporaries, copied back last-bound first; expression
    actuals are passed by value. *)
 and call_to env (callee : Visibility.callable) args : frame -> value =
-  let m = env.m and slots = formal_slots callee.c_sub in
+  let m = env.ctx.m and slots = formal_slots callee.c_sub in
   let binds =
     Array.of_list
       (List.map2 (fun f a -> (List.assoc f slots, actual env a)) callee.c_sub.Ast.s_args args)
@@ -662,7 +672,9 @@ and call_to env (callee : Visibility.callable) args : frame -> value =
   let site = ref None in
   fun fr ->
     let code =
-      match !site with Some c -> c | None -> let c = code_of m callee in if not m.elaborating then site := Some c; c
+      match !site with
+      | Some c when c.gen = m.generation -> c
+      | _ -> let c = code_of m callee in if not m.elaborating then site := Some c; c
     in
     let frame = Array.make (Array.length code.names) unset and backs = ref [] in
     for k = 0 to Array.length binds - 1 do
@@ -756,33 +768,30 @@ and block env body : frame -> unit =
         done
 
 and stmt env (st : Ast.stmt) : frame -> unit =
-  let m = env.m and mname = env.mname and sname = env.sname and line = st.Ast.line in
-  let run = action env st in
-  fun fr ->
-    m.steps <- m.steps + 1;
-    if m.steps > m.max_steps then err "statement budget exceeded (possible runaway loop)";
-    (match m.hooks.on_stmt with Some hook -> hook mname sname line | None -> ());
-    run fr
+  let run = action env st and line = st.Ast.line and ctx = env.ctx in
+  match st.Ast.node with
+  | Ast.Assign _ -> run (* counts itself: one closure less per assignment *)
+  | _ ->
+      fun fr ->
+        tick ctx line;
+        run fr
 
 and action env (st : Ast.stmt) : frame -> unit =
-  let m = env.m in
+  let ctx = env.ctx in
+  let m = ctx.m in
   match st.Ast.node with
   | Ast.Assign (d, e) -> assign env st.Ast.line d e
   | Ast.Call (name, args) -> call_stmt env name args
   | Ast.Return -> fun _ -> raise Return_exc
   | Ast.Exit_loop -> fun _ -> raise Exit_exc
   | Ast.Cycle -> fun _ -> raise Cycle_exc
-  | Ast.Stop -> fun _ -> err "STOP reached in %s.%s" env.mname env.sname
+  | Ast.Stop -> fun _ -> err "STOP reached in %s.%s" ctx.mname ctx.sname
   | Ast.Unparsed raw -> fun _ -> err "executed unparsed statement: %s" raw
   | Ast.Print args ->
       let fs = List.map (fun e -> value_of (expr env e)) args in
       let show = function
-        | Vstr s -> s
-        | Vreal f -> Printf.sprintf "%g" f
-        | Vint i -> string_of_int i
-        | Vlog b -> if b then "T" else "F"
-        | Varr _ -> "<array>"
-        | Vderived _ -> "<derived>"
+        | Vstr s -> s | Vreal f -> Printf.sprintf "%g" f | Vint i -> string_of_int i
+        | Vlog b -> if b then "T" else "F" | Varr _ -> "<array>" | Vderived _ -> "<derived>"
       in
       fun fr ->
         Buffer.add_string m.print_log (String.concat " " (List.map (fun f -> show (f fr)) fs));
@@ -801,16 +810,14 @@ and action env (st : Ast.stmt) : frame -> unit =
             fun fr ->
               if fr.(s) == unset then fr.(s) <- ref (Vint 0);
               fr.(s)
-        | Unknown -> fun _ -> unknown env var
+        | Unknown -> fun _ -> unknown ctx var
       in
-      let lo = int_of (expr env lo) and hi = int_of (expr env hi) in
-      let step = match step with None -> fun _ -> 1 | Some s -> int_of (expr env s) in
+      let lo = iexpr env lo and hi = iexpr env hi in
+      let step = match step with None -> fun _ -> 1 | Some s -> iexpr env s in
       let body = block env body in
       fun fr ->
         let cell = cell fr in
-        let lo = lo fr in
-        let hi = hi fr in
-        let step = step fr in
+        let lo = lo fr in let hi = hi fr in let step = step fr in
         if step = 0 then err "do loop with zero step";
         (try
            let i = ref lo in
@@ -820,14 +827,9 @@ and action env (st : Ast.stmt) : frame -> unit =
              i := !i + step
            done
          with Exit_exc -> ())
-  | Ast.Do_while (cond, body) -> (
+  | Ast.Do_while (cond, body) ->
       let cond = bool_of (expr env cond) and body = block env body in
-      fun fr ->
-        try
-          while cond fr do
-            try body fr with Cycle_exc -> ()
-          done
-        with Exit_exc -> ())
+      fun fr -> ( try while cond fr do try body fr with Cycle_exc -> () done with Exit_exc -> ())
   | Ast.Select (selector, cases, default) ->
       let sel = value_of (expr env selector) and default = block env default in
       let cases =
@@ -836,52 +838,51 @@ and action env (st : Ast.stmt) : frame -> unit =
       fun fr ->
         let sel = sel fr in
         let matches f =
-          match (sel, f fr) with
-          | Vint a, Vint b -> a = b
-          | Vstr a, Vstr b -> a = b
-          | a, b -> as_float a = as_float b
+          match (sel, f fr) with Vint a, Vint b -> a = b | Vstr a, Vstr b -> a = b | a, b -> as_float a = as_float b
         in
-        let rec pick = function
-          | [] -> default fr
-          | (vs, body) :: rest -> if List.exists matches vs then body fr else pick rest
-        in
+        let rec pick = function [] -> default fr | (vs, body) :: rest -> if List.exists matches vs then body fr else pick rest in
         pick cases
 
 (* The value is computed before the location is resolved; the hook sees
    the stored number (an array's L2 norm). *)
 and assign env line d e : frame -> unit =
-  let m = env.m and module_ = env.mname and sub = env.sname in
-  let var = Ast.designator_base d and canonical = Ast.designator_canonical d in
+  let var = Ast.designator_base d and canonical = Ast.designator_canonical d and ctx = env.ctx in
   let rhs = expr env e in
-  match lvalue env d with
-  | Lcell c ->
+  match (lvalue env d, rhs) with
+  | Lcell c, R rhs ->
+      fun fr ->
+        tick ctx line;
+        let x = rhs fr in
+        let cell = c fr in
+        store_cell cell (Vreal x);
+        stored ctx line var canonical cell
+  | Lcell c, _ ->
       let rhs = value_of rhs in
       fun fr ->
+        tick ctx line;
         let v = rhs fr in
         let cell = c fr in
         store_cell cell v;
-        (match m.hooks.on_assign with
-        | Some hook -> Option.iter (hook ~module_ ~sub ~line ~var ~canonical) (reported !cell)
-        | None -> ())
-  | Lelem (get, ix) ->
+        stored ctx line var canonical cell
+  | Lelem (get, ix), _ ->
       let rhs = float_of rhs in
       fun fr ->
+        tick ctx line;
         let f = rhs fr in
         let a = get fr in
         a.data.(ix fr a) <- f;
-        (match m.hooks.on_assign with Some hook -> hook ~module_ ~sub ~line ~var ~canonical f | None -> ())
-  | Lslice (get, sl) ->
+        report ctx line var canonical f
+  | Lslice (get, sl), _ ->
       let rhs = value_of rhs in
       fun fr ->
+        tick ctx line;
         let v = rhs fr in
         let a = get fr in
         store_section a (sl fr a) v;
-        (match m.hooks.on_assign with
-        | Some hook -> hook ~module_ ~sub ~line ~var ~canonical (arr_norm a)
-        | None -> ())
+        if ctx.m.hooks.on_assign != None then report ctx line var canonical (arr_norm a)
 
 and call_stmt env name args : frame -> unit =
-  let m = env.m in
+  let m = env.ctx.m and mname = env.ctx.mname in
   match (name, args) with
   | "random_number", [ Ast.Edesig d ] -> (
       let draw () = Rca_rng.Prng.float01 m.prng in
@@ -917,7 +918,7 @@ and call_stmt env name args : frame -> unit =
               let call = call_to env callee args in
               fun fr -> ignore (call fr)
           | None -> fun _ -> err "no matching subprogram %s/%d" name arity)
-      | None -> fun _ -> err "unknown subroutine %s called from %s" name env.mname)
+      | None -> fun _ -> err "unknown subroutine %s called from %s" name mname)
 
 (* --- elaboration ------------------------------------------------------------------------ *)
 
@@ -960,6 +961,7 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
       steps = 0;
       max_steps;
       codes = Hashtbl.create 64;
+      generation = 0;
       elaborating = true;
     }
   in
@@ -988,10 +990,7 @@ let create ?(prng = Rca_rng.Kiss.create 1) ?(max_steps = 200_000_000) (prog : As
             (fun src -> Option.iter (Hashtbl.replace mrt.vars local) (Hashtbl.find_opt src.own_vars name))
             (Hashtbl.find_opt machine.modules owner))
         sc.Visibility.vars;
-      let env =
-        { m = machine; mrt; mname = mu.Ast.m_name; sname = "<module>"; slots = Hashtbl.create 1;
-          visible = 0; dyn = Hashtbl.create 1; contract = false }
-      in
+      let env = new_env { m = machine; mname = mu.Ast.m_name; sname = "<module>" } mrt false in
       List.iter
         (fun (d : Ast.decl) ->
           let cell = ref (default_of env d [||]) in
@@ -1030,9 +1029,7 @@ let module_cell machine ~module_ ~name =
   match Hashtbl.find_opt machine.modules module_ with
   | None -> err "unknown module %s" module_
   | Some mrt -> (
-      match Hashtbl.find_opt mrt.vars name with
-      | Some cell -> cell
-      | None -> err "unknown variable %s.%s" module_ name)
+      match Hashtbl.find_opt mrt.vars name with Some cell -> cell | None -> err "unknown variable %s.%s" module_ name)
 
 let get_module_var machine ~module_ ~name = !(module_cell machine ~module_ ~name)
 let set_module_var machine ~module_ ~name v = module_cell machine ~module_ ~name := v
@@ -1040,6 +1037,10 @@ let history machine = Hashtbl.fold (fun k v acc -> (k, v) :: acc) machine.histor
 let history_value machine fld = Hashtbl.find_opt machine.history fld
 let printed machine = Buffer.contents machine.print_log
 
-(* Enable FMA everywhere except the modules in [disabled]. *)
+(* Enable FMA everywhere except the modules in [disabled].  Code
+   translated before is stale: the next call of each subprogram
+   translates it again under the new flags. *)
 let set_fma machine ~enabled ~disabled =
-  Hashtbl.iter (fun name mrt -> mrt.fma <- enabled && not (List.mem name disabled)) machine.modules
+  Hashtbl.iter (fun name mrt -> mrt.fma <- enabled && not (List.mem name disabled)) machine.modules;
+  machine.generation <- machine.generation + 1;
+  Hashtbl.reset machine.codes

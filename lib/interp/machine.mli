@@ -61,6 +61,7 @@ type t = {
   mutable max_steps : int;
   codes : (string * string, (Rca_fortran.Ast.subprogram * code) list) Hashtbl.t;
       (** translations, by (module, subprogram) *)
+  mutable generation : int;  (** bumped by {!set_fma}: older translations are stale *)
   mutable elaborating : bool;  (** module initializers are running; nothing is kept *)
 }
 
@@ -86,4 +87,6 @@ val printed : t -> string
 (** Everything written by [print *] statements. *)
 
 val set_fma : t -> enabled:bool -> disabled:string list -> unit
-(** Enable FMA contraction everywhere except [disabled] modules. *)
+(** Enable FMA contraction everywhere except [disabled] modules, from the
+    next call of each subprogram on (a call in progress keeps its
+    flags, as the tree-walker's did). *)

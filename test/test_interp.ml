@@ -898,6 +898,122 @@ end module sh
   Alcotest.(check string) "contracted operands run before the addend" "1\n1\n-1\n1\n-1\n" on.printed;
   Alcotest.(check string) "plain order" "-1\n1\n1\n-1\n1\n" off.printed
 
+(* set_fma between two runs on one machine applies from the next call on. *)
+let fma_switched_between_runs () =
+  let prog = parse fma_src in
+  let a = 1.0 +. epsilon_float and b = 1.0 -. epsilon_float in
+  let args = [ Machine.Vreal a; Machine.Vreal b; Machine.Vreal (-1.0) ] in
+  let runs invoke set get =
+    List.map
+      (fun on ->
+        set on;
+        ignore (invoke args);
+        get ())
+      [ false; true; false ]
+  in
+  let m = Machine.create prog and t = Tree.create prog in
+  let machine =
+    runs (fun args -> Machine.invoke m ~module_:"mg" ~sub:"go" ~args)
+      (fun on -> Machine.set_fma m ~enabled:on ~disabled:[])
+      (fun () -> getf m ~module_:"mg" ~name:"r1")
+  and oracle =
+    runs (fun args -> Tree.invoke t ~module_:"mg" ~sub:"go" ~args)
+      (fun on -> Tree.set_fma t ~enabled:on ~disabled:[])
+      (fun () -> match Tree.get_module_var t ~module_:"mg" ~name:"r1" with Machine.Vreal f -> f | _ -> nan)
+  in
+  Alcotest.(check (list string)) "each run under its flags" (List.map bits oracle) (List.map bits machine);
+  check_bool "the flags changed the result" true (List.nth machine 0 <> List.nth machine 1)
+
+(* set_fma from a hook in the middle of a run: a call in progress keeps
+   its flags, the next call takes the new ones. *)
+let fma_switched_mid_run () =
+  let src =
+    {|
+module sw
+  real(r8) :: a, b, r(2)
+contains
+  subroutine inner(k)
+    integer, intent(in) :: k
+    r(k) = a * b - 1.0_r8
+  end subroutine inner
+  subroutine go()
+    integer :: k
+    a = 1.0_r8 + epsilon(a)
+    b = 1.0_r8 - epsilon(b)
+    do k = 1, 2
+      call inner(k)
+    end do
+  end subroutine go
+end module sw
+|}
+  in
+  let prog = parse src in
+  (* turn FMA on just before the call statement runs a second time *)
+  let hook set =
+    let seen = ref 0 in
+    Some (fun _ _ line -> if line = 14 then (incr seen; if !seen = 2 then set ()))
+  in
+  let m = Machine.create prog and t = Tree.create prog in
+  m.Machine.hooks.Machine.on_stmt <- hook (fun () -> Machine.set_fma m ~enabled:true ~disabled:[]);
+  t.Tree.hooks.Machine.on_stmt <- hook (fun () -> Tree.set_fma t ~enabled:true ~disabled:[]);
+  ignore (Machine.invoke m ~module_:"sw" ~sub:"go" ~args:[]);
+  ignore (Tree.invoke t ~module_:"sw" ~sub:"go" ~args:[]);
+  let r get = match get ~module_:"sw" ~name:"r" with Machine.Varr a -> Array.to_list (Array.map bits a.Machine.data) | _ -> [] in
+  Alcotest.(check (list string)) "same results" (r (Tree.get_module_var t)) (r (Machine.get_module_var m));
+  match r (Machine.get_module_var m) with
+  | [ r1; r2 ] -> check_bool "the second call contracted" true (r1 <> r2)
+  | _ -> Alcotest.fail "r has two elements"
+
+(* One component site reading two derived values: a derived-type formal
+   bound to two different actuals. *)
+let component_site_two_values () =
+  let src =
+    {|
+module dt
+  type pt
+    real(r8) :: v
+  end type pt
+  type(pt) :: a, b
+  real(r8) :: s1, s2
+contains
+  function getv(p) result(r)
+    type(pt), intent(in) :: p
+    real(r8) :: r
+    r = p%v
+  end function getv
+  subroutine go()
+    a%v = 1.0_r8
+    b%v = 2.0_r8
+    s1 = getv(a)
+    s2 = getv(b)
+  end subroutine go
+end module dt
+|}
+  in
+  let o = same "component site" src ~module_:"dt" ~sub:"go" ~args:[] in
+  check_bool "each call reads its own value" true (List.mem ("dt.s2=r" ^ bits 2.0) o.globals)
+
+(* A declaration's initializer sees the formals and earlier declarations
+   only: a module variable that a later local declaration shadows. *)
+let declaration_scope () =
+  let src =
+    {|
+module ds
+  real(r8) :: b = 5.0_r8
+  real(r8) :: got
+contains
+  subroutine go()
+    real(r8) :: a = b
+    real(r8) :: b
+    b = 1.0_r8
+    got = a + b
+  end subroutine go
+end module ds
+|}
+  in
+  let o = same "declaration scope" src ~module_:"ds" ~sub:"go" ~args:[] in
+  check_bool "a saw the module's b, the body its own" true (List.mem ("ds.got=r" ^ bits 6.0) o.globals)
+
 (* .and., .or. and merge evaluate no more operands than the tree-walker. *)
 let short_circuits () =
   let src =
@@ -1118,6 +1234,10 @@ let () =
           Alcotest.test_case "store coercions" `Quick store_coercions;
           Alcotest.test_case "actual aliasing and copy-back" `Quick actual_aliasing;
           Alcotest.test_case "fma shapes" `Quick fma_shapes;
+          Alcotest.test_case "fma switched between runs" `Quick fma_switched_between_runs;
+          Alcotest.test_case "declaration scope" `Quick declaration_scope;
+          Alcotest.test_case "fma switched mid-run" `Quick fma_switched_mid_run;
+          Alcotest.test_case "component site, two values" `Quick component_site_two_values;
           Alcotest.test_case "short circuits" `Quick short_circuits;
           Alcotest.test_case "operand order" `Quick operand_order;
           Alcotest.test_case "budget trips alike" `Quick budget_trips_alike;
