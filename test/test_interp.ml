@@ -1227,7 +1227,7 @@ let () =
           Alcotest.test_case "fma divergence" `Quick kernel_flags_fma_divergence;
           Alcotest.test_case "normalized rms" `Quick normalized_rms_values;
         ] );
-      ( "differential",
+      ( "oracle",
         [
           Alcotest.test_case "existing programs" `Quick existing_programs_agree;
           Alcotest.test_case "undeclared do variable" `Quick undeclared_do_variable;
